@@ -34,6 +34,7 @@ from .transport import (
     wasserstein1_monotone_upper,
 )
 from .hypothesis import (
+    HatMoments,
     Hypothesis,
     HypothesisClass,
     HypothesisNet,

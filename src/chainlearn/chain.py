@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 MAX_KERNEL_STEPS = 20
+# steps whose branch bits `simulate_x_batch` draws in one vectorized call
+STEP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,7 @@ def trajectory(
     """States Z_0 .. Z_{n-1}; a pure function of (seed, replication_index)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    s = rng.derive(seed, rng.TRAJECTORY)
-    xs = np.empty(n)
-    xs[0] = z0.x
-    for k in range(1, n):
-        xs[k] = (xs[k - 1] + rng.bit(s, replication_index, k)) / 2.0
+    xs = simulate_x_batch(chain, np.array([z0.x]), n, seed, np.array([replication_index]))[0]
     ys = np.asarray(chain.space.target(xs), dtype=float)
     ys[0] = z0.y
     return Trajectory(xs, ys, seed, replication_index)
@@ -138,16 +136,20 @@ def simulate_x_batch(
 ) -> np.ndarray:
     """x-trajectories for many replications at once, shape (reps, n).
 
-    Bit-identical to calling `trajectory` per replication; the counter-based
-    streams make the result independent of evaluation order.
+    Replication r draws its step-k branch bit at (lane r, index k) of the
+    trajectory stream, so the result is independent of evaluation order and
+    of how the replications are grouped.  Bits are drawn for blocks of
+    steps at a time; only the recursion itself runs step by step.
     """
     s = rng.derive(seed, rng.TRAJECTORY)
     reps = np.asarray(replication_indices, dtype=np.uint64)
     xs = np.empty((reps.size, n))
     xs[:, 0] = x0
-    for k in range(1, n):
-        bits = rng.bit_array(s, reps, np.full(reps.size, k, dtype=np.uint64))
-        xs[:, k] = (xs[:, k - 1] + bits) / 2.0
+    for lo in range(1, n, STEP_BLOCK):
+        steps = np.arange(lo, min(lo + STEP_BLOCK, n), dtype=np.uint64)
+        bits = rng.bit_array(s, reps[:, None], steps[None, :])
+        for j in range(steps.size):
+            xs[:, lo + j] = (xs[:, lo + j - 1] + bits[:, j]) / 2.0
     return xs
 
 

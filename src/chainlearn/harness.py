@@ -31,6 +31,7 @@ from .chain import (
     simulate_x_batch,
 )
 from .hypothesis import (
+    HatMoments,
     Hypothesis,
     HypothesisClass,
     HypothesisNet,
@@ -117,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError("decay_n_max must lie in 1..12")
         if self.net_radius <= 0:
             raise ConfigError("net_radius must be positive")
+        if self.n < 1:
+            raise ConfigError("n must be at least 1")
+        if any(v < 1 for v in self.n_list):
+            raise ConfigError("every n_list entry must be at least 1")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
@@ -247,17 +252,21 @@ class Report:
     rows: list[tuple]
 
     def __post_init__(self) -> None:
+        # numpy scalars become plain Python values, which both formats render
+        self.metadata = {k: _plain(v) for k, v in self.metadata.items()}
         self.columns = tuple(self.columns)
-        self.rows = [tuple(r) for r in self.rows]
+        self.rows = [tuple(_plain(v) for v in r) for r in self.rows]
+
+
+def _plain(v: Any) -> Any:
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _fmt_cell(v: Any) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
+    if isinstance(v, float):
+        return repr(v)
     return str(v)
 
 
@@ -309,34 +318,28 @@ def _batch_empirical(
     n: int,
     pi_hat,
     rep_block: int = 256,
+    chunk: int = 512,
 ) -> np.ndarray:
     """Empirical error of every member for every replication, shape
-    (members, replications); matches `empirical_error` on each trajectory."""
+    (members, replications); matches `empirical_error` on each trajectory.
+
+    The hat-basis moments of each block of replications are accumulated
+    over column chunks, so no temporary as large as the block of states is
+    made besides the states themselves.
+    """
     target = chain.space.target
     reps_all = np.arange(config.replications, dtype=np.uint64)
     out = np.empty((len(net), config.replications))
-    constants_net = net.knot_count == 1
-    consts_vals = (
-        np.array([h.knot_values[0] for h in net.members]) if constants_net else None
-    )
     for lo in range(0, config.replications, rep_block):
         reps = reps_all[lo : lo + rep_block]
         x0 = initial_xs(config, pi_hat, reps)
         xs = simulate_x_batch(chain, x0, n, config.master_seed, reps)
-        fy = np.asarray(target(xs), dtype=float)
-        if constants_net:
-            mf = fy.mean(axis=1)
-            mf2 = (fy**2).mean(axis=1)
-            block = (
-                consts_vals[:, None] ** 2
-                - 2.0 * consts_vals[:, None] * mf[None, :]
-                + mf2[None, :]
-            )
-        else:
-            block = np.empty((len(net), reps.size))
-            for i, h in enumerate(net.members):
-                block[i] = ((np.asarray(h(xs)) - fy) ** 2).mean(axis=1)
-        out[:, lo : lo + reps.size] = block
+        moments = None
+        for a in range(0, n, chunk):
+            part = xs[:, a : a + chunk]
+            part_moments = HatMoments.from_samples(part, target(part), net.knot_count)
+            moments = part_moments if moments is None else moments + part_moments
+        out[:, lo : lo + reps.size] = net.mean_squared_errors(moments)
     return out
 
 

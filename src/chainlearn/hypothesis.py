@@ -89,6 +89,70 @@ class Hypothesis:
 
 
 @dataclass(frozen=True)
+class HatMoments:
+    """Sums of hat-basis products over sample points (x, y), one row per
+    sample set, for the uniform grid of `knot_count` knots on [0, 1].
+
+    With phi_k the hat function of knot k and sums over the `count` points
+    of row r: gram_diag[r, k] = sum phi_k^2, gram_off[r, k] =
+    sum phi_k phi_{k+1}, cross[r, k] = sum phi_k y and square[r] = sum y^2.
+    Moments of column blocks of the same rows add up to the moments of the
+    whole rows.  A single knot is the constant basis phi_0 = 1.
+    """
+
+    knot_count: int
+    count: int
+    gram_diag: np.ndarray
+    gram_off: np.ndarray
+    cross: np.ndarray
+    square: np.ndarray
+
+    @classmethod
+    def from_samples(cls, xs, ys, knot_count: int) -> HatMoments:
+        """Moments of the rows of xs and ys, both of shape (rows, count);
+        x is clamped to [0, 1] as the pointwise interpolant does."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        rows, count = xs.shape
+        cells = max(knot_count - 1, 1)
+        scaled = np.clip(xs, 0.0, 1.0) * (knot_count - 1)
+        left = np.minimum(np.floor(scaled), cells - 1)
+        t = scaled - left  # weight of the right knot of the cell
+        u = 1.0 - t  # weight of the left knot
+        cell = (np.arange(rows)[:, None] * cells + left.astype(np.intp)).ravel()
+
+        def per_cell(w: np.ndarray) -> np.ndarray:
+            return np.bincount(cell, w.ravel(), rows * cells).reshape(rows, cells)
+
+        def on_knots(on_left: np.ndarray, on_right: np.ndarray) -> np.ndarray:
+            out = np.zeros((rows, knot_count))
+            out[:, :cells] = on_left
+            out[:, 1:] += on_right[:, : knot_count - 1]
+            return out
+
+        return cls(
+            knot_count,
+            count,
+            on_knots(per_cell(u * u), per_cell(t * t)),
+            per_cell(u * t)[:, : knot_count - 1],
+            on_knots(per_cell(u * ys), per_cell(t * ys)),
+            (ys * ys).sum(axis=1),
+        )
+
+    def __add__(self, other: HatMoments) -> HatMoments:
+        if other.knot_count != self.knot_count:
+            raise ValueError("moments of different knot grids do not add")
+        return HatMoments(
+            self.knot_count,
+            self.count + other.count,
+            self.gram_diag + other.gram_diag,
+            self.gram_off + other.gram_off,
+            self.cross + other.cross,
+            self.square + other.square,
+        )
+
+
+@dataclass(frozen=True)
 class HypothesisNet:
     members: tuple[Hypothesis, ...]
     radius: float
@@ -105,6 +169,28 @@ class HypothesisNet:
     @property
     def knot_count(self) -> int:
         return self.members[0].knot_count
+
+    def mean_squared_errors(self, moments: HatMoments) -> np.ndarray:
+        """Mean of (h(x) - y)^2 over the sample points of each row of the
+        moments, for every member h; shape (len(net), rows).
+
+        Each member is h = sum_k v_k phi_k over the hat functions of its knot
+        grid, so its mean squared error is v'Gv - 2v'b + c with the
+        tridiagonal Gram matrix G, b_k = mean(phi_k y) and c = mean(y^2).
+        Clamped at 0 against the rounding residue of the expansion.
+        """
+        if moments.knot_count != self.knot_count:
+            raise ValueError(
+                f"moments are for {moments.knot_count} knots, the net has {self.knot_count}"
+            )
+        v = np.array([h.knot_values for h in self.members])
+        sums = (
+            (v * v) @ moments.gram_diag.T
+            + 2.0 * (v[:, :-1] * v[:, 1:]) @ moments.gram_off.T
+            - 2.0 * v @ moments.cross.T
+            + moments.square[None, :]
+        )
+        return np.maximum(sums / moments.count, 0.0)
 
     def member_matrix(self, xs: np.ndarray) -> np.ndarray:
         """All members evaluated at xs, shape (len(net), len(xs))."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Trajectory
-from .hypothesis import Hypothesis, HypothesisNet, build_epsilon_net
+from .hypothesis import HatMoments, Hypothesis, HypothesisNet, build_epsilon_net
 from .state_space import DiscreteMeasure
 
 
@@ -40,11 +40,12 @@ def true_error(h: Hypothesis, pi_hat: DiscreteMeasure) -> float:
 
 
 def empirical_errors(net: HypothesisNet, traj: Trajectory) -> np.ndarray:
-    """Empirical error of every member; one matrix pass over the trajectory."""
+    """Empirical error of every member, from one pass of hat-basis moments
+    over the trajectory."""
     if len(traj) == 0:
         raise ValueError("trajectory must be nonempty")
-    vals = net.member_matrix(traj.xs)
-    return ((vals - traj.ys[None, :]) ** 2).mean(axis=1)
+    moments = HatMoments.from_samples(traj.xs[None, :], traj.ys[None, :], net.knot_count)
+    return net.mean_squared_errors(moments)[:, 0]
 
 
 def true_errors(net: HypothesisNet, pi_hat: DiscreteMeasure) -> np.ndarray:

@@ -72,6 +72,27 @@ def test_batch_matches_scalar_trajectories():
         assert np.array_equal(xs[rep], tr.xs)
 
 
+def test_batch_matches_scalar_stream_across_step_blocks():
+    from chainlearn import rng
+    from chainlearn.chain import STEP_BLOCK
+
+    n = 2 * STEP_BLOCK + 3
+    reps = np.array([0, 5])
+    xs = simulate_x_batch(CHAIN, np.array([0.3, 1.0]), n, seed=19, replication_indices=reps)
+    s = rng.derive(19, rng.TRAJECTORY)
+    for row, (rep, x) in enumerate(zip(reps, (0.3, 1.0))):
+        expected = [x]
+        for k in range(1, n):
+            expected.append((expected[-1] + rng.bit(s, int(rep), k)) / 2.0)
+        assert np.array_equal(xs[row], expected)
+
+
+def test_float_trajectory_follows_exact_dyadic_states():
+    exact = trajectory_exact(CHAIN, DyadicState(()), 40, seed=29, replication_index=3)
+    tr = trajectory(CHAIN, graph_point(0.0, IDENTITY), 41, seed=29, replication_index=3)
+    assert [float(state.value()) for state in exact] == list(tr.xs)
+
+
 def test_replication_order_independence():
     reps = np.array([3, 1, 2])
     a = simulate_x_batch(CHAIN, np.zeros(3), 40, seed=17, replication_indices=reps)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chainlearn.cli import main
 
 
@@ -102,3 +104,38 @@ def test_cli_kind_follows_subcommand(tmp_path):
     out = tmp_path / "audit.csv"
     assert main(["audit-contraction", "--config", config, "--out", str(out)]) == 0
     assert "sup_ratio" in out.read_text()
+
+
+TINY = {
+    "audit-contraction": BASE,
+    "concentration": {"kind": "concentration", "n_list": [60], "replications": 4,
+                      "net_radius": 0.25, "pi_grid": 64},
+    "asem": {"kind": "asem", "n": 60, "replications": 4, "net_radius": 0.25, "pi_grid": 64},
+    "relative": {"kind": "relative", "n": 60, "replications": 4, "net_radius": 0.25,
+                 "pi_grid": 64},
+    "scaling": {"kind": "scaling", "net_radius": 0.25, "pi_grid": 64},
+    "bounds": {"kind": "bounds", "n": 1000, "net_radius": 0.25, "pi_grid": 64},
+    "poisson-check": {"kind": "poisson", "poisson_grid": 8, "poisson_rollouts": 200,
+                      "pi_grid": 64},
+    "lemma-check": {"kind": "lemma", "lemma_probes": 4},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(TINY))
+def test_cli_json_report_for_every_subcommand(tmp_path, subcommand):
+    config = write_config(tmp_path, "c.json", TINY[subcommand])
+    out = tmp_path / "report.json"
+    code = main([subcommand, "--config", config, "--format", "json", "--out", str(out)])
+    assert code in (0, 2)
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"metadata", "columns", "rows"}
+    assert all(len(row) == len(payload["columns"]) for row in payload["rows"])
+
+
+@pytest.mark.parametrize("bad", [{"n": 0}, {"n_list": [1000, 0]}])
+def test_cli_rejects_nonpositive_n(tmp_path, capsys, bad):
+    config = write_config(tmp_path, "c.json", {"kind": "concentration", **bad})
+    assert main(["concentration", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at least 1" in err
+    assert err.count("\n") == 1

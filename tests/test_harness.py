@@ -273,7 +273,7 @@ def test_batch_empirical_matches_per_trajectory_learner():
     from chainlearn.chain import Trajectory, invariant_measure, simulate_x_batch
     from chainlearn.harness import _batch_empirical, initial_xs
     from chainlearn.hypothesis import build_epsilon_net
-    from chainlearn.learner import empirical_errors
+    from chainlearn.learner import empirical_error
 
     for class_kind, lip, radius in (("constants", 0.0, 0.2), ("lipschitz", 1.0, 0.6)):
         config = cfg(kind="asem", n=200, replications=5, net_radius=radius,
@@ -289,5 +289,40 @@ def test_batch_empirical_matches_per_trajectory_learner():
         for r in range(5):
             traj = Trajectory(xs[r], np.asarray(chain.space.target(xs[r]), dtype=float),
                               config.master_seed, r)
-            direct = empirical_errors(net, traj)
-            assert np.abs(batch[:, r] - direct).max() <= 1e-12
+            for i, h in enumerate(net.members):
+                assert abs(batch[i, r] - empirical_error(h, traj)) <= 1e-12
+
+
+def test_batch_empirical_independent_of_blocking():
+    from chainlearn.chain import invariant_measure
+    from chainlearn.harness import _batch_empirical
+    from chainlearn.hypothesis import build_epsilon_net
+
+    config = cfg(kind="concentration", replications=7, class_kind="lipschitz",
+                 lip_bound=1.0, net_radius=0.6, x0_policy="uniform", master_seed=41)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    pi_hat = invariant_measure(chain, 128)
+    ref = _batch_empirical(net, chain, config, 300, pi_hat)
+    for rep_block, chunk in ((1, 1), (3, 7), (7, 299), (256, 300), (2, 1000)):
+        got = _batch_empirical(net, chain, config, 300, pi_hat, rep_block=rep_block, chunk=chunk)
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [{"n": 0}, {"n": -3}, {"n_list": [100, 0]}])
+def test_config_rejects_nonpositive_sample_sizes(bad):
+    with pytest.raises(ConfigError, match="at least 1"):
+        cfg(kind="concentration", **bad)
+
+
+def test_report_converts_numpy_scalars():
+    report = Report(
+        {"ok": np.bool_(True), "count": np.int64(3), "value": np.float64(0.5)},
+        ("a", "b"),
+        [(np.int32(1), np.bool_(False))],
+    )
+    assert type(report.metadata["ok"]) is bool
+    assert type(report.metadata["count"]) is int
+    assert type(report.metadata["value"]) is float
+    assert [type(v) for v in report.rows[0]] == [int, bool]
+    assert json.loads(render_report(report, "json"))["rows"] == [[1, False]]

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from chainlearn.chain import Trajectory
 from chainlearn.hypothesis import (
+    HatMoments,
     Hypothesis,
     HypothesisClass,
+    HypothesisNet,
     NetExplosionError,
     build_epsilon_net,
     class_metric,
@@ -14,6 +17,7 @@ from chainlearn.hypothesis import (
     net_covering_probe,
     random_member,
 )
+from chainlearn.learner import empirical_error
 
 CONSTANTS = HypothesisClass("constants", 0.0, 1.0)
 LIP1 = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
@@ -199,3 +203,51 @@ def test_class_validation():
         HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0)
     with pytest.raises(ValueError):
         HypothesisClass("constants", 0.0, math.inf)
+
+
+@pytest.mark.parametrize("knots", [1, 2, 3, 5, 9])
+def test_moment_errors_match_pointwise_oracle(knots):
+    gen = np.random.default_rng(knots)
+    cls = HypothesisClass("lipschitz", -2.0, 2.0, lip_bound=8.0)
+    net = HypothesisNet(
+        tuple(Hypothesis(tuple(gen.uniform(-2.0, 2.0, knots))) for _ in range(7)),
+        0.1,
+        "sup",
+        cls,
+    )
+    special = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, knots)])
+    xs = np.stack([np.concatenate([special, gen.uniform(0.0, 1.0, 40)]) for _ in range(3)])
+    ys = np.sin(3.0 * xs) + gen.normal(0.0, 0.1, xs.shape)
+
+    got = net.mean_squared_errors(HatMoments.from_samples(xs, ys, knots))
+    for r in range(xs.shape[0]):
+        traj = Trajectory(xs[r], ys[r], seed=0, replication_index=r)
+        for i, h in enumerate(net.members):
+            pointwise = float(np.mean((np.asarray(h(xs[r])) - ys[r]) ** 2))
+            assert abs(got[i, r] - pointwise) <= 1e-12
+            assert abs(got[i, r] - empirical_error(h, traj)) <= 1e-12
+
+    # moments of column blocks add up to those of the whole rows
+    cut = 17
+    split = HatMoments.from_samples(xs[:, :cut], ys[:, :cut], knots) + HatMoments.from_samples(
+        xs[:, cut:], ys[:, cut:], knots
+    )
+    assert split.count == xs.shape[1]
+    assert np.abs(net.mean_squared_errors(split) - got).max() <= 1e-12
+
+
+def test_moment_errors_clamped_at_zero_for_exact_fit():
+    net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, "sup", LIP1)
+    xs = np.linspace(0.0, 1.0, 101)[None, :]
+    moments = HatMoments.from_samples(xs, net.members[0](xs), 3)
+    # the unclamped quadratic form leaves a residue of about -7e-17 here
+    assert net.mean_squared_errors(moments)[0, 0] == 0.0
+
+
+def test_moments_reject_mismatched_knot_grids():
+    net = build_epsilon_net(LIP1, 0.5)
+    xs = np.linspace(0.0, 1.0, 5)[None, :]
+    with pytest.raises(ValueError, match="knots"):
+        net.mean_squared_errors(HatMoments.from_samples(xs, xs, net.knot_count + 1))
+    with pytest.raises(ValueError, match="knot grids"):
+        HatMoments.from_samples(xs, xs, 2) + HatMoments.from_samples(xs, xs, 3)
