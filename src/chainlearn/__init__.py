@@ -17,13 +17,10 @@ from .state_space import (
 from .chain import (
     ContractiveChain,
     DyadicState,
-    Trajectory,
     invariant_measure,
     lemma_atom_check,
     n_step_kernel,
     one_step_kernel,
-    step,
-    trajectory,
     trajectory_exact,
 )
 from .transport import (
@@ -39,22 +36,12 @@ from .hypothesis import (
     HypothesisClass,
     HypothesisNet,
     build_epsilon_net,
-    covering_bound_bkp,
     covering_bound_holder,
     class_metric,
     net_covering_probe,
 )
-from .loss import LossConstants, loss, loss_composite, loss_constants, verify_a2
-from .learner import (
-    ErrorSummary,
-    asem,
-    class_error_range,
-    empirical_error,
-    opt_pi,
-    relative_deviation,
-    true_error,
-    uniform_deviation,
-)
+from .loss import LossConstants, loss_composite, loss_constants, verify_a2
+from .learner import class_error_range, empirical_error, opt_pi, true_error
 from .bounds import (
     ModelConstants,
     ergodicity_constants,

@@ -153,7 +153,10 @@ def n1_terms(
     omc = consts.one_minus_exp_neg_c2
     c1l = consts.C1 * consts.L
     t1 = 16.0 * c1l / (eps * omc)
-    t2 = 128.0 * c1l**2 * (lncov + math.log(1.0 / delta)) / (eps**2 * omc**2)
+    denom = eps**2 * omc**2
+    t2 = 128.0 * c1l**2 * (lncov + math.log(1.0 / delta)) / denom if denom > 0 else math.inf
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError(f"sample size n1 overflows at eps={eps!r}")
     return t1, t2
 
 
@@ -314,9 +317,6 @@ class PoissonEstimate:
     rollouts: int
     mc_tolerance: float
     er_pi: float
-
-    def value_map(self) -> dict[float, float]:
-        return {float(x): float(v) for x, v in zip(self.xs, self.values)}
 
 
 def truncation_for_tolerance(consts: ModelConstants, tol: float) -> int:

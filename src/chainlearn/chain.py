@@ -3,9 +3,9 @@
 One step maps x to x/2 or (x+1)/2 with probability 1/2 each, so dyadic
 rationals stay dyadic forever while irrational starts never reach them:
 the chain is not irreducible.  Its x-marginal leaves the uniform law on
-[0, 1] invariant, and this module carries exact kernels, trajectories
-(float and exact dyadic), the discretized invariant measure, and the
-atom check for functions of the chain.
+[0, 1] invariant, and this module carries exact kernels, the batched float
+simulator and exact dyadic trajectories, the discretized invariant measure,
+and the atom check for functions of the chain.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from .state_space import (
 __all__ = [
     "ContractiveChain",
     "DyadicState",
-    "Trajectory",
     "DiscreteMeasure",
-    "step",
-    "trajectory",
     "simulate_x_batch",
     "trajectory_exact",
     "one_step_kernel",
@@ -81,52 +78,6 @@ class DyadicState:
         return DyadicState((bit,) + self.bits)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    xs: np.ndarray
-    ys: np.ndarray
-    seed: int
-    replication_index: int
-
-    def __len__(self) -> int:
-        return int(self.xs.size)
-
-    def state(self, i: int) -> StatePoint:
-        return StatePoint(float(self.xs[i]), float(self.ys[i]))
-
-    def states(self):
-        return [self.state(i) for i in range(len(self))]
-
-    def to_csv(self) -> str:
-        lines = ["step,x,y"]
-        lines.extend(
-            f"{k},{float(x)!r},{float(y)!r}"
-            for k, (x, y) in enumerate(zip(self.xs, self.ys))
-        )
-        return "\n".join(lines) + "\n"
-
-
-def step(chain: ContractiveChain, z: StatePoint, bit: int) -> StatePoint:
-    """Apply one branch: bit 0 maps x to x/2, bit 1 to (x+1)/2."""
-    return graph_point((z.x + bit) / 2.0, chain.space.target)
-
-
-def trajectory(
-    chain: ContractiveChain,
-    z0: StatePoint,
-    n: int,
-    seed: int,
-    replication_index: int = 0,
-) -> Trajectory:
-    """States Z_0 .. Z_{n-1}; a pure function of (seed, replication_index)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    xs = simulate_x_batch(chain, np.array([z0.x]), n, seed, np.array([replication_index]))[0]
-    ys = np.asarray(chain.space.target(xs), dtype=float)
-    ys[0] = z0.y
-    return Trajectory(xs, ys, seed, replication_index)
-
-
 def simulate_x_batch(
     chain: ContractiveChain,
     x0: np.ndarray,
@@ -163,8 +114,8 @@ def trajectory_exact(
 ) -> list[DyadicState]:
     """Start plus n exact dyadic steps (n + 1 states).
 
-    Branch bits come from the same stream as `trajectory` unless given
-    explicitly.
+    Branch bits come from the same stream as `simulate_x_batch` unless
+    given explicitly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

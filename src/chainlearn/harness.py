@@ -451,6 +451,11 @@ def run_concentration_experiment(config: ExperimentConfig) -> Report:
 
 
 def run_asem_experiment(config: ExperimentConfig) -> Report:
+    """The learner on each trajectory picks the net member of least
+    empirical error (ties to the smallest index).  As the exact minimizer
+    over the finite net it is a 0-ASEM for the net and, through the
+    joint-Lipschitz inequality, an (L_bar * radius)-ASEM for the full class.
+    """
     chain = build_chain(config)
     cls = build_class(config)
     net = build_epsilon_net(cls, config.net_radius)

@@ -2,9 +2,8 @@
 
 Classes are piecewise-linear functions on a uniform knot grid over [0, 1]:
 plain constants, Lipschitz-bounded functions, and Lipschitz functions pinned
-at an anchor point.  Nets are built in the sup metric only; a sup net is
-reused as an L1 net since the L1 distance on [0, 1] never exceeds the sup
-distance.
+at an anchor point.  Nets are built, and hypotheses compared, in the sup
+metric.
 
 Net construction for a Lipschitz bound L > 0 and radius eps: knots are
 spaced 1/ceil(2L/eps) apart and knot values live on a lattice of step
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -156,7 +155,6 @@ class HatMoments:
 class HypothesisNet:
     members: tuple[Hypothesis, ...]
     radius: float
-    metric_tag: str
     hypothesis_class: HypothesisClass
 
     def __post_init__(self) -> None:
@@ -201,15 +199,6 @@ class HypothesisNet:
         grid = np.linspace(0.0, 1.0, self.knot_count)
         return np.stack([np.interp(xs, grid, h.knot_values) for h in self.members])
 
-    def to_csv(self) -> str:
-        header = "member," + ",".join(f"knot_{k}" for k in range(self.knot_count))
-        lines = [header]
-        lines.extend(
-            f"{i}," + ",".join(repr(v) for v in h.knot_values)
-            for i, h in enumerate(self.members)
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _constants_values(cls: HypothesisClass, eps: float) -> np.ndarray:
     if cls.width == 0.0:
@@ -250,21 +239,17 @@ def _path_count(levels: int, knots: int, pinned: Optional[tuple[int, int]]) -> i
     return int(ways.sum())
 
 
-def build_epsilon_net(
-    cls: HypothesisClass, eps: float, metric_tag: str = "sup"
-) -> HypothesisNet:
+def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
     """Constructive finite eps-cover of the class in the sup metric."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if metric_tag not in ("sup", "l1"):
-        raise ValueError("nets are constructed in the sup metric (reused for l1)")
 
     if cls.kind == "constants":
         values = _constants_values(cls, eps)
         if values.size > NET_SIZE_CAP:
             raise NetExplosionError(f"{values.size} members exceed the cap")
         members = tuple(Hypothesis((float(v),)) for v in values)
-        return HypothesisNet(members, eps, metric_tag, cls)
+        return HypothesisNet(members, eps, cls)
 
     lam = cls.lip_bound
     cells = max(1, math.ceil(2.0 * lam / eps - 1e-9))
@@ -305,7 +290,7 @@ def build_epsilon_net(
 
     for start in range(levels):
         extend(0, start)
-    return HypothesisNet(tuple(members), eps, metric_tag, cls)
+    return HypothesisNet(tuple(members), eps, cls)
 
 
 def random_member(
@@ -363,53 +348,14 @@ def net_covering_probe(
     return worst
 
 
-def class_metric(h1: Hypothesis, h2: Hypothesis, metric_tag: str) -> float:
-    """Distance between hypotheses sharing a knot grid.
-
-    sup: exact maximum of |h1 - h2| (attained at the knots for a shared
-    grid); l1: trapezoid rule on the knot grid; lipschitz: sup plus the
-    largest slope difference.
-    """
+def class_metric(h1: Hypothesis, h2: Hypothesis) -> float:
+    """Sup distance between hypotheses sharing a knot grid, attained at the
+    knots."""
     if h1.knot_count != h2.knot_count:
         raise ValueError(
             f"knot grids differ ({h1.knot_count} vs {h2.knot_count})"
         )
-    v1 = np.asarray(h1.knot_values)
-    v2 = np.asarray(h2.knot_values)
-    diff = np.abs(v1 - v2)
-    if metric_tag == "sup":
-        return float(diff.max())
-    if metric_tag == "l1":
-        if h1.knot_count == 1:
-            return float(diff[0])
-        return float(np.trapezoid(diff, np.linspace(0.0, 1.0, h1.knot_count)))
-    if metric_tag == "lipschitz":
-        if h1.knot_count == 1:
-            return float(diff.max())
-        spacing = 1.0 / (h1.knot_count - 1)
-        s1 = np.diff(v1) / spacing
-        s2 = np.diff(v2) / spacing
-        return float(diff.max() + np.abs(s1 - s2).max())
-    raise ValueError(f"unknown metric {metric_tag!r}")
-
-
-class CoveringBound(NamedTuple):
-    """Value of 2^(13VT/eps) together with its base-2 exponent."""
-
-    value: float
-    log2: float
-
-
-def covering_bound_bkp(V: float, T: float, eps: float) -> CoveringBound:
-    """Bounded-variation covering bound 2^(13VT/eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    exponent = 13.0 * V * T / eps
-    try:
-        value = 2.0**exponent
-    except OverflowError:
-        value = math.inf
-    return CoveringBound(value, exponent)
+    return float(np.abs(np.asarray(h1.knot_values) - np.asarray(h2.knot_values)).max())
 
 
 def covering_bound_holder(C: float, d: int, gamma: float, eps: float) -> float:
@@ -420,4 +366,12 @@ def covering_bound_holder(C: float, d: int, gamma: float, eps: float) -> float:
         raise ValueError("gamma must lie in (0, 1]")
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return C * eps ** (-2.0 * d / gamma)
+    try:
+        value = C * eps ** (-2.0 * d / gamma)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"Holder covering bound overflows at eps={eps!r} with d={d}, gamma={gamma}"
+        )
+    return value

@@ -43,10 +43,6 @@ class LossConstants:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def loss(y: float, y_hat: float) -> float:
-    return (y - y_hat) ** 2
-
-
 def loss_composite(h: Hypothesis, z: StatePoint) -> float:
     return (float(h(z.x)) - z.y) ** 2
 
@@ -108,7 +104,7 @@ def verify_a2(
         lhs = abs(loss_composite(h1, z1) - loss_composite(h2, z2))
         rhs = (
             consts.L * rho(z1, z2)
-            + consts.L_bar * class_metric(h1, h2, "sup")
+            + consts.L_bar * class_metric(h1, h2)
             + 1e-9
         )
         return lhs - rhs

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -170,10 +170,6 @@ class DiscreteMeasure:
 
     def __len__(self) -> int:
         return self.xs.size
-
-    def atoms(self) -> Iterator[tuple[StatePoint, float]]:
-        for x, y, w in zip(self.xs, self.ys, self.weights):
-            yield StatePoint(float(x), float(y)), float(w)
 
     def points(self) -> np.ndarray:
         return np.stack([self.xs, self.ys], axis=1)

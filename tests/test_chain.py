@@ -15,8 +15,6 @@ from chainlearn.chain import (
     n_step_kernel,
     one_step_kernel,
     simulate_x_batch,
-    step,
-    trajectory,
     trajectory_exact,
 )
 from chainlearn.state_space import graph_point, make_space, make_target
@@ -27,49 +25,34 @@ TENT = make_target("tent")
 CHAIN = ContractiveChain(make_space(IDENTITY))
 
 
-def test_step_examples():
-    z0 = graph_point(0.0, IDENTITY)
-    assert step(CHAIN, z0, 0) == z0
-    assert step(CHAIN, z0, 1).x == 0.5
-    z1 = graph_point(1.0, IDENTITY)
-    assert step(CHAIN, z1, 0).x == 0.5
+def simulate_one(x0, n, seed, replication_index=0):
+    """The x-trajectory of a single replication."""
+    return simulate_x_batch(CHAIN, np.array([x0]), n, seed, np.array([replication_index]))[0]
 
 
 def test_trajectory_length_one():
-    z0 = graph_point(0.0, IDENTITY)
-    tr = trajectory(CHAIN, z0, 1, seed=5)
-    assert len(tr) == 1 and tr.xs[0] == 0.0
+    xs = simulate_one(0.0, 1, seed=5)
+    assert xs.shape == (1,) and xs[0] == 0.0
 
 
 def test_trajectory_determinism():
-    z0 = graph_point(0.3, IDENTITY)
-    a = trajectory(CHAIN, z0, 100, seed=7, replication_index=0)
-    b = trajectory(CHAIN, z0, 100, seed=7, replication_index=0)
-    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
-    c = trajectory(CHAIN, z0, 100, seed=7, replication_index=1)
-    assert not np.array_equal(a.xs, c.xs)
+    a = simulate_one(0.3, 100, seed=7, replication_index=0)
+    b = simulate_one(0.3, 100, seed=7, replication_index=0)
+    assert np.array_equal(a, b)
+    c = simulate_one(0.3, 100, seed=7, replication_index=1)
+    assert not np.array_equal(a, c)
 
 
 def test_trajectory_branch_structure():
-    z0 = graph_point(0.77, IDENTITY)
-    tr = trajectory(CHAIN, z0, 200, seed=9)
+    xs = simulate_one(0.77, 200, seed=9)
     for k in range(1, 200):
-        options = (tr.xs[k - 1] / 2, (tr.xs[k - 1] + 1) / 2)
-        assert min(abs(tr.xs[k] - o) for o in options) <= 1e-15
+        options = (xs[k - 1] / 2, (xs[k - 1] + 1) / 2)
+        assert min(abs(xs[k] - o) for o in options) <= 1e-15
 
 
 def test_trajectory_mean_matches_uniform_invariant():
-    z0 = graph_point(0.0, IDENTITY)
-    tr = trajectory(CHAIN, z0, 10_000, seed=7)
-    assert abs(tr.xs.mean() - 0.5) < 0.02
-
-
-def test_batch_matches_scalar_trajectories():
-    xs = simulate_x_batch(CHAIN, np.array([0.0, 0.25, 1.0]), 50, seed=13,
-                          replication_indices=np.array([0, 1, 2]))
-    for rep, x0 in enumerate((0.0, 0.25, 1.0)):
-        tr = trajectory(CHAIN, graph_point(x0, IDENTITY), 50, seed=13, replication_index=rep)
-        assert np.array_equal(xs[rep], tr.xs)
+    xs = simulate_one(0.0, 10_000, seed=7)
+    assert abs(xs.mean() - 0.5) < 0.02
 
 
 def test_batch_matches_scalar_stream_across_step_blocks():
@@ -89,8 +72,8 @@ def test_batch_matches_scalar_stream_across_step_blocks():
 
 def test_float_trajectory_follows_exact_dyadic_states():
     exact = trajectory_exact(CHAIN, DyadicState(()), 40, seed=29, replication_index=3)
-    tr = trajectory(CHAIN, graph_point(0.0, IDENTITY), 41, seed=29, replication_index=3)
-    assert [float(state.value()) for state in exact] == list(tr.xs)
+    xs = simulate_one(0.0, 41, seed=29, replication_index=3)
+    assert [float(state.value()) for state in exact] == list(xs)
 
 
 def test_replication_order_independence():

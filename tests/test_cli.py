@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chainlearn
 from chainlearn.cli import main
 
 
@@ -139,3 +143,27 @@ def test_cli_rejects_nonpositive_n(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "at least 1" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload",
+    [
+        ("scaling", {"kind": "scaling", "class_kind": "constants", "holder_d": 200}),
+        ("scaling", {"kind": "scaling", "class_kind": "constants", "eps_list": [1e-200]}),
+        ("asem", {"kind": "asem", "class_kind": "constants", "replications": 2, "n": 10,
+                  "eps": 1e-200}),
+    ],
+    ids=["holder-d-overflow", "eps-list-overflow", "eps-squared-underflow"],
+)
+def test_cli_float_range_error_is_one_line(tmp_path, subcommand, payload):
+    # run as a separate process so any traceback would reach the real stderr
+    config = write_config(tmp_path, "c.json", payload)
+    src = os.path.dirname(os.path.dirname(chainlearn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainlearn.cli", subcommand, "--config", config],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

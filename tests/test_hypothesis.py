@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from chainlearn.chain import Trajectory
 from chainlearn.hypothesis import (
     HatMoments,
     Hypothesis,
@@ -12,7 +11,6 @@ from chainlearn.hypothesis import (
     NetExplosionError,
     build_epsilon_net,
     class_metric,
-    covering_bound_bkp,
     covering_bound_holder,
     net_covering_probe,
     random_member,
@@ -55,7 +53,7 @@ def test_constants_probe_at_half():
 def test_net_covers_itself():
     net = build_epsilon_net(CONSTANTS, 0.25)
     for h in net.members:
-        dists = [class_metric(h, g, "sup") for g in net.members]
+        dists = [class_metric(h, g) for g in net.members]
         assert min(dists) == 0.0
 
 
@@ -134,29 +132,18 @@ def test_huge_radius_still_builds():
     assert len(net) >= 1
 
 
-def test_lipschitz_metric_tag_rejected_for_construction():
-    with pytest.raises(ValueError):
-        build_epsilon_net(LIP1, 0.5, metric_tag="lipschitz")
-
-
 def test_class_metric_examples():
     h = Hypothesis((0.2,))
     g = Hypothesis((0.7,))
-    assert class_metric(h, h, "sup") == 0.0
-    assert class_metric(h, g, "sup") == pytest.approx(0.5, abs=1e-15)
-    assert class_metric(h, g, "l1") == pytest.approx(0.5, abs=1e-15)
-
-
-def test_class_metric_lipschitz_tag():
-    h = Hypothesis((0.0, 0.5, 1.0))
-    g = Hypothesis((0.0, 0.0, 0.0))
-    # sup gap 1.0 plus slope gap 1.0 (slopes 1 vs 0 at spacing 1/2)
-    assert class_metric(h, g, "lipschitz") == pytest.approx(2.0, abs=1e-12)
+    assert class_metric(h, h) == 0.0
+    assert class_metric(h, g) == pytest.approx(0.5, abs=1e-15)
+    # on a shared knot grid the sup distance is attained at a knot
+    assert class_metric(Hypothesis((0.0, 0.5, 1.0)), Hypothesis((0.0, 0.0, 0.0))) == 1.0
 
 
 def test_class_metric_grid_mismatch():
     with pytest.raises(ValueError, match="knot grids differ"):
-        class_metric(Hypothesis((0.0,)), Hypothesis((0.0, 1.0)), "sup")
+        class_metric(Hypothesis((0.0,)), Hypothesis((0.0, 1.0)))
 
 
 def test_random_members_are_feasible():
@@ -168,21 +155,6 @@ def test_random_members_are_feasible():
             if cls.lip_bound > 0:
                 slopes = np.abs(np.diff(vals)) * 8
                 assert slopes.max() <= cls.lip_bound + 1e-12
-
-
-def test_covering_bound_bkp_examples():
-    b = covering_bound_bkp(1.0, 1.0, 0.5)
-    assert b.value == 2.0**26 == 67_108_864
-    assert b.log2 == 26.0
-    assert covering_bound_bkp(1.0, 1.0, 13.0).value == pytest.approx(2.0, abs=1e-12)
-    assert covering_bound_bkp(1.0, 1.0, 0.25).log2 == 2 * b.log2
-
-
-def test_covering_bound_bkp_dominates_constants_net():
-    # constants on [0,1] have total variation V=1 over T=1
-    for eps in (0.1, 0.25, 0.5, 1.0):
-        net = build_epsilon_net(CONSTANTS, eps)
-        assert len(net) <= covering_bound_bkp(1.0, 1.0, eps).value
 
 
 def test_covering_bound_holder_examples():
@@ -212,7 +184,6 @@ def test_moment_errors_match_pointwise_oracle(knots):
     net = HypothesisNet(
         tuple(Hypothesis(tuple(gen.uniform(-2.0, 2.0, knots))) for _ in range(7)),
         0.1,
-        "sup",
         cls,
     )
     special = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, knots)])
@@ -221,11 +192,10 @@ def test_moment_errors_match_pointwise_oracle(knots):
 
     got = net.mean_squared_errors(HatMoments.from_samples(xs, ys, knots))
     for r in range(xs.shape[0]):
-        traj = Trajectory(xs[r], ys[r], seed=0, replication_index=r)
         for i, h in enumerate(net.members):
             pointwise = float(np.mean((np.asarray(h(xs[r])) - ys[r]) ** 2))
             assert abs(got[i, r] - pointwise) <= 1e-12
-            assert abs(got[i, r] - empirical_error(h, traj)) <= 1e-12
+            assert abs(got[i, r] - empirical_error(h, xs[r], ys[r])) <= 1e-12
 
     # moments of column blocks add up to those of the whole rows
     cut = 17
@@ -237,7 +207,7 @@ def test_moment_errors_match_pointwise_oracle(knots):
 
 
 def test_moment_errors_clamped_at_zero_for_exact_fit():
-    net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, "sup", LIP1)
+    net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, LIP1)
     xs = np.linspace(0.0, 1.0, 101)[None, :]
     moments = HatMoments.from_samples(xs, net.members[0](xs), 3)
     # the unclamped quadratic form leaves a residue of about -7e-17 here

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from chainlearn.chain import ContractiveChain, Trajectory, invariant_measure, simulate_x_batch
-from chainlearn.hypothesis import Hypothesis, HypothesisClass, HypothesisNet, build_epsilon_net
+from chainlearn.chain import ContractiveChain, invariant_measure, simulate_x_batch
+from chainlearn.hypothesis import (
+    HatMoments,
+    Hypothesis,
+    HypothesisClass,
+    HypothesisNet,
+    build_epsilon_net,
+)
 from chainlearn.learner import (
-    DegenerateClassError,
-    asem,
     class_error_range,
     empirical_error,
-    empirical_errors,
-    error_table,
     opt_pi,
-    relative_deviation,
     true_error,
     true_errors,
-    uniform_deviation,
 )
 from chainlearn.state_space import make_space, make_target
 
@@ -28,16 +28,47 @@ PI_4096 = invariant_measure(CHAIN, 4096)
 
 
 def make_traj(xs):
+    """Sample points (x, f(x)) of the identity target."""
     xs = np.asarray(xs, dtype=float)
-    return Trajectory(xs, np.asarray(IDENTITY(xs), dtype=float), seed=0, replication_index=0)
+    return xs, np.asarray(IDENTITY(xs), dtype=float)
+
+
+def net_errors(net, traj):
+    """Empirical error of every member on one sample, from the hat-basis
+    evaluator the Monte Carlo experiments use."""
+    xs, ys = traj
+    return net.mean_squared_errors(HatMoments.from_samples(xs, ys, net.knot_count))[:, 0]
+
+
+def asem(net, traj):
+    """The learner of the asem experiment: the member of least empirical
+    error, ties to the smallest index."""
+    errs = net_errors(net, traj)
+    idx = int(errs.argmin(axis=0))
+    return idx, float(errs[idx])
+
+
+def uniform_deviation(net, traj, pi_hat):
+    """The concentration experiment's statistic max_h |er_n(h) - er(h)|."""
+    devs = np.abs(net_errors(net, traj) - true_errors(net, pi_hat))
+    idx = int(np.argmax(devs))
+    return float(devs[idx]), idx
+
+
+def relative_deviation(net, traj, pi_hat):
+    """The relative experiment's statistic max_h |er_n(h) - er(h)| / sqrt(er(h))."""
+    true = true_errors(net, pi_hat)
+    rel = np.abs(net_errors(net, traj) - true) / np.sqrt(true)
+    idx = int(np.argmax(rel))
+    return float(rel[idx]), idx
 
 
 def test_empirical_error_examples():
     h = Hypothesis((0.5,))
-    assert empirical_error(h, make_traj([0.0, 1.0])) == pytest.approx(0.25, abs=1e-15)
+    assert empirical_error(h, *make_traj([0.0, 1.0])) == pytest.approx(0.25, abs=1e-15)
     exact = Hypothesis((0.0, 1.0))
-    assert empirical_error(exact, make_traj([0.1, 0.7, 0.3])) == pytest.approx(0.0, abs=1e-15)
-    assert empirical_error(Hypothesis((0.0,)), make_traj([0.0])) == 0.0
+    assert empirical_error(exact, *make_traj([0.1, 0.7, 0.3])) == pytest.approx(0.0, abs=1e-15)
+    assert empirical_error(Hypothesis((0.0,)), *make_traj([0.0])) == 0.0
 
 
 def test_true_error_quadrature():
@@ -48,7 +79,7 @@ def test_true_error_quadrature():
 
 def test_asem_exact_interpolant_wins():
     exact = Hypothesis((0.0, 1.0))
-    net = HypothesisNet((Hypothesis((0.2, 0.8)), exact), 0.1, "sup",
+    net = HypothesisNet((Hypothesis((0.2, 0.8)), exact), 0.1,
                         HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0))
     idx, value = asem(net, make_traj([0.1, 0.5, 0.9]))
     assert idx == 1 and value == pytest.approx(0.0, abs=1e-15)
@@ -61,12 +92,12 @@ def test_asem_constants_picks_member_nearest_sample_mean():
     # empirical risk in c is (c - mean)^2 + var: minimized at the nearest member to the mean
     members = np.array([h.knot_values[0] for h in net.members])
     assert members[idx] in (0.375, 0.625)
-    brute = min(range(len(net)), key=lambda i: empirical_error(net.members[i], traj))
+    brute = min(range(len(net)), key=lambda i: empirical_error(net.members[i], *traj))
     assert idx == brute
 
 
 def test_asem_single_member():
-    net = HypothesisNet((Hypothesis((0.9,)),), 1.0, "sup", CONSTANTS)
+    net = HypothesisNet((Hypothesis((0.9,)),), 1.0, CONSTANTS)
     idx, _ = asem(net, make_traj([0.0, 1.0]))
     assert idx == 0
 
@@ -76,11 +107,11 @@ def test_asem_is_exact_minimizer():
     traj = make_traj(np.linspace(0, 1, 17) ** 2)
     idx, value = asem(net, traj)
     for h in net.members:
-        assert value < empirical_error(h, traj) + 1e-12
+        assert value < empirical_error(h, *traj) + 1e-12
 
 
 def test_asem_tie_breaks_to_smallest_index():
-    net = HypothesisNet((Hypothesis((0.4,)), Hypothesis((0.6,))), 1.0, "sup", CONSTANTS)
+    net = HypothesisNet((Hypothesis((0.4,)), Hypothesis((0.6,))), 1.0, CONSTANTS)
     idx, _ = asem(net, make_traj([0.5]))  # both at squared distance 0.01
     assert idx == 0
 
@@ -97,7 +128,7 @@ def test_asem_is_approximate_minimizer_over_class():
     _, value = asem(net, traj)
     for lane in range(200):
         h = random_member(CONSTANTS, 1, seed=8, lane=lane)
-        assert value <= empirical_error(h, traj) + consts.L_bar * net.radius + 1e-12
+        assert value <= empirical_error(h, *traj) + consts.L_bar * net.radius + 1e-12
 
 
 def test_opt_pi_constants():
@@ -107,17 +138,17 @@ def test_opt_pi_constants():
 
 def test_opt_pi_net_containing_target():
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
-    net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, "sup", cls)
+    net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, cls)
     assert opt_pi(net, PI_4096, refinement=1) == 0.0
 
 
 def test_opt_pi_single_constant_zero():
-    net = HypothesisNet((Hypothesis((0.0,)),), 1.0, "sup", CONSTANTS)
+    net = HypothesisNet((Hypothesis((0.0,)),), 1.0, CONSTANTS)
     assert opt_pi(net, PI_4096, refinement=1) == pytest.approx(1 / 3, abs=1e-4)
 
 
 def test_uniform_deviation_single_state():
-    net = HypothesisNet((Hypothesis((0.5,)),), 1.0, "sup", CONSTANTS)
+    net = HypothesisNet((Hypothesis((0.5,)),), 1.0, CONSTANTS)
     dev, idx = uniform_deviation(net, make_traj([0.0]), PI_4096)
     assert dev == pytest.approx(0.25 - 1 / 12, abs=1e-4)
     assert idx == 0
@@ -135,20 +166,21 @@ def test_uniform_deviation_dominates_members():
     traj = make_traj(np.linspace(0, 1, 100) ** 1.5)
     dev, _ = uniform_deviation(net, traj, PI_4096)
     for h in net.members:
-        assert dev >= abs(empirical_error(h, traj) - true_error(h, PI_4096)) - 1e-12
+        assert dev >= abs(empirical_error(h, *traj) - true_error(h, PI_4096)) - 1e-12
 
 
 def test_relative_deviation_single_member():
-    net = HypothesisNet((Hypothesis((0.5,)),), 1.0, "sup", CONSTANTS)
+    net = HypothesisNet((Hypothesis((0.5,)),), 1.0, CONSTANTS)
     rel, idx = relative_deviation(net, make_traj([0.0]), PI_4096)
     assert rel == pytest.approx((0.25 - 1 / 12) / math.sqrt(1 / 12), abs=1e-3)
 
 
 def test_relative_deviation_degenerate():
+    # a member fitting the target scores exactly m = 0, on which the relative
+    # experiment raises DegenerateClassError
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
-    net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, "sup", cls)
-    with pytest.raises(DegenerateClassError):
-        relative_deviation(net, make_traj([0.1, 0.9]), PI_4096)
+    net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, cls)
+    assert class_error_range(net, PI_4096)[0] == 0.0
 
 
 def test_relative_vs_uniform_deviation():
@@ -158,7 +190,7 @@ def test_relative_vs_uniform_deviation():
     rel, _ = relative_deviation(net, traj, PI_4096)
     for h_idx in range(len(net.members)):
         dev = abs(
-            empirical_error(net.members[h_idx], traj)
+            empirical_error(net.members[h_idx], *traj)
             - true_error(net.members[h_idx], PI_4096)
         )
         assert rel >= dev / math.sqrt(M) - 1e-12
@@ -173,7 +205,7 @@ def test_class_error_range_constants():
 
 
 def test_class_error_range_single_member():
-    net = HypothesisNet((Hypothesis((0.0,)),), 1.0, "sup", CONSTANTS)
+    net = HypothesisNet((Hypothesis((0.0,)),), 1.0, CONSTANTS)
     m, M = class_error_range(net, PI_4096)
     assert m == M == pytest.approx(1 / 3, abs=1e-4)
 
@@ -182,38 +214,11 @@ def test_empirical_error_concatenation():
     h = Hypothesis((0.3,))
     xs1 = np.linspace(0, 1, 7)
     xs2 = np.linspace(0.2, 0.9, 13)
-    e1 = empirical_error(h, make_traj(xs1))
-    e2 = empirical_error(h, make_traj(xs2))
-    combined = empirical_error(h, make_traj(np.concatenate([xs1, xs2])))
+    e1 = empirical_error(h, *make_traj(xs1))
+    e2 = empirical_error(h, *make_traj(xs2))
+    combined = empirical_error(h, *make_traj(np.concatenate([xs1, xs2])))
     expected = (7 * e1 + 13 * e2) / 20
     assert combined == pytest.approx(expected, abs=1e-12)
-
-
-def test_error_table_relative_consistency():
-    net = build_epsilon_net(CONSTANTS, 0.25)
-    traj = make_traj(np.linspace(0, 1, 50))
-    for row in error_table(net, traj, PI_4096):
-        assert row.relative_deviation == pytest.approx(
-            row.deviation / math.sqrt(row.true_error), abs=1e-12
-        )
-
-
-def test_csv_exports():
-    from chainlearn.learner import error_table_csv
-
-    traj = make_traj([0.0, 0.5, 1.0])
-    csv_text = traj.to_csv()
-    assert csv_text.splitlines()[0] == "step,x,y"
-    assert csv_text.splitlines()[2] == "1,0.5,0.5"
-
-    net = build_epsilon_net(CONSTANTS, 0.5)
-    net_csv = net.to_csv()
-    assert net_csv.splitlines()[0] == "member,knot_0"
-    assert len(net_csv.splitlines()) == len(net) + 1
-
-    table_csv = error_table_csv(error_table(net, traj, PI_1000))
-    assert table_csv.splitlines()[0].startswith("h_index,empirical")
-    assert len(table_csv.splitlines()) == len(net) + 1
 
 
 def test_median_uniform_deviation_nonincreasing_in_n():
@@ -223,9 +228,7 @@ def test_median_uniform_deviation_nonincreasing_in_n():
     medians = []
     for n in (100, 1000, 10_000):
         xs = simulate_x_batch(CHAIN, np.zeros(100), n, seed=42, replication_indices=reps)
-        devs = []
-        for r in range(100):
-            traj = Trajectory(xs[r], np.asarray(IDENTITY(xs[r]), dtype=float), 42, r)
-            devs.append(np.abs(empirical_errors(net, traj) - true).max())
+        emp = net.mean_squared_errors(HatMoments.from_samples(xs, IDENTITY(xs), net.knot_count))
+        devs = np.abs(emp - true[:, None]).max(axis=0)
         medians.append(float(np.median(devs)))
     assert medians[0] >= medians[1] >= medians[2]

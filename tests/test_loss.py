@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from chainlearn.hypothesis import Hypothesis, HypothesisClass
-from chainlearn.loss import LossConstants, loss, loss_composite, loss_constants, verify_a2
+from chainlearn.loss import LossConstants, loss_composite, loss_constants, verify_a2
 from chainlearn.state_space import StatePoint, graph_point, make_space, make_target
 
 IDENTITY_SPACE = make_space(make_target("identity"))
 CONSTANTS = HypothesisClass("constants", 0.0, 1.0)
-
-
-def test_loss_examples():
-    assert loss(0.3, 0.3) == 0.0
-    assert loss(0.0, 1.0) == 1.0
-    assert loss(0.2, 0.7) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_loss_composite_examples():
