@@ -558,11 +558,11 @@ def run_scaling_experiment(config: ExperimentConfig) -> Report:
     chain = build_chain(config)
     cls = build_class(config)
     pi_hat = invariant_measure(chain, config.pi_grid)
-    if config.m_override is not None and config.M_override is not None:
-        m, M = config.m_override, config.M_override
-    else:
-        net = build_epsilon_net(cls, config.net_radius)
-        m, M = class_error_range(net, pi_hat)
+    m, M = config.m_override, config.M_override
+    if m is None or M is None:
+        net_m, net_M = class_error_range(build_epsilon_net(cls, config.net_radius), pi_hat)
+        m = net_m if m is None else m
+        M = net_M if M is None else M
     if m <= 0.0:
         raise DegenerateClassError("class error range has m = 0")
     consts = model_constants(config, chain, cls, m=m, M=M)

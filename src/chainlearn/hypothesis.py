@@ -200,9 +200,15 @@ class HypothesisNet:
         return np.stack([np.interp(xs, grid, h.knot_values) for h in self.members])
 
 
+def _oversized(eps: float) -> NetExplosionError:
+    return NetExplosionError(f"net for eps={eps} would have more than {NET_SIZE_CAP} members")
+
+
 def _constants_values(cls: HypothesisClass, eps: float) -> np.ndarray:
     if cls.width == 0.0:
         return np.array([cls.y_lo])
+    if cls.width / eps - 1e-9 > NET_SIZE_CAP:
+        raise _oversized(eps)
     count = max(1, math.ceil(cls.width / eps - 1e-9))
     cell = cls.width / count
     return cls.y_lo + (np.arange(count) + 0.5) * cell
@@ -246,17 +252,21 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
 
     if cls.kind == "constants":
         values = _constants_values(cls, eps)
-        if values.size > NET_SIZE_CAP:
-            raise NetExplosionError(f"{values.size} members exceed the cap")
         members = tuple(Hypothesis((float(v),)) for v in values)
         return HypothesisNet(members, eps, cls)
 
     lam = cls.lip_bound
+    if 2.0 * lam / eps == math.inf:  # a lattice step that underflows to 0
+        raise _oversized(eps)
     cells = max(1, math.ceil(2.0 * lam / eps - 1e-9))
     spacing = 1.0 / cells
     step = lam * spacing  # lattice step == max knot move, <= eps/2
-    lattice = _lattice(cls, step)
     knots = cells + 1
+    # with two or more levels (_lattice's test for k = 1) every start, and the
+    # anchor, begins at least 2**(knots-1) paths
+    if knots - 1 > math.log2(NET_SIZE_CAP) and cls.y_lo + 1.5 * step <= cls.y_hi + 1e-12:
+        raise _oversized(eps)
+    lattice = _lattice(cls, step)
     levels = lattice.size
 
     pinned = None
@@ -268,9 +278,7 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
 
     total = _path_count(levels, knots, pinned)
     if total > NET_SIZE_CAP:
-        raise NetExplosionError(
-            f"net for eps={eps} would have {total} members (cap {NET_SIZE_CAP})"
-        )
+        raise _oversized(eps)
     if total == 0:
         raise ValueError("anchored construction produced no feasible member")
 

@@ -42,6 +42,9 @@ class TargetFunction:
 
 def make_target(name: str, **params: float) -> TargetFunction:
     """Build a target function by name; the CLI config uses the same names."""
+    unknown = sorted(set(params) - {"constant": {"c"}, "affine": {"a", "b"}}.get(name, set()))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for target {name!r}")
     if name == "identity":
         return TargetFunction(lambda x: np.asarray(x, dtype=float) + 0.0, 1.0, "identity")
     if name == "constant":

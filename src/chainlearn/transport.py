@@ -10,8 +10,11 @@ Solver strategy, in order:
     route covers order-compatible ground costs (affine targets) at
     O(m n) cost, which is what the geometric-decay audit needs at 4096
     atoms a side.
-2.  Hungarian assignment (`scipy.optimize.linear_sum_assignment`) when both
-    measures are uniform with equal atom counts.
+2.  Assignment (`scipy.optimize.linear_sum_assignment`) when every weight
+    is a multiple of 1/K: atoms split into K*w unit atoms and the K x K
+    assignment problem is solved.  K is searched up to min(m, n), which
+    admits only uniform measures of equal size, and up to the atom cap
+    when the LP would exceed its variable cap.
 3.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
     everything else within the size cap.
 
@@ -35,6 +38,7 @@ from .state_space import DiscreteMeasure, StatePoint, graph_point, rho
 ATOM_CAP = 4096          # per measure, after duplicate merging
 LP_VARIABLE_CAP = 1 << 22
 _DUAL_TOL = 1e-11
+_WEIGHT_TOL = 1e-12  # per weight: above the rounding of j/K, below any kernel or grid weight
 
 
 class SizeError(ValueError):
@@ -93,7 +97,11 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
     return entries
 
 
-def _certified_monotone(a, b, cost) -> tuple[list[tuple[int, int, float]], float] | None:
+def _plan_cost(entries, cost) -> float:
+    return float(sum(mass * cost[i, j] for i, j, mass in entries))
+
+
+def _certified_monotone(a, b, cost) -> list[tuple[int, int, float]] | None:
     entries = _staircase(a, b)
     m, n = cost.shape
     u = np.full(m, np.nan)
@@ -108,44 +116,42 @@ def _certified_monotone(a, b, cost) -> tuple[list[tuple[int, int, float]], float
         return None
     if not (u[:, None] + v[None, :] <= cost + _DUAL_TOL).all():
         return None
-    total = float(sum(mass * cost[i, j] for i, j, mass in entries))
-    return [(i, j, mass) for i, j, mass in entries if mass > 0.0], total
+    return [(i, j, mass) for i, j, mass in entries if mass > 0.0]
 
 
 def _common_denominator(weights: np.ndarray, cap: int) -> int | None:
     """Smallest K <= cap with every weight an integer multiple of 1/K, if any."""
     for k in range(1, cap + 1):
         scaled = weights * k
-        if np.abs(scaled - np.round(scaled)).max() < 1e-9 * k:
+        if np.abs(scaled - np.round(scaled)).max() < _WEIGHT_TOL * k:
             return k
     return None
 
 
-def _assignment(cost) -> tuple[list[tuple[int, int, float]], float]:
-    rows, cols = linear_sum_assignment(cost)
-    w = 1.0 / cost.shape[0]
-    entries = [(int(i), int(j), w) for i, j in zip(rows, cols)]
-    total = float(cost[rows, cols].sum() * w)
-    return entries, total
+def _assignment(a, b, cost, k) -> list[tuple[int, int, float]]:
+    """Split atom i into k*a_i unit atoms (likewise for b) and solve the
+    k x k assignment problem; exact when every weight is a multiple of 1/k."""
+    m, n = cost.shape
+    ia = np.repeat(np.arange(m), np.round(a * k).astype(int))
+    ib = np.repeat(np.arange(n), np.round(b * k).astype(int))
+    rows, cols = linear_sum_assignment(cost[np.ix_(ia, ib)])
+    cells, counts = np.unique(ia[rows] * n + ib[cols], return_counts=True)
+    return [(int(c // n), int(c % n), int(t) / k) for c, t in zip(cells, counts)]
 
 
-def _transportation_lp(a, b, cost) -> tuple[list[tuple[int, int, float]], float]:
+def _transportation_lp(a, b, cost) -> list[tuple[int, int, float]]:
     m, n = cost.shape
     if m * n > LP_VARIABLE_CAP:
         raise SizeError(
             f"transportation LP with {m}x{n} atoms exceeds the variable cap; "
             "pre-coarsen via quantile binning"
         )
-    rows: list[int] = []
-    cols: list[int] = []
-    for i in range(m):
-        rows.extend([i] * n)
-        cols.extend(range(i * n, (i + 1) * n))
-    for j in range(n):
-        rows.extend([m + j] * m)
-        cols.extend(i * n + j for i in range(m))
+    # variable i*n + j carries the mass from atom i to atom j: it enters
+    # row constraint i and column constraint m + j
+    var = np.arange(m * n)
     mat = csr_matrix(
-        (np.ones(2 * m * n), (rows, cols)), shape=(m + n, m * n)
+        (np.ones(2 * m * n), (np.concatenate([var // n, m + var % n]), np.tile(var, 2))),
+        shape=(m + n, m * n),
     )
     res = linprog(
         cost.ravel(),
@@ -153,20 +159,12 @@ def _transportation_lp(a, b, cost) -> tuple[list[tuple[int, int, float]], float]
         b_eq=np.concatenate([a, b]),
         bounds=(0, None),
         method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed: {res.message}")
     plan = res.x.reshape(m, n)
-    entries = [
-        (int(i), int(j), float(plan[i, j]))
-        for i, j in zip(*np.nonzero(plan > 1e-15))
-    ]
-    total = float(sum(mass * cost[i, j] for i, j, mass in entries))
-    return entries, total
+    return [(int(i), int(j), float(plan[i, j])) for i, j in zip(*np.nonzero(plan > 1e-15))]
 
 
 def wasserstein1_exact(
@@ -186,38 +184,15 @@ def wasserstein1_exact(
     cost = _cost_matrix(mu, nu)
     a, b = mu.weights, nu.weights
 
-    certified = _certified_monotone(a, b, cost)
-    if certified is not None:
-        entries, total = certified
-        return total, TransportPlan(tuple(entries), total)
-
-    m, n = cost.shape
-    uniform = (
-        m == n
-        and np.abs(a - 1.0 / m).max() < 1e-12
-        and np.abs(b - 1.0 / n).max() < 1e-12
-    )
-    if uniform:
-        entries, total = _assignment(cost)
-        return total, TransportPlan(tuple(entries), total)
-
-    if m * n > LP_VARIABLE_CAP:
-        k = _common_denominator(np.concatenate([a, b]), ATOM_CAP)
-        if k is not None:
-            reps_a = np.round(a * k).astype(int)
-            reps_b = np.round(b * k).astype(int)
-            ia = np.repeat(np.arange(m), reps_a)
-            ib = np.repeat(np.arange(n), reps_b)
-            rows, cols = linear_sum_assignment(cost[np.ix_(ia, ib)])
-            agg: dict[tuple[int, int], float] = {}
-            for r, c in zip(rows, cols):
-                key = (int(ia[r]), int(ib[c]))
-                agg[key] = agg.get(key, 0.0) + 1.0 / k
-            entries = [(i, j, mass) for (i, j), mass in sorted(agg.items())]
-            total = float(sum(mass * cost[i, j] for i, j, mass in entries))
-            return total, TransportPlan(tuple(entries), total)
-
-    entries, total = _transportation_lp(a, b, cost)
+    entries = _certified_monotone(a, b, cost)
+    if entries is None:
+        # K >= max(m, n): up to min(m, n) only uniform measures of equal size
+        # qualify, past the LP cap any K up to the atom cap is tried
+        m, n = cost.shape
+        cap = ATOM_CAP if m * n > LP_VARIABLE_CAP else min(m, n)
+        k = _common_denominator(np.concatenate([a, b]), cap)
+        entries = _transportation_lp(a, b, cost) if k is None else _assignment(a, b, cost, k)
+    total = _plan_cost(entries, cost)
     return total, TransportPlan(tuple(entries), total)
 
 
@@ -227,11 +202,8 @@ def wasserstein1_monotone_upper(mu: DiscreteMeasure, nu: DiscreteMeasure) -> flo
     A feasible coupling, hence always >= the exact distance; equal to it
     whenever the chord metric is order-compatible (affine targets).
     """
-    mu = mu.merged()
-    nu = nu.merged()
-    cost = _cost_matrix(mu, nu)
-    entries = _staircase(mu.weights, nu.weights)
-    return float(sum(mass * cost[i, j] for i, j, mass in entries))
+    mu, nu = mu.merged(), nu.merged()
+    return _plan_cost(_staircase(mu.weights, nu.weights), _cost_matrix(mu, nu))
 
 
 def kr_dual_lower(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -167,3 +168,34 @@ def test_cli_float_range_error_is_one_line(tmp_path, subcommand, payload):
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"class_kind": "lipschitz", "lip_bound": 1.0, "net_radius": 3e-3},
+        {"class_kind": "lipschitz_anchored", "lip_bound": 1.0, "anchor": [0.5, 0.5],
+         "net_radius": 1e-3},
+        {"class_kind": "lipschitz", "lip_bound": 1.0, "net_radius": 1e-320},
+        {"class_kind": "constants", "net_radius": 1e-13},
+    ],
+    ids=["lipschitz", "anchored", "lipschitz-underflow", "constants"],
+)
+def test_cli_oversized_net_rejected_before_enumeration(tmp_path, capsys, payload):
+    config = write_config(tmp_path, "c.json", {"kind": "concentration", **payload})
+    start = time.perf_counter()
+    assert main(["concentration", "--config", config]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "more than 10000000 members" in err
+
+
+def test_cli_rejects_unknown_target_parameter(tmp_path, capsys):
+    config = write_config(tmp_path, "c.json", {
+        **BASE, "target_name": "affine", "target_params": {"slope": 1.5},
+    })
+    assert main(["audit-contraction", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "slope" in err

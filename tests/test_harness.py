@@ -325,3 +325,14 @@ def test_report_converts_numpy_scalars():
     assert type(report.metadata["value"]) is float
     assert [type(v) for v in report.rows[0]] == [int, bool]
     assert json.loads(render_report(report, "json"))["rows"] == [[1, False]]
+
+
+@pytest.mark.parametrize("override", ["m_override", "M_override"])
+def test_scaling_applies_each_override_alone(override):
+    base = run_scaling_experiment(cfg(kind="scaling", pi_grid=256)).metadata
+    meta = run_scaling_experiment(cfg(kind="scaling", pi_grid=256, **{override: 0.2})).metadata
+    key = override[0]
+    other = "M" if key == "m" else "m"
+    assert base[key] != 0.2
+    assert meta[key] == 0.2
+    assert meta[other] == base[other]

@@ -6,10 +6,14 @@ pruning); the LP optimum is attained at a vertex, so the minimum over
 vertices is the exact distance.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlearn import rng
 from chainlearn.chain import ContractiveChain, one_step_kernel
@@ -105,7 +109,8 @@ def test_kernel_pair_example():
 
 
 def test_solver_matches_vertex_enumeration():
-    # mixed float and dyadic weights exercise the LP and assignment routes
+    # float and dyadic weights on the tent and the identity exercise the
+    # certified and LP routes; test_routes_are_pinned_and_exact covers all three
     worst = 0.0
     for trial in range(60):
         target = TENT if trial % 2 else IDENTITY
@@ -156,10 +161,9 @@ def test_solver_matches_direct_lp_mid_size():
         mu = DiscreteMeasure.on_graph(target, xa, wa / wa.sum())
         nu = DiscreteMeasure.on_graph(target, xb, wb / wb.sum())
         d, _ = wasserstein1_exact(mu, nu)
-        _, ref = _transportation_lp(
-            mu.merged().weights, nu.merged().weights,
-            _cost_matrix(mu.merged(), nu.merged()),
-        )
+        cost = _cost_matrix(mu.merged(), nu.merged())
+        entries = _transportation_lp(mu.merged().weights, nu.merged().weights, cost)
+        ref = sum(mass * cost[i, j] for i, j, mass in entries)
         worst = max(worst, abs(d - ref))
     assert worst <= 1e-9
 
@@ -300,3 +304,97 @@ def test_contraction_bound_all_lipschitz_targets():
         chain = ContractiveChain(make_space(target))
         audit = contraction_audit(chain, pair_count=200, seed=4)
         assert audit.sup_ratio <= math.sqrt(1 + target.lip**2) / 2 + 1e-9
+
+
+ROUTES = ("_certified_monotone", "_assignment", "_transportation_lp")
+
+
+def solve_with_route(mu, nu, lp_variable_cap=None):
+    """wasserstein1_exact plus the name of the one solver that made the plan."""
+    import chainlearn.transport as tr
+
+    used = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            if out is not None:
+                used.append(name)
+            return out
+
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name in ROUTES:
+            stack.enter_context(mock.patch.object(tr, name, spy(name, getattr(tr, name))))
+        if lp_variable_cap is not None:
+            stack.enter_context(mock.patch.object(tr, "LP_VARIABLE_CAP", lp_variable_cap))
+        d, plan = tr.wasserstein1_exact(mu, nu)
+    assert len(used) == 1
+    return d, plan, used[0]
+
+
+# On the tent, atoms left and right of 1/2 with a = 1/2 - x and b = x' - 1/2
+# are sqrt(2 (a^2 + b^2)) apart, a strictly submodular cost in (a, b): the
+# staircase pairs them anti-monotonically and is never optimal, so the
+# certificate fails and the instance goes to the assignment or the LP.
+LEFT = st.integers(1, 31).map(lambda k: k / 64)
+RIGHT = st.integers(33, 63).map(lambda k: k / 64)
+PARTITIONS = st.sampled_from(QUARTER_HALF_PARTITIONS)
+
+
+def split_measures(draw, wa, wb):
+    xa = draw(st.lists(LEFT, min_size=len(wa), max_size=len(wa), unique=True))
+    xb = draw(st.lists(RIGHT, min_size=len(wb), max_size=len(wb), unique=True))
+    return (
+        DiscreteMeasure.on_graph(TENT, np.array(xa), np.asarray(wa, dtype=float)),
+        DiscreteMeasure.on_graph(TENT, np.array(xb), np.asarray(wb, dtype=float)),
+    )
+
+
+@st.composite
+def uniform_square(draw):
+    size = draw(st.sampled_from((2, 4)))
+    return split_measures(draw, [1.0 / size] * size, [1.0 / size] * size)
+
+
+@st.composite
+def dyadic_unequal(draw):
+    wa = draw(PARTITIONS)
+    wb = draw(PARTITIONS.filter(lambda w: len(w) != len(wa)))
+    return split_measures(draw, wa, wb)
+
+
+@st.composite
+def identity_pair(draw):
+    def measure():
+        size = draw(st.integers(1, 4))
+        xs = draw(st.lists(st.integers(0, 64), min_size=size, max_size=size, unique=True))
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)), float)
+        return DiscreteMeasure.on_graph(IDENTITY, np.array(xs) / 64, w / w.sum())
+
+    return measure(), measure()
+
+
+@pytest.mark.parametrize(
+    "pairs, lp_variable_cap, route",
+    [
+        (uniform_square(), None, "_assignment"),
+        (dyadic_unequal(), None, "_transportation_lp"),
+        (identity_pair(), None, "_certified_monotone"),
+        # with the LP over its cap, dyadic weights go to the 1/4 expansion
+        (dyadic_unequal(), 2, "_assignment"),
+    ],
+    ids=["uniform-square", "dyadic-unequal", "identity", "expansion"],
+)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_routes_are_pinned_and_exact(pairs, lp_variable_cap, route, data):
+    mu, nu = data.draw(pairs)
+    d, plan, used = solve_with_route(mu, nu, lp_variable_cap)
+    assert used == route
+    mm, nn = mu.merged(), nu.merged()
+    assert abs(d - vertex_coupling_minimum(mm.weights, nn.weights, cost_matrix(mm, nn))) <= 1e-9
+    row, col = plan.marginals(len(mm), len(nn))
+    assert np.abs(row - mm.weights).max() <= 1e-9
+    assert np.abs(col - nn.weights).max() <= 1e-9
