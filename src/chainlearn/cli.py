@@ -4,7 +4,8 @@ Subcommands mirror the experiment kinds; every run reads a JSON config,
 executes deterministically under the master seed, and writes one report.
 
 Exit codes: 0 success, 1 config error, 2 invariant violation detected by an
-audit (the report is still written), 3 I/O error.
+audit (the report is still written), 3 I/O error, 4 internal error (any
+other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -59,6 +60,15 @@ def _emit(report: Report, out: str | None, fmt: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 4
+
+
+def _run(args: argparse.Namespace) -> int:
     kind = _SUBCOMMANDS[args.command]
     try:
         config = load_config(args.config)

@@ -282,22 +282,23 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
     if total == 0:
         raise ValueError("anchored construction produced no feasible member")
 
+    # depth-first over (knot, level) with an explicit stack, pushed in
+    # reverse so members come out in lexicographic order of their paths
+    values = lattice.tolist()
     members: list[Hypothesis] = []
     path = [0] * knots
-
-    def extend(k: int, level: int) -> None:
+    stack = [(0, start) for start in reversed(range(levels))]
+    while stack:
+        k, level = stack.pop()
         if pinned is not None and pinned[0] == k and level != pinned[1]:
-            return
+            continue
         path[k] = level
         if k + 1 == knots:
-            members.append(Hypothesis(tuple(float(lattice[v]) for v in path)))
-            return
-        for nxt in (level - 1, level, level + 1):
+            members.append(Hypothesis(tuple(values[v] for v in path)))
+            continue
+        for nxt in (level + 1, level, level - 1):
             if 0 <= nxt < levels:
-                extend(k + 1, nxt)
-
-    for start in range(levels):
-        extend(0, start)
+                stack.append((k + 1, nxt))
     return HypothesisNet(tuple(members), eps, cls)
 
 

@@ -16,7 +16,16 @@ Solver strategy, in order:
     admits only uniform measures of equal size, and up to the atom cap
     when the LP would exceed its variable cap.
 3.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
-    everything else within the size cap.
+    everything else within the size cap, on a restricted support: the
+    staircase cells, which alone make it feasible, plus the cheapest cells
+    of each row and column.  After each solve the duals u, v price every
+    cell of the full matrix; the most negative cells with
+    c_ij - u_i - v_j < -tol join the support and the LP is solved again.
+    When no cell is left, the plan is feasible and the duals are feasible
+    for the full LP, the same duality certificate as in route 1, so the
+    cost is exact.  Each round adds a cell, so the loop ends, at worst on
+    the dense LP.  Optimal plans on a curve pair near neighbours, so the
+    support stays a small fraction of the m x n cells.
 
 Every returned plan is feasible and attains the returned cost; the test
 suite cross-checks the solver against exhaustive vertex-coupling
@@ -38,6 +47,8 @@ from .state_space import DiscreteMeasure, StatePoint, graph_point, rho
 ATOM_CAP = 4096          # per measure, after duplicate merging
 LP_VARIABLE_CAP = 1 << 22
 _DUAL_TOL = 1e-11
+_LP_TOL = 1e-10  # HiGHS feasibility tolerances and the restricted LP's pricing check
+_GROW = 2  # cells added per row and per column when the restricted LP grows
 _WEIGHT_TOL = 1e-12  # per weight: above the rounding of j/K, below any kernel or grid weight
 
 
@@ -139,32 +150,63 @@ def _assignment(a, b, cost, k) -> list[tuple[int, int, float]]:
     return [(int(c // n), int(c % n), int(t) / k) for c, t in zip(cells, counts)]
 
 
+def _cheapest(values: np.ndarray) -> np.ndarray:
+    """Mask of the _GROW smallest entries of every row and every column."""
+    m, n = values.shape
+    mask = np.zeros((m, n), dtype=bool)
+    k = min(_GROW, n)
+    mask[np.arange(m)[:, None], np.argpartition(values, k - 1, axis=1)[:, :k]] = True
+    k = min(_GROW, m)
+    mask[np.argpartition(values, k - 1, axis=0)[:k, :], np.arange(n)[None, :]] = True
+    return mask
+
+
 def _transportation_lp(a, b, cost) -> list[tuple[int, int, float]]:
+    """HiGHS on a support grown until the duals price out every cell (route 3)."""
     m, n = cost.shape
     if m * n > LP_VARIABLE_CAP:
         raise SizeError(
             f"transportation LP with {m}x{n} atoms exceeds the variable cap; "
             "pre-coarsen via quantile binning"
         )
-    # variable i*n + j carries the mass from atom i to atom j: it enters
-    # row constraint i and column constraint m + j
-    var = np.arange(m * n)
-    mat = csr_matrix(
-        (np.ones(2 * m * n), (np.concatenate([var // n, m + var % n]), np.tile(var, 2))),
-        shape=(m + n, m * n),
-    )
-    res = linprog(
-        cost.ravel(),
-        A_eq=mat,
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    return [(int(i), int(j), float(plan[i, j])) for i, j in zip(*np.nonzero(plan > 1e-15))]
+    support = _cheapest(cost)
+    for i, j, _ in _staircase(a, b):
+        support[i, j] = True
+    while True:
+        rows, cols = np.nonzero(support)
+        # variable k carries the mass on cell (rows[k], cols[k]): it enters
+        # row constraint rows[k] and column constraint m + cols[k]
+        var = np.arange(rows.size)
+        mat = csr_matrix(
+            (np.ones(2 * var.size), (np.concatenate([rows, m + cols]), np.tile(var, 2))),
+            shape=(m + n, var.size),
+        )
+        res = linprog(
+            cost[rows, cols],
+            A_eq=mat,
+            b_eq=np.concatenate([a, b]),
+            bounds=(0, None),
+            method="highs",
+            options={
+                "primal_feasibility_tolerance": _LP_TOL,
+                "dual_feasibility_tolerance": _LP_TOL,
+            },
+        )
+        if res.status != 0:
+            raise RuntimeError(f"transportation LP failed: {res.message}")
+        duals = res.eqlin.marginals
+        reduced = cost - duals[:m, None] - duals[None, m:]
+        # HiGHS stops once reduced costs on the support are >= -_LP_TOL; the
+        # same bound off the support makes the plan optimal for the full LP
+        violated = (reduced < -_LP_TOL) & ~support
+        if not violated.any():
+            break
+        support |= violated & _cheapest(np.where(violated, reduced, np.inf))
+    keep = res.x > 1e-15
+    return [
+        (int(i), int(j), float(mass))
+        for i, j, mass in zip(rows[keep], cols[keep], res.x[keep])
+    ]
 
 
 def wasserstein1_exact(

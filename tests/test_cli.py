@@ -191,6 +191,20 @@ def test_cli_oversized_net_rejected_before_enumeration(tmp_path, capsys, payload
     assert "more than 10000000 members" in err
 
 
+def test_cli_internal_error_is_one_line(tmp_path, capsys, monkeypatch):
+    import chainlearn.cli as cli
+
+    def fail(config):
+        raise RuntimeError("transportation LP failed:\nsolver status 4")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    config = write_config(tmp_path, "c.json", BASE)
+    assert main(["audit-contraction", "--config", config]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: transportation LP failed: solver status 4\n"
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_unknown_target_parameter(tmp_path, capsys):
     config = write_config(tmp_path, "c.json", {
         **BASE, "target_name": "affine", "target_params": {"slope": 1.5},

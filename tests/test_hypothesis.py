@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -125,6 +126,46 @@ def test_enumeration_matches_path_count():
                                anchor=(0.0, 0.5))
     anet = build_epsilon_net(anchored, 0.5)
     assert len(anet) == _path_count(4, anet.knot_count, (0, 1))
+
+
+def product_order_paths(values, knots, pinned=None):
+    """Lattice paths with steps in {-1, 0, 1}, in itertools.product order."""
+    paths = []
+    for path in itertools.product(range(len(values)), repeat=knots):
+        if any(abs(p - q) > 1 for p, q in zip(path, path[1:])):
+            continue
+        if pinned is not None and path[pinned[0]] != pinned[1]:
+            continue
+        paths.append(tuple(values[v] for v in path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "cls, eps, anchor",
+    [
+        (LIP1, 0.5, None),
+        (LIP1, 0.4, None),
+        (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.5, 0.5)),
+         0.5, (0.5, 0.5)),
+    ],
+    ids=["lipschitz-5-knots", "lipschitz-6-knots", "anchored"],
+)
+def test_enumeration_order_matches_product(cls, eps, anchor):
+    net = build_epsilon_net(cls, eps)
+    values = sorted({v for h in net.members for v in h.knot_values})
+    pinned = None
+    if anchor is not None:
+        level = min(range(len(values)), key=lambda k: abs(values[k] - anchor[1]))
+        pinned = (round(anchor[0] * (net.knot_count - 1)), level)
+    assert member_values(net) == product_order_paths(values, net.knot_count, pinned)
+
+
+def test_single_member_net_with_many_knots():
+    # one lattice level over 200,001 knots: a path as deep as the knot count
+    cls = HypothesisClass("lipschitz", 0.5, 0.5, lip_bound=1.0)
+    net = build_epsilon_net(cls, 1e-5)
+    assert len(net) == 1 and net.knot_count == 200_001
+    assert set(net.members[0].knot_values) == {0.5}
 
 
 def test_huge_radius_still_builds():

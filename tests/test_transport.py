@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from chainlearn import rng
 from chainlearn.chain import ContractiveChain, one_step_kernel
@@ -145,9 +146,24 @@ def test_solver_exact_on_quarter_half_weights():
     assert worst <= 1e-9
 
 
-def test_solver_matches_direct_lp_mid_size():
-    from chainlearn.transport import _cost_matrix, _transportation_lp
+def dense_lp_cost(a, b, cost):
+    """Optimal cost of the full transportation LP, every cell a variable."""
+    m, n = cost.shape
+    rows = np.kron(np.eye(m), np.ones((1, n)))  # sum over j of x_ij = a_i
+    cols = np.kron(np.ones((1, m)), np.eye(n))  # sum over i of x_ij = b_j
+    res = linprog(
+        cost.ravel(),
+        A_eq=np.vstack([rows, cols]),
+        b_eq=np.concatenate([a, b]),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return res.fun
 
+
+def test_solver_matches_direct_lp_mid_size():
     s = rng.derive(99, rng.PROBE)
     worst = 0.0
     for trial in range(12):
@@ -161,11 +177,43 @@ def test_solver_matches_direct_lp_mid_size():
         mu = DiscreteMeasure.on_graph(target, xa, wa / wa.sum())
         nu = DiscreteMeasure.on_graph(target, xb, wb / wb.sum())
         d, _ = wasserstein1_exact(mu, nu)
-        cost = _cost_matrix(mu.merged(), nu.merged())
-        entries = _transportation_lp(mu.merged().weights, nu.merged().weights, cost)
-        ref = sum(mass * cost[i, j] for i, j, mass in entries)
+        mm, nn = mu.merged(), nu.merged()
+        ref = dense_lp_cost(mm.weights, nn.weights, cost_matrix(mm, nn))
         worst = max(worst, abs(d - ref))
     assert worst <= 1e-9
+
+
+def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
+    # n-step tent kernels against a uniform grid: the restricted LP must grow
+    # in some cases and end, every time, on the dense optimum with duals
+    # that price out every cell of the full matrix
+    import chainlearn.transport as tr
+    from chainlearn.chain import invariant_measure, n_step_kernel
+
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(linprog(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tr, "linprog", spy)
+    chain = ContractiveChain(make_space(TENT))
+    grid = invariant_measure(chain, 64)
+    rounds = []
+    for x0 in (0.0, 0.3):
+        for n in range(1, 7):
+            mu = n_step_kernel(chain, graph_point(x0, TENT), n)
+            a, b, cost = mu.weights, grid.weights, cost_matrix(mu, grid)
+            results.clear()
+            entries = tr._transportation_lp(a, b, cost)
+            rounds.append(len(results))
+            total = sum(mass * cost[i, j] for i, j, mass in entries)
+            assert total == pytest.approx(dense_lp_cost(a, b, cost), rel=1e-12)
+            duals = results[-1].eqlin.marginals
+            u, v = duals[: len(a)], duals[len(a) :]
+            assert a @ u + b @ v == pytest.approx(total, rel=1e-12)
+            assert (cost - u[:, None] - v[None, :]).min() >= -tr._LP_TOL
+    assert max(rounds) >= 2
 
 
 def test_dyadic_expansion_route(monkeypatch):
