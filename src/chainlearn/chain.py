@@ -49,7 +49,6 @@ STEP_BLOCK = 512
 @dataclass(frozen=True)
 class ContractiveChain:
     space: SpaceDescriptor
-    branch_probability: float = 0.5
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -37,13 +37,9 @@ from .hypothesis import (
     HypothesisNet,
     build_epsilon_net,
     covering_bound_holder,
+    covering_count,
 )
-from .learner import (
-    DegenerateClassError,
-    class_error_range,
-    opt_pi,
-    true_errors,
-)
+from .learner import DegenerateClassError, opt_pi, true_errors
 from .loss import loss_constants
 from .state_space import graph_point, make_space, make_target
 
@@ -219,17 +215,28 @@ def model_constants(
             )
         c1 = config.c1_override
     losses = loss_constants(cls, chain.space)
+    if losses.L_bar == 0.0:
+        raise ConfigError(
+            "the loss is identically zero (class range and target range are the "
+            "same single point), so L_bar = 0 and no bound applies"
+        )
     return bd.ModelConstants.from_chain(eta, c1, losses, m, M)
 
 
-def covering_count(cls: HypothesisClass, radius: float) -> int:
-    """Cardinality of the constructed net at the given radius, an upper
-    bound for the class covering number."""
-    if cls.kind == "constants":
-        if cls.width == 0.0:
-            return 1
-        return max(1, math.ceil(cls.width / radius - 1e-9))
-    return len(build_epsilon_net(cls, radius))
+def _error_range(
+    config: ExperimentConfig, cls: HypothesisClass, pi_hat, true: Optional[np.ndarray] = None
+) -> tuple[float, float]:
+    """(m, M): `m_override` and `M_override`, or else the least and greatest
+    true error over the net at `net_radius`.  Those errors are `true` when
+    the caller has them; otherwise the net is built, and only when an end
+    is not overridden."""
+    m, M = config.m_override, config.M_override
+    if m is None or M is None:
+        if true is None:
+            true = true_errors(build_epsilon_net(cls, config.net_radius), pi_hat)
+        m = float(true.min()) if m is None else m
+        M = float(true.max()) if M is None else M
+    return m, M
 
 
 def initial_xs(config: ExperimentConfig, pi_hat, reps: np.ndarray) -> np.ndarray:
@@ -311,6 +318,10 @@ def read_report_json(path: str) -> Report:
 
 # --- batched empirical statistics -------------------------------------------
 
+# hat-basis moment cells (replications x knots) held per replication block
+MOMENT_BUDGET = 2**20
+
+
 def _batch_empirical(
     net: HypothesisNet,
     chain: ContractiveChain,
@@ -325,9 +336,12 @@ def _batch_empirical(
 
     The hat-basis moments of each block of replications are accumulated
     over column chunks, so no temporary as large as the block of states is
-    made besides the states themselves.
+    made besides the states themselves; a block holds at most
+    `MOMENT_BUDGET // knot_count` replications, so many knots do not make
+    the moments grow with the replications.
     """
     target = chain.space.target
+    rep_block = min(rep_block, max(1, MOMENT_BUDGET // net.knot_count))
     reps_all = np.arange(config.replications, dtype=np.uint64)
     out = np.empty((len(net), config.replications))
     for lo in range(0, config.replications, rep_block):
@@ -341,6 +355,54 @@ def _batch_empirical(
             moments = part_moments if moments is None else moments + part_moments
         out[:, lo : lo + reps.size] = net.mean_squared_errors(moments)
     return out
+
+
+def _grid(config: ExperimentConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The n and eps values of an experiment: `n_list` and `eps_list`, or
+    else the single `n` and `eps`."""
+    n_values = tuple(int(n) for n in config.n_list or (config.n,))
+    return n_values, config.eps_list or (config.eps,)
+
+
+def _exceedance_report(
+    config: ExperimentConfig,
+    chain: ContractiveChain,
+    net: HypothesisNet,
+    pi_hat,
+    deviation: Callable[[np.ndarray], np.ndarray],
+    bound: Callable[[float, int], tuple[float, bool]],
+    meta: dict[str, Any],
+) -> Report:
+    """One row per (n, eps) of the grid, n major: how many of the trials
+    (replications) have a deviation above eps, next to the tail bound.
+
+    `deviation` maps the (members, replications) empirical errors at one n
+    to one deviation per replication; `bound(eps, n)` gives the bound and
+    its validity flag.  `low_probability_rows` lists the rows whose bound
+    is below 1e-3, and `meta` adds to the metadata.
+    """
+    n_values, eps_values = _grid(config)
+    trials = config.replications
+    rows: list[tuple] = []
+    low_rows: list[int] = []
+    for n in n_values:
+        devs = deviation(_batch_empirical(net, chain, config, n, pi_hat))
+        for eps in eps_values:
+            exceed = int((devs > eps).sum())
+            value, valid = bound(eps, n)
+            if value < 1e-3:
+                low_rows.append(len(rows))
+            rows.append((n, float(eps), trials, exceed, exceed / trials, value, valid))
+    return Report(
+        {
+            **_base_metadata(config),
+            **meta,
+            "net_size": len(net),
+            "low_probability_rows": ",".join(map(str, low_rows)),
+        },
+        ("n", "eps", "trials", "exceedances", "empirical_freq", "theoretical_bound", "bound_valid"),
+        rows,
+    )
 
 
 # --- experiments -------------------------------------------------------------
@@ -405,48 +467,14 @@ def run_concentration_experiment(config: ExperimentConfig) -> Report:
     consts = model_constants(config, chain, cls)
     pi_hat = invariant_measure(chain, config.pi_grid)
     true = true_errors(net, pi_hat)
-
-    n_values = config.n_list or (config.n,)
-    eps_values = config.eps_list or (config.eps,)
-    rows: list[tuple] = []
-    low_rows: list[int] = []
-    for n in n_values:
-        emp = _batch_empirical(net, chain, config, int(n), pi_hat)
-        devs = np.abs(emp - true[:, None]).max(axis=0)
-        for eps in eps_values:
-            exceed = int((devs > eps).sum())
-            bound = bd.uniform_tail_bound(
-                eps, int(n), consts, covering_number=len(net)
-            )
-            if bound.value < 1e-3:
-                low_rows.append(len(rows))
-            rows.append(
-                (
-                    int(n),
-                    float(eps),
-                    config.replications,
-                    exceed,
-                    exceed / config.replications,
-                    bound.value,
-                    bound.valid,
-                )
-            )
-    meta = _base_metadata(config)
-    meta.update(
-        {
-            "net_size": len(net),
-            "L": consts.L,
-            "L_bar": consts.L_bar,
-            "B": consts.B,
-            "eta": consts.eta,
-            "c1": consts.C1,
-            "low_probability_rows": ",".join(map(str, low_rows)),
-        }
-    )
-    return Report(
-        meta,
-        ("n", "eps", "trials", "exceedances", "empirical_freq", "theoretical_bound", "bound_valid"),
-        rows,
+    return _exceedance_report(
+        config,
+        chain,
+        net,
+        pi_hat,
+        lambda emp: np.abs(emp - true[:, None]).max(axis=0),
+        lambda eps, n: bd.uniform_tail_bound(eps, n, consts, covering_number=len(net)),
+        {"L": consts.L, "L_bar": consts.L_bar, "B": consts.B, "eta": consts.eta, "c1": consts.C1},
     )
 
 
@@ -500,57 +528,22 @@ def run_relative_experiment(config: ExperimentConfig) -> Report:
     cls = build_class(config)
     net = build_epsilon_net(cls, config.net_radius)
     pi_hat = invariant_measure(chain, config.pi_grid)
-    m, M = class_error_range(net, pi_hat)
-    if config.m_override is not None:
-        m = config.m_override
-    if config.M_override is not None:
-        M = config.M_override
+    true = true_errors(net, pi_hat)
+    m, M = _error_range(config, cls, pi_hat, true)
     if m <= 0.0:
         raise DegenerateClassError("class error range has m = 0")
     consts = model_constants(config, chain, cls, m=m, M=M)
     xi1, xi2 = bd.xi_constants(m, M, consts)
-    true = true_errors(net, pi_hat)
-    sqrt_true = np.sqrt(true)
-
-    n_values = config.n_list or (config.n,)
-    eps_values = config.eps_list or (config.eps,)
-    rows: list[tuple] = []
-    low_rows: list[int] = []
-    for n in n_values:
-        emp = _batch_empirical(net, chain, config, int(n), pi_hat)
-        rel = (np.abs(emp - true[:, None]) / sqrt_true[:, None]).max(axis=0)
-        for eps in eps_values:
-            exceed = int((rel > eps).sum())
-            cov = covering_count(cls, eps / consts.L_bar)
-            bound = bd.relative_tail_bound(eps, int(n), consts, covering_number=cov)
-            if bound.value < 1e-3:
-                low_rows.append(len(rows))
-            rows.append(
-                (
-                    int(n),
-                    float(eps),
-                    config.replications,
-                    exceed,
-                    exceed / config.replications,
-                    bound.value,
-                    bound.epsilon_prime_ok,
-                )
-            )
-    meta = _base_metadata(config)
-    meta.update(
-        {
-            "m": m,
-            "M": M,
-            "xi1": xi1,
-            "xi2": xi2,
-            "net_size": len(net),
-            "low_probability_rows": ",".join(map(str, low_rows)),
-        }
-    )
-    return Report(
-        meta,
-        ("n", "eps", "trials", "exceedances", "empirical_freq", "theoretical_bound", "bound_valid"),
-        rows,
+    return _exceedance_report(
+        config,
+        chain,
+        net,
+        pi_hat,
+        lambda emp: (np.abs(emp - true[:, None]) / np.sqrt(true)[:, None]).max(axis=0),
+        lambda eps, n: bd.relative_tail_bound(
+            eps, n, consts, covering_number=covering_count(cls, eps / consts.L_bar)
+        ),
+        {"m": m, "M": M, "xi1": xi1, "xi2": xi2},
     )
 
 
@@ -558,30 +551,22 @@ def run_scaling_experiment(config: ExperimentConfig) -> Report:
     chain = build_chain(config)
     cls = build_class(config)
     pi_hat = invariant_measure(chain, config.pi_grid)
-    m, M = config.m_override, config.M_override
-    if m is None or M is None:
-        net_m, net_M = class_error_range(build_epsilon_net(cls, config.net_radius), pi_hat)
-        m = net_m if m is None else m
-        M = net_M if M is None else M
+    m, M = _error_range(config, cls, pi_hat)
     if m <= 0.0:
         raise DegenerateClassError("class error range has m = 0")
     consts = model_constants(config, chain, cls, m=m, M=M)
 
+    def ln_holder(radius: float) -> float:
+        return covering_bound_holder(config.holder_c, config.holder_d, config.holder_gamma, radius)
+
     eps_values = config.eps_list or tuple(2.0**-k for k in range(3, 9))
     rows: list[tuple] = []
     n1s, n3s = [], []
+    root = math.sqrt(1.0 + 1.0 / config.alpha)
     for eps in eps_values:
-        ln_cov1 = covering_bound_holder(
-            config.holder_c, config.holder_d, config.holder_gamma, eps / (4.0 * consts.L_bar)
-        )
+        ln_cov1 = ln_holder(eps / (4.0 * consts.L_bar))
         v1 = bd.n1(eps, config.delta, consts, ln_covering=ln_cov1)
-        root = math.sqrt(1.0 + 1.0 / config.alpha)
-        ln_cov3 = covering_bound_holder(
-            config.holder_c,
-            config.holder_d,
-            config.holder_gamma,
-            math.sqrt(eps) / (consts.L_bar * root),
-        )
+        ln_cov3 = ln_holder(math.sqrt(eps) / (consts.L_bar * root))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v3 = bd.n3(eps, config.delta, config.alpha, consts, ln_covering=ln_cov3)
@@ -613,30 +598,24 @@ def run_bounds_calculator(config: ExperimentConfig) -> Report:
     chain = build_chain(config)
     cls = build_class(config)
     pi_hat = invariant_measure(chain, config.pi_grid)
-    net = build_epsilon_net(cls, config.net_radius)
-    m, M = class_error_range(net, pi_hat)
-    if config.m_override is not None:
-        m = config.m_override
-    if config.M_override is not None:
-        M = config.M_override
+    m, M = _error_range(config, cls, pi_hat)
     consts = model_constants(
         config, chain, cls, m=m if m > 0 else None, M=M if m > 0 else None
     )
 
-    n_values = config.n_list or (config.n,)
-    eps_values = config.eps_list or (config.eps,)
+    n_values, eps_values = _grid(config)
     rows: list[tuple] = []
     for eps in eps_values:
         for n in n_values:
-            sh = bd.single_h_tail_bound(eps, int(n), consts)
-            rows.append((float(eps), int(n), "single_h", sh.value, sh.valid))
+            sh = bd.single_h_tail_bound(eps, n, consts)
+            rows.append((float(eps), n, "single_h", sh.value, sh.valid))
             cov_u = covering_count(cls, eps / (4.0 * consts.L_bar))
-            un = bd.uniform_tail_bound(eps, int(n), consts, covering_number=cov_u)
-            rows.append((float(eps), int(n), "uniform", un.value, un.valid))
+            un = bd.uniform_tail_bound(eps, n, consts, covering_number=cov_u)
+            rows.append((float(eps), n, "uniform", un.value, un.valid))
             if consts.m is not None:
                 cov_r = covering_count(cls, eps / consts.L_bar)
-                rel = bd.relative_tail_bound(eps, int(n), consts, covering_number=cov_r)
-                rows.append((float(eps), int(n), "relative", rel.value, rel.epsilon_prime_ok))
+                rel = bd.relative_tail_bound(eps, n, consts, covering_number=cov_r)
+                rows.append((float(eps), n, "relative", rel.value, rel.epsilon_prime_ok))
     meta = _base_metadata(config)
     meta.update(
         {

@@ -1,4 +1,4 @@
-"""Hypothesis classes, constructive epsilon-nets, and covering-number bounds.
+"""Hypothesis classes, constructive epsilon-nets, net sizes and covering bounds.
 
 Classes are piecewise-linear functions on a uniform knot grid over [0, 1]:
 plain constants, Lipschitz-bounded functions, and Lipschitz functions pinned
@@ -204,14 +204,13 @@ def _oversized(eps: float) -> NetExplosionError:
     return NetExplosionError(f"net for eps={eps} would have more than {NET_SIZE_CAP} members")
 
 
-def _constants_values(cls: HypothesisClass, eps: float) -> np.ndarray:
-    if cls.width == 0.0:
-        return np.array([cls.y_lo])
-    if cls.width / eps - 1e-9 > NET_SIZE_CAP:
+def _constants_count(cls: HypothesisClass, eps: float) -> int:
+    """Members of the constants net: the fewest equal cells of width at most
+    eps over the class range, one for a range of width 0."""
+    cells = cls.width / eps - 1e-9
+    if cells == math.inf:
         raise _oversized(eps)
-    count = max(1, math.ceil(cls.width / eps - 1e-9))
-    cell = cls.width / count
-    return cls.y_lo + (np.arange(count) + 0.5) * cell
+    return max(1, math.ceil(cells))
 
 
 def _lattice(cls: HypothesisClass, step: float) -> np.ndarray:
@@ -245,16 +244,11 @@ def _path_count(levels: int, knots: int, pinned: Optional[tuple[int, int]]) -> i
     return int(ways.sum())
 
 
-def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
-    """Constructive finite eps-cover of the class in the sup metric."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    if cls.kind == "constants":
-        values = _constants_values(cls, eps)
-        members = tuple(Hypothesis((float(v),)) for v in values)
-        return HypothesisNet(members, eps, cls)
-
+def _lipschitz_paths(
+    cls: HypothesisClass, eps: float
+) -> tuple[np.ndarray, int, Optional[tuple[int, int]], int]:
+    """Lattice, knot count, pinned (knot, level) of the anchor and member
+    count of the Lipschitz net; raises before counting a net past the cap."""
     lam = cls.lip_bound
     if 2.0 * lam / eps == math.inf:  # a lattice step that underflows to 0
         raise _oversized(eps)
@@ -267,21 +261,45 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
     if knots - 1 > math.log2(NET_SIZE_CAP) and cls.y_lo + 1.5 * step <= cls.y_hi + 1e-12:
         raise _oversized(eps)
     lattice = _lattice(cls, step)
-    levels = lattice.size
 
     pinned = None
     if cls.kind == "lipschitz_anchored":
         ax, ay = cls.anchor
-        anchor_knot = int(round(ax * cells))
-        anchor_level = int(np.argmin(np.abs(lattice - ay)))
-        pinned = (anchor_knot, anchor_level)
+        pinned = (int(round(ax * cells)), int(np.argmin(np.abs(lattice - ay))))
 
-    total = _path_count(levels, knots, pinned)
+    total = _path_count(lattice.size, knots, pinned)
     if total > NET_SIZE_CAP:
         raise _oversized(eps)
     if total == 0:
         raise ValueError("anchored construction produced no feasible member")
+    return lattice, knots, pinned, total
 
+
+def covering_count(cls: HypothesisClass, eps: float) -> int:
+    """Cardinality of the net `build_epsilon_net` constructs at radius eps,
+    an upper bound for the class covering number, counted without building
+    the net.  Constants nets are counted past the enumeration cap."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if cls.kind == "constants":
+        return _constants_count(cls, eps)
+    return _lipschitz_paths(cls, eps)[3]
+
+
+def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
+    """Constructive finite eps-cover of the class in the sup metric."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+    if cls.kind == "constants":
+        count = _constants_count(cls, eps)
+        if count > NET_SIZE_CAP:
+            raise _oversized(eps)
+        values = cls.y_lo + (np.arange(count) + 0.5) * (cls.width / count)
+        return HypothesisNet(tuple(Hypothesis((float(v),)) for v in values), eps, cls)
+
+    lattice, knots, pinned, _ = _lipschitz_paths(cls, eps)
+    levels = lattice.size
     # depth-first over (knot, level) with an explicit stack, pushed in
     # reverse so members come out in lexicographic order of their paths
     values = lattice.tolist()

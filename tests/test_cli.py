@@ -153,8 +153,13 @@ def test_cli_rejects_nonpositive_n(tmp_path, capsys, bad):
         ("scaling", {"kind": "scaling", "class_kind": "constants", "eps_list": [1e-200]}),
         ("asem", {"kind": "asem", "class_kind": "constants", "replications": 2, "n": 10,
                   "eps": 1e-200}),
+        ("asem", {"kind": "asem", "replications": 2, "n": 10, "eps": 1e-320}),
+        ("bounds", {"kind": "bounds", "n": 10, "eps_list": [1e-320]}),
+        ("relative", {"kind": "relative", "replications": 2, "n": 10,
+                      "eps_list": [1e-320]}),
     ],
-    ids=["holder-d-overflow", "eps-list-overflow", "eps-squared-underflow"],
+    ids=["holder-d-overflow", "eps-list-overflow", "eps-squared-underflow",
+         "asem-covering-overflow", "bounds-covering-overflow", "relative-covering-overflow"],
 )
 def test_cli_float_range_error_is_one_line(tmp_path, subcommand, payload):
     # run as a separate process so any traceback would reach the real stderr
@@ -213,3 +218,17 @@ def test_cli_rejects_unknown_target_parameter(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "slope" in err
+
+
+@pytest.mark.parametrize("subcommand", ["asem", "bounds", "concentration", "poisson-check"])
+def test_cli_rejects_identically_zero_loss(tmp_path, capsys, subcommand):
+    # a one-point class equal to a constant target: the loss is 0 everywhere
+    config = write_config(tmp_path, "c.json", {
+        "kind": "asem", "target_name": "constant", "target_params": {"c": 0.5},
+        "y_lo": 0.5, "y_hi": 0.5, "n": 50, "replications": 2, "pi_grid": 64,
+        "poisson_grid": 8, "poisson_rollouts": 50,
+    })
+    assert main([subcommand, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "L_bar = 0" in err

@@ -25,6 +25,7 @@ from chainlearn.harness import (
     run_scaling_experiment,
     write_report,
 )
+from chainlearn.hypothesis import NetExplosionError
 from chainlearn.learner import DegenerateClassError
 
 
@@ -190,6 +191,74 @@ def test_relative_degenerate_class_error():
         run_relative_experiment(config)
 
 
+def test_bounds_with_both_overrides_builds_no_net():
+    oversized = {"kind": "bounds", "net_radius": 1e-13, "pi_grid": 256}
+    with pytest.raises(NetExplosionError):
+        run_bounds_calculator(cfg(**oversized))
+    report = run_bounds_calculator(cfg(**oversized, m_override=1 / 12, M_override=1 / 3))
+    assert (report.metadata["m"], report.metadata["M"]) == (1 / 12, 1 / 3)
+    assert [r[2] for r in report.rows] == ["single_h", "uniform", "relative"]
+
+
+AFFINE = dict(target_name="affine", target_params={"a": 0.1, "b": 0.45}, y_lo=0.45,
+              y_hi=0.55, replications=10, net_radius=0.01, pi_grid=256, master_seed=7)
+
+
+def check_exceedance_rows(report, config, deviation, bound):
+    """Rows in (n, eps) order against deviations and bounds computed here."""
+    from chainlearn.chain import invariant_measure
+    from chainlearn.harness import _batch_empirical
+    from chainlearn.hypothesis import build_epsilon_net
+    from chainlearn.learner import true_errors
+
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    pi_hat = invariant_measure(chain, config.pi_grid)
+    true = true_errors(net, pi_hat)
+    expected = []
+    for n in config.n_list:
+        devs = deviation(_batch_empirical(net, chain, config, n, pi_hat), true)
+        for eps in config.eps_list:
+            exceed = int((devs > eps).sum())
+            value, valid = bound(eps, n)
+            expected.append((n, eps, 10, exceed, exceed / 10, value, valid))
+    assert report.rows == expected
+    # the one bound below 1e-3 is at the largest n and eps, the last row
+    assert report.metadata["low_probability_rows"] == "3"
+
+
+def test_concentration_rows_match_direct_bounds():
+    config = cfg(kind="concentration", n_list=[200, 20000], eps_list=[0.0005, 0.05], **AFFINE)
+    report = run_concentration_experiment(config)
+    consts = model_constants(config, build_chain(config), build_class(config))
+    net_size = report.metadata["net_size"]
+    check_exceedance_rows(
+        report,
+        config,
+        lambda emp, true: np.abs(emp - true[:, None]).max(axis=0),
+        lambda eps, n: bd.uniform_tail_bound(eps, n, consts, covering_number=net_size),
+    )
+    assert report.rows[0][3] > 0  # some trial exceeds the smallest eps
+
+
+def test_relative_rows_match_direct_bounds():
+    from chainlearn.hypothesis import build_epsilon_net
+
+    config = cfg(kind="relative", n_list=[200, 5000], eps_list=[0.5, 2.0],
+                 m_override=0.01, M_override=0.01, **AFFINE)
+    report = run_relative_experiment(config)
+    cls = build_class(config)
+    consts = model_constants(config, build_chain(config), cls, m=0.01, M=0.01)
+    check_exceedance_rows(
+        report,
+        config,
+        lambda emp, true: (np.abs(emp - true[:, None]) / np.sqrt(true)[:, None]).max(axis=0),
+        lambda eps, n: bd.relative_tail_bound(
+            eps, n, consts, covering_number=len(build_epsilon_net(cls, eps / consts.L_bar))
+        ),
+    )
+
+
 def test_scaling_slopes():
     config = cfg(kind="scaling", m_override=1 / 12, M_override=1 / 3, pi_grid=256)
     report = run_scaling_experiment(config)
@@ -336,3 +405,32 @@ def test_scaling_applies_each_override_alone(override):
     assert base[key] != 0.2
     assert meta[key] == 0.2
     assert meta[other] == base[other]
+
+
+def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
+    import chainlearn.harness as harness
+    from chainlearn.chain import invariant_measure
+    from chainlearn.hypothesis import build_epsilon_net
+
+    # one lattice level over 2001 knots: a one-member net with many knots
+    config = cfg(kind="concentration", replications=7, class_kind="lipschitz",
+                 lip_bound=1.0, y_lo=0.5, y_hi=0.5, net_radius=1e-3,
+                 x0_policy="uniform", master_seed=43)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    assert net.knot_count == 2001
+    pi_hat = invariant_measure(chain, 128)
+    ref = harness._batch_empirical(net, chain, config, 300, pi_hat)
+
+    blocks = []
+    simulate = harness.simulate_x_batch
+
+    def spy(chain, x0, n, seed, reps):
+        blocks.append(reps.size)
+        return simulate(chain, x0, n, seed, reps)
+
+    monkeypatch.setattr(harness, "simulate_x_batch", spy)
+    monkeypatch.setattr(harness, "MOMENT_BUDGET", 3 * 2001 + 5)
+    got = harness._batch_empirical(net, chain, config, 300, pi_hat)
+    assert blocks == [3, 3, 1]
+    assert np.abs(got - ref).max() <= 1e-12

@@ -13,6 +13,7 @@ from chainlearn.hypothesis import (
     build_epsilon_net,
     class_metric,
     covering_bound_holder,
+    covering_count,
     net_covering_probe,
     random_member,
 )
@@ -158,6 +159,57 @@ def test_enumeration_order_matches_product(cls, eps, anchor):
         level = min(range(len(values)), key=lambda k: abs(values[k] - anchor[1]))
         pinned = (round(anchor[0] * (net.knot_count - 1)), level)
     assert member_values(net) == product_order_paths(values, net.knot_count, pinned)
+
+
+ANCHORED = HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "cls, radii",
+    [
+        (CONSTANTS, (1.0, 0.3, 0.25, 0.07, 1e-3)),
+        (HypothesisClass("constants", 0.5, 0.5), (1.0, 1e-6)),
+        (HypothesisClass("constants", -1.0, 2.0), (0.9, 0.1)),
+        (LIP1, (1e12, 1.0, 0.5, 0.4, 0.3, 0.25)),
+        (HypothesisClass("lipschitz", 0.2, 0.7, lip_bound=2.5), (1.0, 0.6)),
+        (HypothesisClass("lipschitz", 0.5, 0.5, lip_bound=1.0), (1e-3,)),
+        (ANCHORED, (1.0, 0.5, 0.3)),
+        (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.0, 0.9)),
+         (0.5, 0.3)),
+    ],
+    ids=["constants", "constants-width-0", "constants-wide", "lipschitz", "lipschitz-steep",
+         "lipschitz-one-level", "anchored-mid", "anchored-corner"],
+)
+def test_covering_count_equals_net_size(cls, radii, monkeypatch):
+    sizes = [len(build_epsilon_net(cls, r)) for r in radii]
+    # every net, however it is built, passes through HypothesisNet.__post_init__
+    built = []
+    monkeypatch.setattr(HypothesisNet, "__post_init__", lambda net: built.append(net))
+    assert [covering_count(cls, r) for r in radii] == sizes
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "cls, eps",
+    [(LIP1, 0.02), (LIP1, 3e-3), (LIP1, 1e-320), (ANCHORED, 1e-3), (CONSTANTS, 1e-320)],
+    ids=["lipschitz", "lipschitz-lattice", "lipschitz-underflow", "anchored", "constants-inf"],
+)
+def test_covering_count_raises_past_the_cap(cls, eps):
+    with pytest.raises(NetExplosionError) as built:
+        build_epsilon_net(cls, eps)
+    with pytest.raises(NetExplosionError) as counted:
+        covering_count(cls, eps)
+    assert str(counted.value) == str(built.value)
+
+
+def test_constants_count_is_exact_past_the_cap():
+    # counting a constants net allocates nothing, so only enumeration is capped
+    with pytest.raises(NetExplosionError):
+        build_epsilon_net(CONSTANTS, 1e-8)
+    assert covering_count(CONSTANTS, 1e-8) == 100_000_000
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            covering_count(CONSTANTS, eps)
 
 
 def test_single_member_net_with_many_knots():
