@@ -41,7 +41,7 @@ from .hypothesis import (
     net_covering_probe,
 )
 from .loss import LossConstants, loss_composite, loss_constants, verify_a2
-from .learner import class_error_range, empirical_error, opt_pi, true_error
+from .learner import empirical_error, opt_pi, true_error
 from .bounds import (
     ModelConstants,
     ergodicity_constants,

@@ -51,14 +51,3 @@ def opt_pi(net: HypothesisNet, pi_hat: DiscreteMeasure, refinement: int = 8) -> 
     )
     return float(true_errors(fine, pi_hat).min())
 
-
-def class_error_range(
-    net: HypothesisNet, pi_hat: DiscreteMeasure
-) -> tuple[float, float]:
-    """(min, max) of the true error over the net.
-
-    The full-class range extends at most L_bar * radius beyond the returned
-    interval on either side.
-    """
-    errs = true_errors(net, pi_hat)
-    return float(errs.min()), float(errs.max())

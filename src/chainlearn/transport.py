@@ -10,22 +10,24 @@ Solver strategy, in order:
     route covers order-compatible ground costs (affine targets) at
     O(m n) cost, which is what the geometric-decay audit needs at 4096
     atoms a side.
-2.  Assignment (`scipy.optimize.linear_sum_assignment`) when every weight
-    is a multiple of 1/K: atoms split into K*w unit atoms and the K x K
-    assignment problem is solved.  K is searched up to min(m, n), which
-    admits only uniform measures of equal size, and up to the atom cap
-    when the LP would exceed its variable cap.
-3.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
-    everything else within the size cap, on a restricted support: the
-    staircase cells, which alone make it feasible, plus the cheapest cells
-    of each row and column.  After each solve the duals u, v price every
-    cell of the full matrix; the most negative cells with
-    c_ij - u_i - v_j < -tol join the support and the LP is solved again.
-    When no cell is left, the plan is feasible and the duals are feasible
-    for the full LP, the same duality certificate as in route 1, so the
-    cost is exact.  Each round adds a cell, so the loop ends, at worst on
-    the dense LP.  Optimal plans on a curve pair near neighbours, so the
-    support stays a small fraction of the m x n cells.
+2.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
+    everything else, on a restricted support: the staircase cells, which
+    alone make it feasible, plus the cheapest cells of each row and
+    column.  After each solve the duals u, v price every cell of the full
+    matrix; the most negative cells with c_ij - u_i - v_j < -tol join the
+    support and the LP is solved again.  When no cell is left, the plan is
+    feasible and the duals are feasible for the full LP, the same duality
+    certificate as in route 1, so the cost is exact.  Each round adds a
+    cell, so the loop ends, at worst on the dense LP.  Optimal plans on a
+    curve pair near neighbours, so the support stays a small fraction of
+    the m x n cells.
+
+There is no assignment route.  The only uniform measures of equal size
+the experiments compare are pairs of one-step kernels, two atoms each, and
+those are solved in closed form by `chain.one_step_w1`: an optimal
+coupling of two uniform two-atom measures is one of the two permutations
+(Birkhoff-von Neumann).  scipy is imported on the first LP solve, so runs
+that never reach route 2 do not pay for importing it.
 
 Every returned plan is feasible and attains the returned cost; the test
 suite cross-checks the solver against exhaustive vertex-coupling
@@ -38,18 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
 
 from . import rng
 from .state_space import DiscreteMeasure, StatePoint, graph_point, rho
 
 ATOM_CAP = 4096          # per measure, after duplicate merging
-LP_VARIABLE_CAP = 1 << 22
 _DUAL_TOL = 1e-11
 _LP_TOL = 1e-10  # HiGHS feasibility tolerances and the restricted LP's pricing check
 _GROW = 2  # cells added per row and per column when the restricted LP grows
-_WEIGHT_TOL = 1e-12  # per weight: above the rounding of j/K, below any kernel or grid weight
 
 
 class SizeError(ValueError):
@@ -71,8 +69,13 @@ class TransportPlan:
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    diff = mu.points()[:, None, :] - nu.points()[None, :, :]
-    return np.sqrt((diff**2).sum(-1))
+    # in place on two m x n arrays, bit for bit sqrt(dx*dx + dy*dy)
+    dx = mu.xs[:, None] - nu.xs[None, :]
+    dy = mu.ys[:, None] - nu.ys[None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
@@ -130,26 +133,6 @@ def _certified_monotone(a, b, cost) -> list[tuple[int, int, float]] | None:
     return [(i, j, mass) for i, j, mass in entries if mass > 0.0]
 
 
-def _common_denominator(weights: np.ndarray, cap: int) -> int | None:
-    """Smallest K <= cap with every weight an integer multiple of 1/K, if any."""
-    for k in range(1, cap + 1):
-        scaled = weights * k
-        if np.abs(scaled - np.round(scaled)).max() < _WEIGHT_TOL * k:
-            return k
-    return None
-
-
-def _assignment(a, b, cost, k) -> list[tuple[int, int, float]]:
-    """Split atom i into k*a_i unit atoms (likewise for b) and solve the
-    k x k assignment problem; exact when every weight is a multiple of 1/k."""
-    m, n = cost.shape
-    ia = np.repeat(np.arange(m), np.round(a * k).astype(int))
-    ib = np.repeat(np.arange(n), np.round(b * k).astype(int))
-    rows, cols = linear_sum_assignment(cost[np.ix_(ia, ib)])
-    cells, counts = np.unique(ia[rows] * n + ib[cols], return_counts=True)
-    return [(int(c // n), int(c % n), int(t) / k) for c, t in zip(cells, counts)]
-
-
 def _cheapest(values: np.ndarray) -> np.ndarray:
     """Mask of the _GROW smallest entries of every row and every column."""
     m, n = values.shape
@@ -161,14 +144,19 @@ def _cheapest(values: np.ndarray) -> np.ndarray:
     return mask
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call: importing scipy
+    takes most of the package's import time, and only route 2 needs it."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
+
+
 def _transportation_lp(a, b, cost) -> list[tuple[int, int, float]]:
-    """HiGHS on a support grown until the duals price out every cell (route 3)."""
+    """HiGHS on a support grown until the duals price out every cell (route 2)."""
+    from scipy.sparse import csr_matrix
+
     m, n = cost.shape
-    if m * n > LP_VARIABLE_CAP:
-        raise SizeError(
-            f"transportation LP with {m}x{n} atoms exceeds the variable cap; "
-            "pre-coarsen via quantile binning"
-        )
     support = _cheapest(cost)
     for i, j, _ in _staircase(a, b):
         support[i, j] = True
@@ -228,12 +216,7 @@ def wasserstein1_exact(
 
     entries = _certified_monotone(a, b, cost)
     if entries is None:
-        # K >= max(m, n): up to min(m, n) only uniform measures of equal size
-        # qualify, past the LP cap any K up to the atom cap is tried
-        m, n = cost.shape
-        cap = ATOM_CAP if m * n > LP_VARIABLE_CAP else min(m, n)
-        k = _common_denominator(np.concatenate([a, b]), cap)
-        entries = _transportation_lp(a, b, cost) if k is None else _assignment(a, b, cost, k)
+        entries = _transportation_lp(a, b, cost)
     total = _plan_cost(entries, cost)
     return total, TransportPlan(tuple(entries), total)
 
@@ -298,28 +281,29 @@ class ContractionAudit:
 
 def contraction_audit(chain, pair_count: int, seed: int = 0) -> ContractionAudit:
     """Sampled sup of W1(P(z1,.), P(z2,.)) / rho(z1, z2) over state pairs."""
-    from .chain import one_step_kernel  # local import to avoid a module cycle
+    from .chain import one_step_w1  # local import to avoid a module cycle
 
     if pair_count < 1:
         raise ValueError("pair_count must be at least 1")
     target = chain.space.target
     s = rng.derive(seed, rng.PAIR_SAMPLING)
+    lanes = np.arange(pair_count)
+    x1 = rng.uniform_array(s, lanes, np.zeros_like(lanes))
+    x2 = rng.uniform_array(s, lanes, np.ones_like(lanes))
+    for i in np.flatnonzero(x1 == x2).tolist():
+        bump = 2
+        while x2[i] == x1[i]:  # degenerate pair: resample deterministically
+            x2[i] = rng.uniform(s, i, bump)
+            bump += 1
     rows = []
     sup = -1.0
     worst = None
-    for i in range(pair_count):
-        x1 = rng.uniform(s, i, 0)
-        x2 = rng.uniform(s, i, 1)
-        bump = 2
-        while x2 == x1:  # degenerate pair: resample deterministically
-            x2 = rng.uniform(s, i, bump)
-            bump += 1
-        z1 = graph_point(x1, target)
-        z2 = graph_point(x2, target)
-        w1, _ = wasserstein1_exact(one_step_kernel(chain, z1), one_step_kernel(chain, z2))
+    for a, b, w1 in zip(x1.tolist(), x2.tolist(), one_step_w1(chain, x1, x2).tolist()):
+        z1 = graph_point(a, target)
+        z2 = graph_point(b, target)
         d = rho(z1, z2)
         ratio = w1 / d
-        rows.append((x1, x2, d, w1, ratio))
+        rows.append((a, b, d, w1, ratio))
         if ratio > sup:
             sup = ratio
             worst = (z1, z2)

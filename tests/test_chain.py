@@ -14,11 +14,16 @@ from chainlearn.chain import (
     lemma_atom_check,
     n_step_kernel,
     one_step_kernel,
+    one_step_w1,
     simulate_x_batch,
     trajectory_exact,
 )
 from chainlearn.state_space import graph_point, make_space, make_target
-from chainlearn.transport import SizeError, wasserstein1_exact
+from chainlearn.transport import (
+    SizeError,
+    wasserstein1_exact,
+    wasserstein1_monotone_upper,
+)
 
 IDENTITY = make_target("identity")
 TENT = make_target("tent")
@@ -217,3 +222,44 @@ def test_lemma_atom_check_tent_quarter_level():
     assert np.allclose(mu.xs, [0.125, 0.625]) and np.allclose(nu.xs, [0.375, 0.875])
     gap, _ = wasserstein1_exact(mu, nu)
     assert gap == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
+
+
+def kernel_pair(chain, x1, x2):
+    target = chain.space.target
+    return (
+        one_step_kernel(chain, graph_point(x1, target)),
+        one_step_kernel(chain, graph_point(x2, target)),
+    )
+
+
+# the ends of the domain, equal states and interior pairs
+W1_PAIRS = [
+    (0.0, 1.0), (1.0, 0.0), (0.0, 0.37), (0.62, 1.0), (0.0, 0.0), (1.0, 1.0),
+    (0.41, 0.41), (0.2, 0.7), (0.9, 0.15), (0.3, 0.31),
+]
+# on the tent, kernels at a small and a large x are coupled across 1/2
+TENT_SWAPS = [(0.0, 1.0), (0.1, 0.9), (0.05, 0.8), (0.95, 0.2), (0.0, 0.85)]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("identity", {}), ("tent", {}), ("quadratic", {}), ("affine", {"a": -0.8, "b": 0.9}),
+     ("constant", {"c": 0.3})],
+    ids=["identity", "tent", "quadratic", "affine", "constant"],
+)
+def test_one_step_w1_equals_general_solver(name, params):
+    target = make_target(name, **params)
+    chain = ContractiveChain(make_space(target))
+    pairs = W1_PAIRS + (TENT_SWAPS if name == "tent" else [])
+    x1, x2 = np.array(pairs).T
+    expected = [wasserstein1_exact(*kernel_pair(chain, a, b))[0] for a, b in pairs]
+    assert one_step_w1(chain, x1, x2).tolist() == expected
+
+
+def test_one_step_w1_takes_the_swap_on_the_tent():
+    chain = ContractiveChain(make_space(TENT))
+    for x1, x2 in TENT_SWAPS:
+        mu, nu = kernel_pair(chain, x1, x2)
+        d, _ = wasserstein1_exact(mu, nu)
+        assert wasserstein1_monotone_upper(mu, nu) > d  # the staircase loses
+        assert one_step_w1(chain, x1, x2) == d

@@ -12,7 +12,6 @@ from chainlearn.hypothesis import (
     build_epsilon_net,
 )
 from chainlearn.learner import (
-    class_error_range,
     empirical_error,
     opt_pi,
     true_error,
@@ -180,13 +179,13 @@ def test_relative_deviation_degenerate():
     # experiment raises DegenerateClassError
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
     net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, cls)
-    assert class_error_range(net, PI_4096)[0] == 0.0
+    assert true_errors(net, PI_4096).min() == 0.0
 
 
 def test_relative_vs_uniform_deviation():
     net = build_epsilon_net(CONSTANTS, 0.2)
     traj = make_traj(np.linspace(0, 1, 64))
-    _, M = class_error_range(net, PI_4096)
+    M = true_errors(net, PI_4096).max()
     rel, _ = relative_deviation(net, traj, PI_4096)
     for h_idx in range(len(net.members)):
         dev = abs(
@@ -198,7 +197,8 @@ def test_relative_vs_uniform_deviation():
 
 def test_class_error_range_constants():
     net = build_epsilon_net(CONSTANTS, 0.002)
-    m, M = class_error_range(net, PI_4096)
+    errs = true_errors(net, PI_4096)
+    m, M = errs.min(), errs.max()
     assert m == pytest.approx(1 / 12, abs=1e-3)
     assert M == pytest.approx(1 / 3, abs=1e-3)
     assert m <= M
@@ -206,7 +206,8 @@ def test_class_error_range_constants():
 
 def test_class_error_range_single_member():
     net = HypothesisNet((Hypothesis((0.0,)),), 1.0, CONSTANTS)
-    m, M = class_error_range(net, PI_4096)
+    errs = true_errors(net, PI_4096)
+    m, M = errs.min(), errs.max()
     assert m == M == pytest.approx(1 / 3, abs=1e-4)
 
 

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chainlearn
@@ -22,3 +25,15 @@ def test_public_surface_resolves():
     import chainlearn.loss as loss_module
 
     assert loss_module is importlib.import_module("chainlearn.loss")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported on the first LP solve, not with the package
+    src = os.path.dirname(os.path.dirname(chainlearn.__file__))
+    code = "import sys, chainlearn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from chainlearn import rng
-from chainlearn.chain import ContractiveChain, one_step_kernel
+from chainlearn.chain import ContractiveChain, lemma_atom_check, one_step_kernel
 from chainlearn.state_space import (
     DiscreteMeasure,
     graph_point,
     make_space,
     make_target,
+    rho,
 )
 from chainlearn.transport import (
     SizeError,
@@ -111,7 +112,7 @@ def test_kernel_pair_example():
 
 def test_solver_matches_vertex_enumeration():
     # float and dyadic weights on the tent and the identity exercise the
-    # certified and LP routes; test_routes_are_pinned_and_exact covers all three
+    # certified and LP routes; test_routes_are_pinned_and_exact pins both
     worst = 0.0
     for trial in range(60):
         target = TENT if trial % 2 else IDENTITY
@@ -214,28 +215,6 @@ def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
             assert a @ u + b @ v == pytest.approx(total, rel=1e-12)
             assert (cost - u[:, None] - v[None, :]).min() >= -tr._LP_TOL
     assert max(rounds) >= 2
-
-
-def test_dyadic_expansion_route(monkeypatch):
-    # with the LP route disabled, dyadic weights fall back to replicated
-    # uniform atoms solved by assignment; the result must stay exact
-    import chainlearn.transport as tr
-
-    monkeypatch.setattr(tr, "LP_VARIABLE_CAP", 2)
-    s = rng.derive(78, rng.PROBE)
-    for trial in range(10):
-        wa = QUARTER_HALF_PARTITIONS[trial % 3]
-        wb = QUARTER_HALF_PARTITIONS[(trial + 1) % 3]
-        xa = np.sort([rng.uniform(s, trial, k) for k in range(len(wa))])
-        xb = np.sort([rng.uniform(s, 600 + trial, k) for k in range(len(wb))])
-        mu = DiscreteMeasure.on_graph(TENT, xa, np.asarray(wa))
-        nu = DiscreteMeasure.on_graph(TENT, xb, np.asarray(wb))
-        d, plan = wasserstein1_exact(mu, nu)
-        ref = vertex_coupling_minimum(mu.weights, nu.weights, cost_matrix(mu, nu))
-        assert abs(d - ref) <= 1e-9
-        row, col = plan.marginals(len(mu), len(nu))
-        assert np.abs(row - mu.weights).max() <= 1e-9
-        assert np.abs(col - nu.weights).max() <= 1e-9
 
 
 def test_plan_is_feasible_and_attains_cost():
@@ -354,10 +333,77 @@ def test_contraction_bound_all_lipschitz_targets():
         assert audit.sup_ratio <= math.sqrt(1 + target.lip**2) / 2 + 1e-9
 
 
-ROUTES = ("_certified_monotone", "_assignment", "_transportation_lp")
+def solver_audit_rows(chain, pair_count, seed):
+    """Audit rows drawn pair by pair, each distance from the general solver."""
+    target = chain.space.target
+    s = rng.derive(seed, rng.PAIR_SAMPLING)
+    rows = []
+    for i in range(pair_count):
+        x1, x2 = rng.uniform(s, i, 0), rng.uniform(s, i, 1)
+        bump = 2
+        while x2 == x1:
+            x2 = rng.uniform(s, i, bump)
+            bump += 1
+        z1, z2 = graph_point(x1, target), graph_point(x2, target)
+        w1, _ = wasserstein1_exact(one_step_kernel(chain, z1), one_step_kernel(chain, z2))
+        d = rho(z1, z2)
+        rows.append((x1, x2, d, w1, w1 / d))
+    return tuple(rows)
 
 
-def solve_with_route(mu, nu, lp_variable_cap=None):
+@pytest.mark.parametrize("name, swaps", [("tent", True), ("quadratic", False)])
+def test_contraction_audit_rows_match_general_solver(monkeypatch, name, swaps):
+    # on the tent some pairs are coupled across 1/2, which the general
+    # solver reaches only through the LP
+    import chainlearn.transport as tr
+
+    lp_calls = []
+    real = tr._transportation_lp
+    monkeypatch.setattr(tr, "_transportation_lp", lambda *a: lp_calls.append(1) or real(*a))
+    chain = ContractiveChain(make_space(make_target(name)))
+    audit = contraction_audit(chain, pair_count=300, seed=5)
+    assert audit.rows == solver_audit_rows(chain, 300, seed=5)
+    assert bool(lp_calls) == swaps
+
+
+def test_contraction_audit_resamples_a_degenerate_pair(monkeypatch):
+    lane = 7
+    real = rng.uniform_array
+
+    def forced(seed, lanes, indices):
+        out = real(seed, lanes, indices)
+        if (indices == 1).all():  # the x2 draw: repeat x1 in one lane
+            out[lane] = real(seed, lanes, np.zeros_like(indices))[lane]
+        return out
+
+    monkeypatch.setattr(rng, "uniform_array", forced)
+    audit = contraction_audit(CHAIN, pair_count=10, seed=6)
+    s = rng.derive(6, rng.PAIR_SAMPLING)
+    for i, (x1, x2, d, w1, ratio) in enumerate(audit.rows):
+        assert x1 == rng.uniform(s, i, 0)
+        assert x2 == rng.uniform(s, i, 2 if i == lane else 1)
+        assert x2 != x1
+    x1, x2, d, w1, ratio = audit.rows[lane]
+    z1, z2 = graph_point(x1, IDENTITY), graph_point(x2, IDENTITY)
+    assert d == rho(z1, z2)
+    assert w1 == wasserstein1_exact(one_step_kernel(CHAIN, z1), one_step_kernel(CHAIN, z2))[0]
+
+
+def test_audits_do_not_call_the_general_solver(monkeypatch):
+    import chainlearn.transport as tr
+
+    calls = []
+    monkeypatch.setattr(tr, "wasserstein1_exact", lambda *args: calls.append(args))
+    chain = ContractiveChain(make_space(TENT))
+    contraction_audit(chain, pair_count=50, seed=1)
+    assert not lemma_atom_check(chain, probe_count=8, tolerance=1e-9, seed=1).passed
+    assert calls == []
+
+
+ROUTES = ("_certified_monotone", "_transportation_lp")
+
+
+def solve_with_route(mu, nu):
     """wasserstein1_exact plus the name of the one solver that made the plan."""
     import chainlearn.transport as tr
 
@@ -375,8 +421,6 @@ def solve_with_route(mu, nu, lp_variable_cap=None):
     with contextlib.ExitStack() as stack:
         for name in ROUTES:
             stack.enter_context(mock.patch.object(tr, name, spy(name, getattr(tr, name))))
-        if lp_variable_cap is not None:
-            stack.enter_context(mock.patch.object(tr, "LP_VARIABLE_CAP", lp_variable_cap))
         d, plan = tr.wasserstein1_exact(mu, nu)
     assert len(used) == 1
     return d, plan, used[0]
@@ -385,7 +429,7 @@ def solve_with_route(mu, nu, lp_variable_cap=None):
 # On the tent, atoms left and right of 1/2 with a = 1/2 - x and b = x' - 1/2
 # are sqrt(2 (a^2 + b^2)) apart, a strictly submodular cost in (a, b): the
 # staircase pairs them anti-monotonically and is never optimal, so the
-# certificate fails and the instance goes to the assignment or the LP.
+# certificate fails and the instance goes to the LP.
 LEFT = st.integers(1, 31).map(lambda k: k / 64)
 RIGHT = st.integers(33, 63).map(lambda k: k / 64)
 PARTITIONS = st.sampled_from(QUARTER_HALF_PARTITIONS)
@@ -425,21 +469,19 @@ def identity_pair(draw):
 
 
 @pytest.mark.parametrize(
-    "pairs, lp_variable_cap, route",
+    "pairs, route",
     [
-        (uniform_square(), None, "_assignment"),
-        (dyadic_unequal(), None, "_transportation_lp"),
-        (identity_pair(), None, "_certified_monotone"),
-        # with the LP over its cap, dyadic weights go to the 1/4 expansion
-        (dyadic_unequal(), 2, "_assignment"),
+        (uniform_square(), "_transportation_lp"),
+        (dyadic_unequal(), "_transportation_lp"),
+        (identity_pair(), "_certified_monotone"),
     ],
-    ids=["uniform-square", "dyadic-unequal", "identity", "expansion"],
+    ids=["uniform-square", "dyadic-unequal", "identity"],
 )
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
-def test_routes_are_pinned_and_exact(pairs, lp_variable_cap, route, data):
+def test_routes_are_pinned_and_exact(pairs, route, data):
     mu, nu = data.draw(pairs)
-    d, plan, used = solve_with_route(mu, nu, lp_variable_cap)
+    d, plan, used = solve_with_route(mu, nu)
     assert used == route
     mm, nn = mu.merged(), nu.merged()
     assert abs(d - vertex_coupling_minimum(mm.weights, nn.weights, cost_matrix(mm, nn))) <= 1e-9
