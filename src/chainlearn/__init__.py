@@ -20,7 +20,6 @@ from .chain import (
     invariant_measure,
     lemma_atom_check,
     n_step_kernel,
-    one_step_kernel,
     trajectory_exact,
 )
 from .transport import (

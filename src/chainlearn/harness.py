@@ -306,16 +306,6 @@ def write_report(report: Report, path: str, fmt: str = "csv") -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-def read_report_json(path: str) -> Report:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return Report(
-        metadata=payload["metadata"],
-        columns=tuple(payload["columns"]),
-        rows=[tuple(r) for r in payload["rows"]],
-    )
-
-
 # --- batched empirical statistics -------------------------------------------
 
 # hat-basis moment cells (replications x knots) held per replication block

@@ -69,7 +69,8 @@ class HypothesisClass:
 @dataclass(frozen=True)
 class Hypothesis:
     """Piecewise-linear interpolant on a uniform knot grid; a single knot
-    value denotes a constant function."""
+    value denotes a constant function (np.interp on the one-point grid [0]
+    returns that value everywhere)."""
 
     knot_values: tuple[float, ...]
 
@@ -79,9 +80,6 @@ class Hypothesis:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.knot_count == 1:
-            out = np.full_like(x, self.knot_values[0])
-            return out if out.ndim else float(out)
         grid = np.linspace(0.0, 1.0, self.knot_count)
         out = np.interp(x, grid, self.knot_values)
         return out if out.ndim else float(out)
@@ -193,9 +191,6 @@ class HypothesisNet:
     def member_matrix(self, xs: np.ndarray) -> np.ndarray:
         """All members evaluated at xs, shape (len(net), len(xs))."""
         xs = np.asarray(xs, dtype=float)
-        if self.knot_count == 1:
-            vals = np.array([h.knot_values[0] for h in self.members])
-            return np.broadcast_to(vals[:, None], (len(self), xs.size)).copy()
         grid = np.linspace(0.0, 1.0, self.knot_count)
         return np.stack([np.interp(xs, grid, h.knot_values) for h in self.members])
 

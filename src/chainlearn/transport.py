@@ -5,22 +5,22 @@ Solver strategy, in order:
 1.  Quantile (x-monotone) coupling plus an optimality certificate.  The
     staircase coupling is a basic feasible solution of the transportation
     polytope; dual potentials u, v with u_i + v_j = c_ij on its support are
-    recovered by a single sweep.  If u_i + v_j <= c_ij holds everywhere, LP
-    duality certifies the coupling as optimal and the cost is exact.  This
-    route covers order-compatible ground costs (affine targets) at
-    O(m n) cost, which is what the geometric-decay audit needs at 4096
-    atoms a side.
+    recovered by a single sweep.  If the reduced cost c_ij - u_i - v_j is
+    nonnegative everywhere (up to a tolerance), LP duality certifies the
+    coupling as optimal and the cost is exact.  This route covers
+    order-compatible ground costs (affine targets) at O(m n) cost, which is
+    what the geometric-decay audit needs at 4096 atoms a side.
 2.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
     everything else, on a restricted support: the staircase cells, which
     alone make it feasible, plus the cheapest cells of each row and
     column.  After each solve the duals u, v price every cell of the full
-    matrix; the most negative cells with c_ij - u_i - v_j < -tol join the
-    support and the LP is solved again.  When no cell is left, the plan is
-    feasible and the duals are feasible for the full LP, the same duality
-    certificate as in route 1, so the cost is exact.  Each round adds a
-    cell, so the loop ends, at worst on the dense LP.  Optimal plans on a
-    curve pair near neighbours, so the support stays a small fraction of
-    the m x n cells.
+    matrix through the same reduced cost; the most negative cells with
+    c_ij - u_i - v_j < -tol join the support and the LP is solved again.
+    When no cell is left, the plan is feasible and the duals are feasible
+    for the full LP, the same duality certificate as in route 1, so the
+    cost is exact.  Each round adds a cell, so the loop ends, at worst on
+    the dense LP.  Optimal plans on a curve pair near neighbours, so the
+    support stays a small fraction of the m x n cells.
 
 There is no assignment route.  The only uniform measures of equal size
 the experiments compare are pairs of one-step kernels, two atoms each, and
@@ -28,6 +28,10 @@ those are solved in closed form by `chain.one_step_w1`: an optimal
 coupling of two uniform two-atom measures is one of the two permutations
 (Birkhoff-von Neumann).  scipy is imported on the first LP solve, so runs
 that never reach route 2 do not pay for importing it.
+
+The cost matrix comes from `state_space.chord_distances`, the one array
+form of the curve metric, and both routes price it with `_reduced_cost`,
+each against its own tolerance.
 
 Every returned plan is feasible and attains the returned cost; the test
 suite cross-checks the solver against exhaustive vertex-coupling
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .state_space import DiscreteMeasure, StatePoint, graph_point, rho
+from .state_space import DiscreteMeasure, StatePoint, chord_distances, graph_point, rho
 
 ATOM_CAP = 4096          # per measure, after duplicate merging
 _DUAL_TOL = 1e-11
@@ -59,23 +63,17 @@ class TransportPlan:
     entries: tuple[tuple[int, int, float], ...]
     cost: float
 
-    def marginals(self, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        row = np.zeros(m)
-        col = np.zeros(n)
-        for i, j, mass in self.entries:
-            row[i] += mass
-            col[j] += mass
-        return row, col
-
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    # in place on two m x n arrays, bit for bit sqrt(dx*dx + dy*dy)
-    dx = mu.xs[:, None] - nu.xs[None, :]
-    dy = mu.ys[:, None] - nu.ys[None, :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    return chord_distances(mu.xs, mu.ys, nu.xs, nu.ys)
+
+
+def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c_ij - u_i - v_j in one m x n array: the duals u, v are feasible
+    where it is nonnegative."""
+    r = cost - u[:, None]
+    r -= v
+    return r
 
 
 def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
@@ -128,7 +126,7 @@ def _certified_monotone(a, b, cost) -> list[tuple[int, int, float]] | None:
             u[i] = cost[i, j] - v[j]
     if np.isnan(u).any() or np.isnan(v).any():
         return None
-    if not (u[:, None] + v[None, :] <= cost + _DUAL_TOL).all():
+    if not (_reduced_cost(cost, u, v) >= -_DUAL_TOL).all():
         return None
     return [(i, j, mass) for i, j, mass in entries if mass > 0.0]
 
@@ -183,7 +181,7 @@ def _transportation_lp(a, b, cost) -> list[tuple[int, int, float]]:
         if res.status != 0:
             raise RuntimeError(f"transportation LP failed: {res.message}")
         duals = res.eqlin.marginals
-        reduced = cost - duals[:m, None] - duals[None, m:]
+        reduced = _reduced_cost(cost, duals[:m], duals[m:])
         # HiGHS stops once reduced costs on the support are >= -_LP_TOL; the
         # same bound off the support makes the plan optimal for the full LP
         violated = (reduced < -_LP_TOL) & ~support
@@ -249,20 +247,19 @@ def kr_dual_lower(
         raise ValueError("witness_count must be at least 1")
     mu = mu.merged()
     nu = nu.merged()
-    pts = np.concatenate([mu.points(), nu.points()])
+    xs = np.concatenate([mu.xs, nu.xs])
+    ys = np.concatenate([mu.ys, nu.ys])
     sig = np.concatenate([mu.weights, -nu.weights])
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
+    dist = chord_distances(xs, ys, xs, ys)
 
     best = 0.0
     # canonical witnesses: g = rho(., z) attains the distance for point masses
-    anchors = range(len(pts)) if len(pts) <= 512 else range(0, len(pts), len(pts) // 512)
+    anchors = range(len(xs)) if len(xs) <= 512 else range(0, len(xs), len(xs) // 512)
     for k in anchors:
         best = max(best, abs(float(np.dot(sig, dist[k]))))
 
     s = rng.derive(seed, rng.WITNESS)
     scale = float(dist.max()) or 1.0
-    xs = pts[:, 0]
     knot_x = np.linspace(xs.min(), xs.max() + 1e-12, knots)
     for w in range(witness_count):
         raw_knots = (rng.uniform_array(s, np.full(knots, w), np.arange(knots)) * 2 - 1) * scale

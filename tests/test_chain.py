@@ -13,7 +13,6 @@ from chainlearn.chain import (
     kernel_pushforward,
     lemma_atom_check,
     n_step_kernel,
-    one_step_kernel,
     one_step_w1,
     simulate_x_batch,
     trajectory_exact,
@@ -108,9 +107,9 @@ def test_trajectory_exact_stays_dyadic():
 
 
 def test_one_step_kernel_examples():
-    k = one_step_kernel(CHAIN, graph_point(0.0, IDENTITY))
+    k = n_step_kernel(CHAIN, graph_point(0.0, IDENTITY), 1)
     assert np.array_equal(k.xs, [0.0, 0.5]) and np.array_equal(k.weights, [0.5, 0.5])
-    k = one_step_kernel(CHAIN, graph_point(1.0, IDENTITY))
+    k = n_step_kernel(CHAIN, graph_point(1.0, IDENTITY), 1)
     assert np.array_equal(k.xs, [0.5, 1.0])
     assert k.weights.sum() == 1.0
 
@@ -124,8 +123,8 @@ def test_n_step_kernel_example():
 def test_n_step_kernel_consistency_with_one_step():
     z = graph_point(0.3, IDENTITY)
     k1 = n_step_kernel(CHAIN, z, 1)
-    k = one_step_kernel(CHAIN, z)
-    assert np.allclose(k1.xs, k.xs) and np.allclose(k1.weights, k.weights)
+    assert np.array_equal(k1.xs, [z.x / 2.0, (z.x + 1.0) / 2.0])
+    assert np.array_equal(k1.ys, k1.xs) and np.array_equal(k1.weights, [0.5, 0.5])
 
 
 def test_n_step_kernel_counts_and_weights():
@@ -214,11 +213,20 @@ def test_lemma_atom_check_tent_fails():
     assert report.worst_violation > 0.0
 
 
+def test_lemma_atom_check_sees_every_preimage():
+    # on a constant target every grid point is a preimage of the one level;
+    # the ends of the domain have the farthest kernels
+    chain = ContractiveChain(make_space(make_target("constant", c=0.3)))
+    report = lemma_atom_check(chain, 16, 1e-9, 1)
+    assert report.worst_violation == one_step_w1(chain, 0.0, 1.0) == 0.5
+    assert report.worst_preimages == (0.0, 1.0) and not report.passed
+
+
 def test_lemma_atom_check_tent_quarter_level():
     # preimages 1/4 and 3/4 push to kernels on x in {1/8, 5/8} vs {3/8, 7/8}
     chain = ContractiveChain(make_space(TENT))
-    mu = one_step_kernel(chain, graph_point(0.25, TENT))
-    nu = one_step_kernel(chain, graph_point(0.75, TENT))
+    mu = n_step_kernel(chain, graph_point(0.25, TENT), 1)
+    nu = n_step_kernel(chain, graph_point(0.75, TENT), 1)
     assert np.allclose(mu.xs, [0.125, 0.625]) and np.allclose(nu.xs, [0.375, 0.875])
     gap, _ = wasserstein1_exact(mu, nu)
     assert gap == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
@@ -227,8 +235,8 @@ def test_lemma_atom_check_tent_quarter_level():
 def kernel_pair(chain, x1, x2):
     target = chain.space.target
     return (
-        one_step_kernel(chain, graph_point(x1, target)),
-        one_step_kernel(chain, graph_point(x2, target)),
+        n_step_kernel(chain, graph_point(x1, target), 1),
+        n_step_kernel(chain, graph_point(x2, target), 1),
     )
 
 

@@ -13,7 +13,6 @@ from chainlearn.harness import (
     build_class,
     covering_count,
     model_constants,
-    read_report_json,
     render_report,
     run_asem_experiment,
     run_bounds_calculator,
@@ -89,8 +88,10 @@ def test_report_json_roundtrip(tmp_path):
     report = Report({"seed": 1, "flag": True}, ("a", "b"), [(1, 0.25), (2, 0.5)])
     path = tmp_path / "r.json"
     write_report(report, str(path), "json")
-    back = read_report_json(str(path))
-    assert back == report
+    with open(path) as fh:
+        payload = json.load(fh)
+    rows = [tuple(r) for r in payload["rows"]]
+    assert Report(payload["metadata"], tuple(payload["columns"]), rows) == report
 
 
 def test_contraction_audit_report():

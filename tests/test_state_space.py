@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from chainlearn import rng
 from chainlearn.state_space import (
     DiscreteMeasure,
     StatePoint,
+    chord_distances,
     curve_diameter,
     graph_point,
     make_space,
@@ -90,6 +92,39 @@ def test_diameter_grid_refinement():
         fine = curve_diameter(target, grid=256)
         slack = 2 * math.sqrt(1 + target.lip**2) / 128
         assert fine >= coarse - slack
+
+
+def test_diameter_memory():
+    # two g x g temporaries, no g x g x 2 difference tensor
+    g = 1024
+    tracemalloc.start()
+    try:
+        curve_diameter(TENT, grid=g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g * g * 8
+
+
+BUILT_IN = [("identity", {}), ("constant", {"c": 0.3}), ("affine", {"a": -0.8, "b": 0.9}),
+            ("tent", {}), ("quadratic", {})]
+
+
+@pytest.mark.parametrize("name, params", BUILT_IN, ids=[n for n, _ in BUILT_IN])
+def test_chord_distances_match_the_difference_tensor(name, params):
+    target = make_target(name, **params)
+    s = rng.derive(4, rng.PROBE)
+    x1 = rng.uniform_array(s, np.arange(7), np.zeros(7, dtype=int))
+    x2 = rng.uniform_array(s, np.arange(5), np.ones(5, dtype=int))
+    # 1-d points, and (2, P) atom arrays as for a batch of two-atom kernels
+    a = np.stack([x1 / 2.0, (x1 + 1.0) / 2.0])
+    b = np.stack([x1[::-1] / 2.0, (x1[::-1] + 1.0) / 2.0])
+    for xa, xb, shape in ((x1, x2, (7, 5)), (a, b, (2, 2, 7))):
+        pa = np.stack([xa, target(xa)], axis=-1)
+        pb = np.stack([xb, target(xb)], axis=-1)
+        want = np.sqrt(((pa[:, None] - pb[None, :]) ** 2).sum(-1))
+        got = chord_distances(xa, target(xa), xb, target(xb))
+        assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
 def test_lipschitz_cap_enforced():

@@ -8,6 +8,7 @@ vertices is the exact distance.
 
 import contextlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from chainlearn import rng
-from chainlearn.chain import ContractiveChain, lemma_atom_check, one_step_kernel
+from chainlearn.chain import ContractiveChain, invariant_measure, lemma_atom_check, n_step_kernel
 from chainlearn.state_space import (
     DiscreteMeasure,
     graph_point,
@@ -88,6 +89,15 @@ def cost_matrix(mu, nu):
     return np.sqrt((diff**2).sum(-1))
 
 
+def plan_marginals(plan, m, n):
+    row = np.zeros(m)
+    col = np.zeros(n)
+    for i, j, mass in plan.entries:
+        row[i] += mass
+        col[j] += mass
+    return row, col
+
+
 def test_identical_measures():
     mu = random_measure(TENT, 4, lane=0)
     d, plan = wasserstein1_exact(mu, mu)
@@ -104,8 +114,8 @@ def test_two_single_atoms():
 
 
 def test_kernel_pair_example():
-    mu = one_step_kernel(CHAIN, graph_point(0.0, IDENTITY))
-    nu = one_step_kernel(CHAIN, graph_point(1.0, IDENTITY))
+    mu = n_step_kernel(CHAIN, graph_point(0.0, IDENTITY), 1)
+    nu = n_step_kernel(CHAIN, graph_point(1.0, IDENTITY), 1)
     d, plan = wasserstein1_exact(mu, nu)
     assert d == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
@@ -189,7 +199,6 @@ def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
     # in some cases and end, every time, on the dense optimum with duals
     # that price out every cell of the full matrix
     import chainlearn.transport as tr
-    from chainlearn.chain import invariant_measure, n_step_kernel
 
     results = []
 
@@ -223,12 +232,28 @@ def test_plan_is_feasible_and_attains_cost():
         nu = random_measure(TENT, 1 + (trial + 1) % 4, lane=50 + trial, seed=5)
         d, plan = wasserstein1_exact(mu, nu)
         mm, nn = mu.merged(), nu.merged()
-        row, col = plan.marginals(len(mm), len(nn))
+        row, col = plan_marginals(plan, len(mm), len(nn))
         assert np.abs(row - mm.weights).max() <= 1e-9
         assert np.abs(col - nn.weights).max() <= 1e-9
         cost = cost_matrix(mm, nn)
         recomputed = sum(mass * cost[i, j] for i, j, mass in plan.entries)
         assert recomputed == pytest.approx(d, rel=1e-9, abs=1e-12)
+
+
+def test_certified_route_memory(monkeypatch):
+    # the m x n cost matrix and one reduced-cost temporary, no third array
+    import chainlearn.transport as tr
+
+    monkeypatch.setattr(tr, "_transportation_lp", None)  # the LP is not reached
+    mu = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 10)
+    nu = invariant_measure(CHAIN, 1024)
+    tracemalloc.start()
+    try:
+        wasserstein1_exact(mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 1024 * 1024 * 8
 
 
 def test_symmetry_and_triangle():
@@ -272,8 +297,8 @@ def test_atom_cap():
 def test_monotone_upper_examples():
     mu = random_measure(IDENTITY, 4, lane=2)
     assert wasserstein1_monotone_upper(mu, mu) == pytest.approx(0.0, abs=1e-12)
-    a = one_step_kernel(CHAIN, graph_point(0.0, IDENTITY))
-    b = one_step_kernel(CHAIN, graph_point(1.0, IDENTITY))
+    a = n_step_kernel(CHAIN, graph_point(0.0, IDENTITY), 1)
+    b = n_step_kernel(CHAIN, graph_point(1.0, IDENTITY), 1)
     assert wasserstein1_monotone_upper(a, b) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
 
@@ -305,8 +330,8 @@ def test_kr_sandwich():
 
 
 def test_contraction_ratio_extreme_pair():
-    mu = one_step_kernel(CHAIN, graph_point(0.0, IDENTITY))
-    nu = one_step_kernel(CHAIN, graph_point(1.0, IDENTITY))
+    mu = n_step_kernel(CHAIN, graph_point(0.0, IDENTITY), 1)
+    nu = n_step_kernel(CHAIN, graph_point(1.0, IDENTITY), 1)
     d, _ = wasserstein1_exact(mu, nu)
     ratio = d / math.sqrt(2)
     assert ratio == pytest.approx(0.5, abs=1e-12)
@@ -345,7 +370,7 @@ def solver_audit_rows(chain, pair_count, seed):
             x2 = rng.uniform(s, i, bump)
             bump += 1
         z1, z2 = graph_point(x1, target), graph_point(x2, target)
-        w1, _ = wasserstein1_exact(one_step_kernel(chain, z1), one_step_kernel(chain, z2))
+        w1, _ = wasserstein1_exact(n_step_kernel(chain, z1, 1), n_step_kernel(chain, z2, 1))
         d = rho(z1, z2)
         rows.append((x1, x2, d, w1, w1 / d))
     return tuple(rows)
@@ -386,7 +411,7 @@ def test_contraction_audit_resamples_a_degenerate_pair(monkeypatch):
     x1, x2, d, w1, ratio = audit.rows[lane]
     z1, z2 = graph_point(x1, IDENTITY), graph_point(x2, IDENTITY)
     assert d == rho(z1, z2)
-    assert w1 == wasserstein1_exact(one_step_kernel(CHAIN, z1), one_step_kernel(CHAIN, z2))[0]
+    assert w1 == wasserstein1_exact(n_step_kernel(CHAIN, z1, 1), n_step_kernel(CHAIN, z2, 1))[0]
 
 
 def test_audits_do_not_call_the_general_solver(monkeypatch):
@@ -485,6 +510,6 @@ def test_routes_are_pinned_and_exact(pairs, route, data):
     assert used == route
     mm, nn = mu.merged(), nu.merged()
     assert abs(d - vertex_coupling_minimum(mm.weights, nn.weights, cost_matrix(mm, nn))) <= 1e-9
-    row, col = plan.marginals(len(mm), len(nn))
+    row, col = plan_marginals(plan, len(mm), len(nn))
     assert np.abs(row - mm.weights).max() <= 1e-9
     assert np.abs(col - nn.weights).max() <= 1e-9
