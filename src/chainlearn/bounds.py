@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import rng
-from .chain import ContractiveChain
+from .chain import ContractiveChain, simulate_x_blocks
 from .hypothesis import Hypothesis
 from .learner import true_error
 from .loss import LossConstants
@@ -342,8 +342,11 @@ def poisson_estimate(
     """Monte Carlo estimate of the truncated Poisson-equation solution
     g(z) = sum_k E_z[centered loss at step k] on a dyadic x-grid.
 
-    Raises if the truncation's geometric tail exceeds the requested
-    tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
+    Rollout r from grid point i is the `simulate_x_blocks` trajectory of
+    lane i * rollouts + r in the Poisson stream of `seed`; the loss of
+    each block of its states is summed as the block is drawn.  Raises if
+    the truncation's geometric tail exceeds the requested tolerance.  The
+    reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -360,19 +363,12 @@ def poisson_estimate(
     target = chain.space.target
     er = true_error(h, pi_hat)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    lanes = np.arange(grid + 1, dtype=np.uint64)[:, None] * np.uint64(rollouts) + np.arange(
-        rollouts, dtype=np.uint64
-    )[None, :]
-    s = rng.derive(seed, rng.POISSON)
-    state = np.broadcast_to(xs[:, None], lanes.shape).copy()
+    lanes = np.arange((grid + 1) * rollouts, dtype=np.uint64).reshape(grid + 1, rollouts)
     acc = np.zeros(lanes.shape)
-    for k in range(truncation + 1):
-        fy = np.asarray(target(state), dtype=float)
-        hy = np.asarray(h(state), dtype=float)
-        acc += (hy - fy) ** 2
-        if k < truncation:
-            bits = rng.bit_array(s, lanes, np.full(lanes.shape, k, dtype=np.uint64))
-            state = (state + bits) / 2.0
+    stream = rng.derive(seed, rng.POISSON)
+    for states in simulate_x_blocks(xs[:, None], truncation + 1, stream, lanes):
+        loss = (np.asarray(h(states), dtype=float) - np.asarray(target(states), dtype=float)) ** 2
+        acc += loss.sum(axis=-1)
     values = acc.mean(axis=1) - (truncation + 1) * er
     mc_tol = 3.0 * consts.B * math.sqrt(max(truncation, 1) / rollouts)
     return PoissonEstimate(xs, values, truncation, rollouts, mc_tol, er)

@@ -3,17 +3,18 @@
 One step maps x to x/2 or (x+1)/2 with probability 1/2 each, so dyadic
 rationals stay dyadic forever while irrational starts never reach them:
 the chain is not irreducible.  Its x-marginal leaves the uniform law on
-[0, 1] invariant, and this module carries exact kernels, the batched float
-simulator and exact dyadic trajectories, the discretized invariant measure,
-the closed-form W1 between one-step kernels, and the atom check for
-functions of the chain.
+[0, 1] invariant, and this module carries exact kernels, the one float
+trajectory simulator (a generator of state blocks, so callers fold each
+block as it is drawn) and exact dyadic trajectories, the discretized
+invariant measure, the closed-form W1 between one-step kernels, and the
+atom check for functions of the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
     "ContractiveChain",
     "DyadicState",
     "DiscreteMeasure",
-    "simulate_x_batch",
+    "simulate_x_blocks",
     "trajectory_exact",
     "one_step_w1",
     "n_step_kernel",
@@ -43,8 +44,11 @@ __all__ = [
 ]
 
 MAX_KERNEL_STEPS = 20
-# steps whose branch bits `simulate_x_batch` draws in one vectorized call
+# most steps in one block of `simulate_x_blocks`
 STEP_BLOCK = 512
+# most cells (lanes x steps, or replications x knots of the moments the
+# callers fold blocks into) held per block
+BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -78,30 +82,32 @@ class DyadicState:
         return DyadicState((bit,) + self.bits)
 
 
-def simulate_x_batch(
-    chain: ContractiveChain,
-    x0: np.ndarray,
-    n: int,
-    seed: int,
-    replication_indices: np.ndarray,
-) -> np.ndarray:
-    """x-trajectories for many replications at once, shape (reps, n).
+def simulate_x_blocks(x0, n: int, stream: int, lanes) -> Iterator[np.ndarray]:
+    """The states x_0 .. x_{n-1} of one trajectory per lane, yielded as
+    consecutive column blocks of shape lanes.shape + (width,).
 
-    Replication r draws its step-k branch bit at (lane r, index k) of the
-    trajectory stream, so the result is independent of evaluation order and
-    of how the replications are grouped.  Bits are drawn for blocks of
-    steps at a time; only the recursion itself runs step by step.
+    x_0 = x0 (broadcast against lanes) and x_k = (x_{k-1} + b)/2, where b
+    is the bit at (lane, index k) of `stream`, so a lane's trajectory does
+    not depend on the other lanes or on the block width
+    max(1, min(STEP_BLOCK, BUDGET // lanes)).  Bits are drawn a block at a
+    time; only the recursion itself runs step by step.  Callers must not
+    write into a block: the next block starts from a view of its last
+    column, which saves a copy of the states of every lane.
     """
-    s = rng.derive(seed, rng.TRAJECTORY)
-    reps = np.asarray(replication_indices, dtype=np.uint64)
-    xs = np.empty((reps.size, n))
-    xs[:, 0] = x0
-    for lo in range(1, n, STEP_BLOCK):
-        steps = np.arange(lo, min(lo + STEP_BLOCK, n), dtype=np.uint64)
-        bits = rng.bit_array(s, reps[:, None], steps[None, :])
+    lanes = np.asarray(lanes, dtype=np.uint64)
+    width = max(1, min(STEP_BLOCK, BUDGET // lanes.size))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), lanes.shape)
+    for lo in range(0, n, width):
+        block = np.empty(lanes.shape + (min(width, n - lo),))
+        steps = np.arange(max(lo, 1), lo + block.shape[-1], dtype=np.uint64)
+        bits = rng.bit_array(stream, lanes[..., None], steps)
+        first = block.shape[-1] - steps.size  # 1 in the block holding x_0
+        if first:
+            block[..., 0] = x
         for j in range(steps.size):
-            xs[:, lo + j] = (xs[:, lo + j - 1] + bits[:, j]) / 2.0
-    return xs
+            block[..., first + j] = (x + bits[..., j]) / 2.0
+            x = block[..., first + j]
+        yield block
 
 
 def trajectory_exact(
@@ -114,8 +120,8 @@ def trajectory_exact(
 ) -> list[DyadicState]:
     """Start plus n exact dyadic steps (n + 1 states).
 
-    Branch bits come from the same stream as `simulate_x_batch` unless
-    given explicitly.
+    Branch bits come from the trajectory stream of `seed`, as in
+    `simulate_x_blocks`, unless given explicitly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

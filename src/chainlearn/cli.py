@@ -22,7 +22,6 @@ from .harness import (
     run_experiment,
     write_report,
 )
-from .learner import DegenerateClassError
 
 _SUBCOMMANDS = {
     "audit-contraction": "contraction",
@@ -85,7 +84,7 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         report = run_experiment(config)
-    except (ConfigError, DegenerateClassError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,12 +23,13 @@ import numpy as np
 from . import bounds as bd
 from . import rng, transport
 from .chain import (
+    BUDGET,
     ContractiveChain,
     invariant_candidates_audit,
     invariant_measure,
     lemma_atom_check,
     n_step_kernel,
-    simulate_x_batch,
+    simulate_x_blocks,
 )
 from .hypothesis import (
     HatMoments,
@@ -308,41 +309,32 @@ def write_report(report: Report, path: str, fmt: str = "csv") -> None:
 
 # --- batched empirical statistics -------------------------------------------
 
-# hat-basis moment cells (replications x knots) held per replication block
-MOMENT_BUDGET = 2**20
-
-
 def _batch_empirical(
     net: HypothesisNet,
     chain: ContractiveChain,
     config: ExperimentConfig,
     n: int,
     pi_hat,
-    rep_block: int = 256,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Empirical error of every member for every replication, shape
     (members, replications); matches `empirical_error` on each trajectory.
 
-    The hat-basis moments of each block of replications are accumulated
-    over column chunks, so no temporary as large as the block of states is
-    made besides the states themselves; a block holds at most
-    `MOMENT_BUDGET // knot_count` replications, so many knots do not make
-    the moments grow with the replications.
+    Each block of states from `simulate_x_blocks` is folded into the
+    hat-basis moments as it is drawn, and a block of replications holds at
+    most `BUDGET // knot_count` of them, so memory does not grow with n,
+    and many knots do not make the moments grow with the replications.
     """
     target = chain.space.target
-    rep_block = min(rep_block, max(1, MOMENT_BUDGET // net.knot_count))
+    stream = rng.derive(config.master_seed, rng.TRAJECTORY)
+    rep_block = max(1, BUDGET // net.knot_count)
     reps_all = np.arange(config.replications, dtype=np.uint64)
     out = np.empty((len(net), config.replications))
     for lo in range(0, config.replications, rep_block):
         reps = reps_all[lo : lo + rep_block]
-        x0 = initial_xs(config, pi_hat, reps)
-        xs = simulate_x_batch(chain, x0, n, config.master_seed, reps)
         moments = None
-        for a in range(0, n, chunk):
-            part = xs[:, a : a + chunk]
-            part_moments = HatMoments.from_samples(part, target(part), net.knot_count)
-            moments = part_moments if moments is None else moments + part_moments
+        for xs in simulate_x_blocks(initial_xs(config, pi_hat, reps), n, stream, reps):
+            part = HatMoments.from_samples(xs, target(xs), net.knot_count)
+            moments = part if moments is None else moments + part
         out[:, lo : lo + reps.size] = net.mean_squared_errors(moments)
     return out
 

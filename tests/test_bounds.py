@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from chainlearn import rng
 from chainlearn.bounds import (
     ModelConstants,
     epsilon_prime_ok,
@@ -29,6 +30,7 @@ from chainlearn.bounds import (
 )
 from chainlearn.chain import ContractiveChain, invariant_measure
 from chainlearn.hypothesis import Hypothesis
+from chainlearn.learner import true_error
 from chainlearn.loss import LossConstants
 from chainlearn.state_space import make_space, make_target
 
@@ -409,6 +411,30 @@ def test_poisson_residual_shrinks_with_rollouts():
                                truncation=N, rollouts=rollouts, seed=11)
         res.append(poisson_residual_check(est, IDENTITY_CHAIN, h, pi_hat).max_residual)
     assert res[1] < res[0]
+
+
+def test_poisson_estimate_follows_the_scalar_stream():
+    # rollout r from grid point i is lane i * rollouts + r of the Poisson
+    # stream, and step k takes the bit at index k
+    chain = ContractiveChain(make_space(make_target("tent")))
+    c = consts_for(1 - SQ2 / 2, SQ2, 4.0)
+    pi_hat = invariant_measure(chain, 256)
+    h = Hypothesis((0.2, 0.9, 0.4))
+    grid, rollouts, N, seed = 2, 3, 5, 23
+    est = poisson_estimate(h, chain, pi_hat, c, grid=grid, truncation=N,
+                           rollouts=rollouts, seed=seed, truncation_tol=math.inf)
+    s = rng.derive(seed, rng.POISSON)
+    target = chain.space.target
+    er = true_error(h, pi_hat)
+    for i, x0 in enumerate(np.linspace(0.0, 1.0, grid + 1)):
+        total = 0.0
+        for r in range(rollouts):
+            x = float(x0)
+            for k in range(N + 1):
+                if k:
+                    x = (x + rng.bit(s, i * rollouts + r, k)) / 2.0
+                total += (h(x) - target(x)) ** 2
+        assert est.values[i] == pytest.approx(total / rollouts - (N + 1) * er, rel=1e-12, abs=1e-15)
 
 
 def test_model_constants_validation():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chainlearn import rng
 from chainlearn.chain import (
     ContractiveChain,
     DyadicState,
@@ -14,7 +15,7 @@ from chainlearn.chain import (
     lemma_atom_check,
     n_step_kernel,
     one_step_w1,
-    simulate_x_batch,
+    simulate_x_blocks,
     trajectory_exact,
 )
 from chainlearn.state_space import graph_point, make_space, make_target
@@ -29,9 +30,16 @@ TENT = make_target("tent")
 CHAIN = ContractiveChain(make_space(IDENTITY))
 
 
+def simulate(x0, n, seed, replication_indices):
+    """x-trajectories of the given replications, shape (reps, n): the
+    simulator's blocks joined end to end."""
+    stream = rng.derive(seed, rng.TRAJECTORY)
+    return np.concatenate(list(simulate_x_blocks(x0, n, stream, replication_indices)), axis=-1)
+
+
 def simulate_one(x0, n, seed, replication_index=0):
     """The x-trajectory of a single replication."""
-    return simulate_x_batch(CHAIN, np.array([x0]), n, seed, np.array([replication_index]))[0]
+    return simulate(np.array([x0]), n, seed, np.array([replication_index]))[0]
 
 
 def test_trajectory_length_one():
@@ -60,17 +68,18 @@ def test_trajectory_mean_matches_uniform_invariant():
 
 
 def test_batch_matches_scalar_stream_across_step_blocks():
-    from chainlearn import rng
     from chainlearn.chain import STEP_BLOCK
 
     n = 2 * STEP_BLOCK + 3
     reps = np.array([0, 5])
-    xs = simulate_x_batch(CHAIN, np.array([0.3, 1.0]), n, seed=19, replication_indices=reps)
-    s = rng.derive(19, rng.TRAJECTORY)
+    stream = rng.derive(19, rng.TRAJECTORY)
+    shapes = [b.shape for b in simulate_x_blocks(np.array([0.3, 1.0]), n, stream, reps)]
+    assert shapes == [(2, STEP_BLOCK), (2, STEP_BLOCK), (2, 3)]
+    xs = simulate(np.array([0.3, 1.0]), n, seed=19, replication_indices=reps)
     for row, (rep, x) in enumerate(zip(reps, (0.3, 1.0))):
         expected = [x]
         for k in range(1, n):
-            expected.append((expected[-1] + rng.bit(s, int(rep), k)) / 2.0)
+            expected.append((expected[-1] + rng.bit(stream, int(rep), k)) / 2.0)
         assert np.array_equal(xs[row], expected)
 
 
@@ -82,8 +91,8 @@ def test_float_trajectory_follows_exact_dyadic_states():
 
 def test_replication_order_independence():
     reps = np.array([3, 1, 2])
-    a = simulate_x_batch(CHAIN, np.zeros(3), 40, seed=17, replication_indices=reps)
-    b = simulate_x_batch(CHAIN, np.zeros(3), 40, seed=17, replication_indices=reps[::-1])
+    a = simulate(np.zeros(3), 40, seed=17, replication_indices=reps)
+    b = simulate(np.zeros(3), 40, seed=17, replication_indices=reps[::-1])
     assert np.array_equal(a, b[::-1])
 
 

@@ -340,7 +340,8 @@ def test_experiments_accept_all_policies():
 
 
 def test_batch_empirical_matches_per_trajectory_learner():
-    from chainlearn.chain import invariant_measure, simulate_x_batch
+    from chainlearn import rng
+    from chainlearn.chain import invariant_measure, simulate_x_blocks
     from chainlearn.harness import _batch_empirical, initial_xs
     from chainlearn.hypothesis import build_epsilon_net
     from chainlearn.learner import empirical_error
@@ -354,17 +355,19 @@ def test_batch_empirical_matches_per_trajectory_learner():
         pi_hat = invariant_measure(chain, 128)
         batch = _batch_empirical(net, chain, config, 200, pi_hat)
         reps = np.arange(5, dtype=np.uint64)
-        xs = simulate_x_batch(chain, initial_xs(config, pi_hat, reps), 200,
-                              config.master_seed, reps)
+        stream = rng.derive(config.master_seed, rng.TRAJECTORY)
+        blocks = simulate_x_blocks(initial_xs(config, pi_hat, reps), 200, stream, reps)
+        xs = np.concatenate(list(blocks), axis=-1)
         for r in range(5):
             ys = np.asarray(chain.space.target(xs[r]), dtype=float)
             for i, h in enumerate(net.members):
                 assert abs(batch[i, r] - empirical_error(h, xs[r], ys)) <= 1e-12
 
 
-def test_batch_empirical_independent_of_blocking():
+def test_batch_empirical_independent_of_blocking(monkeypatch):
+    import chainlearn.chain as chain_module
+    import chainlearn.harness as harness
     from chainlearn.chain import invariant_measure
-    from chainlearn.harness import _batch_empirical
     from chainlearn.hypothesis import build_epsilon_net
 
     config = cfg(kind="concentration", replications=7, class_kind="lipschitz",
@@ -372,10 +375,40 @@ def test_batch_empirical_independent_of_blocking():
     chain = build_chain(config)
     net = build_epsilon_net(build_class(config), config.net_radius)
     pi_hat = invariant_measure(chain, 128)
-    ref = _batch_empirical(net, chain, config, 300, pi_hat)
-    for rep_block, chunk in ((1, 1), (3, 7), (7, 299), (256, 300), (2, 1000)):
-        got = _batch_empirical(net, chain, config, 300, pi_hat, rep_block=rep_block, chunk=chunk)
+    ref = harness._batch_empirical(net, chain, config, 300, pi_hat)
+    # (replications, steps) per block: harness's budget sets the first
+    # through the knot count, the simulator's budget and step block the second
+    for rep_block, step_block in ((1, 1), (3, 7), (7, 299), (256, 300), (2, 1000)):
+        monkeypatch.setattr(harness, "BUDGET", rep_block * net.knot_count)
+        monkeypatch.setattr(chain_module, "BUDGET", rep_block * step_block)
+        monkeypatch.setattr(chain_module, "STEP_BLOCK", step_block)
+        got = harness._batch_empirical(net, chain, config, 300, pi_hat)
         assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_batch_empirical_memory_does_not_grow_with_n():
+    import tracemalloc
+
+    from chainlearn.chain import STEP_BLOCK, invariant_measure
+    from chainlearn.harness import _batch_empirical
+    from chainlearn.hypothesis import build_epsilon_net
+
+    config = cfg(kind="concentration", replications=64, class_kind="lipschitz",
+                 lip_bound=1.0, net_radius=0.6, master_seed=47)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    pi_hat = invariant_measure(chain, 128)
+    # sixteen (replications, STEP_BLOCK) blocks of states; the states of
+    # all n steps take 100 of them at the larger n
+    bound = 16 * config.replications * STEP_BLOCK * 8
+    for n in (4 * STEP_BLOCK, 100 * STEP_BLOCK):
+        tracemalloc.start()
+        try:
+            _batch_empirical(net, chain, config, n, pi_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (n, peak)
 
 
 @pytest.mark.parametrize("bad", [{"n": 0}, {"n": -3}, {"n_list": [100, 0]}])
@@ -424,14 +457,14 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
     ref = harness._batch_empirical(net, chain, config, 300, pi_hat)
 
     blocks = []
-    simulate = harness.simulate_x_batch
+    simulate = harness.simulate_x_blocks
 
-    def spy(chain, x0, n, seed, reps):
-        blocks.append(reps.size)
-        return simulate(chain, x0, n, seed, reps)
+    def spy(x0, n, stream, lanes):
+        blocks.append(lanes.size)
+        return simulate(x0, n, stream, lanes)
 
-    monkeypatch.setattr(harness, "simulate_x_batch", spy)
-    monkeypatch.setattr(harness, "MOMENT_BUDGET", 3 * 2001 + 5)
+    monkeypatch.setattr(harness, "simulate_x_blocks", spy)
+    monkeypatch.setattr(harness, "BUDGET", 3 * 2001 + 5)
     got = harness._batch_empirical(net, chain, config, 300, pi_hat)
     assert blocks == [3, 3, 1]
     assert np.abs(got - ref).max() <= 1e-12

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chainlearn.chain import ContractiveChain, invariant_measure, simulate_x_batch
+from chainlearn import rng
+from chainlearn.chain import ContractiveChain, invariant_measure, simulate_x_blocks
 from chainlearn.hypothesis import (
     HatMoments,
     Hypothesis,
@@ -226,9 +227,10 @@ def test_median_uniform_deviation_nonincreasing_in_n():
     net = build_epsilon_net(CONSTANTS, 0.1)
     true = true_errors(net, PI_4096)
     reps = np.arange(100, dtype=np.uint64)
+    stream = rng.derive(42, rng.TRAJECTORY)
     medians = []
     for n in (100, 1000, 10_000):
-        xs = simulate_x_batch(CHAIN, np.zeros(100), n, seed=42, replication_indices=reps)
+        xs = np.concatenate(list(simulate_x_blocks(np.zeros(100), n, stream, reps)), axis=-1)
         emp = net.mean_squared_errors(HatMoments.from_samples(xs, IDENTITY(xs), net.knot_count))
         devs = np.abs(emp - true[:, None]).max(axis=0)
         medians.append(float(np.median(devs)))
