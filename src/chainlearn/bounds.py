@@ -5,9 +5,13 @@ Ergodicity constants: iterating the one-step contraction gives
 W1(P^n(z, .), pi) <= (1-eta)^n * W1(delta_z, pi) <= diam * e^(-C2 n) with
 C1 = diam and C2 = -ln(1-eta), so 1 - e^(-C2) recovers eta exactly.
 
+The uniform tail bound is a union over an N-member net of the single-
+hypothesis bound at eps/2 (its log is ln N plus that exponent), and the
+multiplicative sample size n3 is n2 at the level sqrt(eps / (1 + 1/alpha)).
+
 All tail bounds are returned raw (possibly above 1) together with their
-validity threshold; covering numbers enter as explicit arguments, either as
-a raw count or as a natural log for models too large to exponentiate.
+validity flag; covering numbers enter as explicit arguments, either as a
+raw count or as a natural log for models too large to exponentiate.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ class ModelConstants:
         c1, c2 = ergodicity_constants(eta, diam)
         return cls(eta, c1, c2, losses.L, losses.L_bar, losses.B, m, M)
 
+    def poisson_tail(self, truncation: int) -> float:
+        """C1 L e^(-C2 N) / (1 - e^(-C2)): the Poisson series' sup-norm tail
+        past N = truncation terms, at N = 0 a bound on the whole solution."""
+        return self.C1 * self.L * math.exp(-self.C2 * truncation) / self.one_minus_exp_neg_c2
+
     def require_mm(self) -> tuple[float, float]:
         if self.m is None or self.M is None:
             raise ValueError("this calculator needs the error range (m, M)")
@@ -80,6 +89,16 @@ def ergodicity_constants(eta: float, diam: float) -> tuple[float, float]:
     return diam, -math.log1p(-eta)
 
 
+def _check(eps: float, *, n: Optional[float] = None, delta: Optional[float] = None) -> None:
+    """The shared checks delta in (0,1), eps > 0, n >= 1, in that order."""
+    if delta is not None and not 0 < delta < 1:
+        raise ValueError("delta must lie in (0,1)")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if n is not None and n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def _ln_covering(covering_number: Optional[float], ln_covering: Optional[float]) -> float:
     if (covering_number is None) == (ln_covering is None):
         raise ValueError("pass exactly one of covering_number / ln_covering")
@@ -90,28 +109,30 @@ def _ln_covering(covering_number: Optional[float], ln_covering: Optional[float])
     return float(ln_covering)
 
 
+def _exp(log_value: float) -> float:
+    """e^log_value, or inf where that overflows."""
+    return math.exp(log_value) if log_value < 700 else math.inf
+
+
 class TailBound(NamedTuple):
     value: float
     valid: bool
 
 
-class RelativeTailBound(NamedTuple):
-    value: float
-    epsilon_prime_ok: bool
+def _single_h_exponent(eps: float, n: int, consts: ModelConstants) -> tuple[float, bool]:
+    """The log of `single_h_tail_bound` and its validity flag."""
+    _check(eps, n=n)
+    omc = consts.one_minus_exp_neg_c2
+    c1l = consts.C1 * consts.L
+    coef = eps * n * omc / (2.0 * c1l)
+    return -((coef - 2.0) ** 2) / (2.0 * n), n >= 4.0 * c1l / (eps * omc)
 
 
 def single_h_tail_bound(eps: float, n: int, consts: ModelConstants) -> TailBound:
     """exp(-(eps n (1-e^-C2) / (2 C1 L) - 2)^2 / (2n)); valid once
     n >= 4 C1 L / (eps (1-e^-C2))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    omc = consts.one_minus_exp_neg_c2
-    c1l = consts.C1 * consts.L
-    coef = eps * n * omc / (2.0 * c1l)
-    value = math.exp(-((coef - 2.0) ** 2) / (2.0 * n))
-    return TailBound(value, n >= 4.0 * c1l / (eps * omc))
+    exponent, valid = _single_h_exponent(eps, n, consts)
+    return TailBound(_exp(exponent), valid)
 
 
 def uniform_tail_bound(
@@ -122,19 +143,10 @@ def uniform_tail_bound(
     *,
     ln_covering: Optional[float] = None,
 ) -> TailBound:
-    """Covering number (at eps / 4 L_bar) times the uniform exponential
-    factor; valid once n >= 8 C1 L / (eps (1-e^-C2))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    lncov = _ln_covering(covering_number, ln_covering)
-    omc = consts.one_minus_exp_neg_c2
-    c1l = consts.C1 * consts.L
-    coef = eps * n * omc / (4.0 * c1l)
-    log_value = lncov - ((coef - 2.0) ** 2) / (2.0 * n)
-    value = math.exp(log_value) if log_value < 700 else math.inf
-    return TailBound(value, n >= 8.0 * c1l / (eps * omc))
+    """Covering number (at eps / 4 L_bar) times the single-hypothesis bound
+    at eps/2; valid once n >= 8 C1 L / (eps (1-e^-C2))."""
+    exponent, valid = _single_h_exponent(eps / 2.0, n, consts)
+    return TailBound(_exp(_ln_covering(covering_number, ln_covering) + exponent), valid)
 
 
 def n1_terms(
@@ -145,10 +157,7 @@ def n1_terms(
     *,
     ln_covering: Optional[float] = None,
 ) -> tuple[float, float]:
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check(eps, delta=delta)
     lncov = _ln_covering(covering_number, ln_covering)
     omc = consts.one_minus_exp_neg_c2
     c1l = consts.C1 * consts.L
@@ -170,8 +179,7 @@ def n1(
 ) -> int:
     """Sample size guaranteeing the learner's 5-eps generalization bound;
     the covering number is taken at radius eps / (4 L_bar)."""
-    t1, t2 = n1_terms(eps, delta, consts, covering_number, ln_covering=ln_covering)
-    return math.ceil(max(t1, t2))
+    return math.ceil(max(n1_terms(eps, delta, consts, covering_number, ln_covering=ln_covering)))
 
 
 def xi_constants(m: float, M: float, consts: ModelConstants) -> tuple[float, float]:
@@ -200,10 +208,7 @@ def n2_terms(
     *,
     ln_covering: Optional[float] = None,
 ) -> tuple[float, float]:
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check(eps, delta=delta)
     m, M = consts.require_mm()
     lncov = _ln_covering(covering_number, ln_covering)
     omc = consts.one_minus_exp_neg_c2
@@ -231,8 +236,15 @@ def n2(
             "the two-sided argument does not cover this choice",
             stacklevel=2,
         )
-    t1, t2 = n2_terms(eps, delta, consts, covering_number, ln_covering=ln_covering)
-    return math.ceil(max(t1, t2))
+    return math.ceil(max(n2_terms(eps, delta, consts, covering_number, ln_covering=ln_covering)))
+
+
+def _n3_level(eps: float, delta: float, alpha: float) -> float:
+    """The level sqrt(eps / (1 + 1/alpha)) at which n2 gives n3."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    _check(eps, delta=delta)
+    return math.sqrt(eps / (1.0 + 1.0 / alpha))
 
 
 def n3_terms(
@@ -244,23 +256,8 @@ def n3_terms(
     *,
     ln_covering: Optional[float] = None,
 ) -> tuple[float, float]:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    m, M = consts.require_mm()
-    lncov = _ln_covering(covering_number, ln_covering)
-    omc = consts.one_minus_exp_neg_c2
-    c1l = consts.C1 * consts.L
-    xi1, xi2 = xi_constants(m, M, consts)
-    root = math.sqrt(1.0 + 1.0 / alpha)
-    t1 = 2.0 * c1l * root / (math.sqrt(eps) * min(math.sqrt(m), 1.0) * omc)
-    t2 = ((alpha + 1.0) / (alpha * xi1)) * (
-        (xi2 * math.sqrt(eps) / root) + lncov + math.log(4.0 / delta)
-    ) / eps
-    return t1, t2
+    tilde = _n3_level(eps, delta, alpha)
+    return n2_terms(tilde, delta, consts, covering_number, ln_covering=ln_covering)
 
 
 def n3(
@@ -272,18 +269,9 @@ def n3(
     *,
     ln_covering: Optional[float] = None,
 ) -> int:
-    """Sample size for the multiplicative-accuracy bound; covering number
-    taken at radius sqrt(eps) / (L_bar sqrt(1 + 1/alpha))."""
-    m, M = consts.require_mm()
-    tilde = math.sqrt(eps / (1.0 + 1.0 / alpha))
-    if not epsilon_prime_ok(tilde, m, M):
-        warnings.warn(
-            f"(eps={eps}, alpha={alpha}) puts the substituted level at or "
-            "beyond 2m/3; the two-sided argument does not cover this choice",
-            stacklevel=2,
-        )
-    t1, t2 = n3_terms(eps, delta, alpha, consts, covering_number, ln_covering=ln_covering)
-    return math.ceil(max(t1, t2))
+    """Sample size for the multiplicative-accuracy bound: n2 at the level
+    sqrt(eps / (1 + 1/alpha)), covering number taken at that level / L_bar."""
+    return n2(_n3_level(eps, delta, alpha), delta, consts, covering_number, ln_covering=ln_covering)
 
 
 def relative_tail_bound(
@@ -293,18 +281,15 @@ def relative_tail_bound(
     covering_number: Optional[float] = None,
     *,
     ln_covering: Optional[float] = None,
-) -> RelativeTailBound:
-    """4 * covering(eps / L_bar) * exp(-xi1 eps^2 n + xi2 eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+) -> TailBound:
+    """4 * covering(eps / L_bar) * exp(-xi1 eps^2 n + xi2 eps); valid while
+    `epsilon_prime_ok` holds at eps."""
+    _check(eps, n=n)
     m, M = consts.require_mm()
     lncov = _ln_covering(covering_number, ln_covering)
     xi1, xi2 = xi_constants(m, M, consts)
     log_value = math.log(4.0) + lncov - xi1 * eps**2 * n + xi2 * eps
-    value = math.exp(log_value) if log_value < 700 else math.inf
-    return RelativeTailBound(value, epsilon_prime_ok(eps, m, M))
+    return TailBound(_exp(log_value), epsilon_prime_ok(eps, m, M))
 
 
 # --- Poisson equation -------------------------------------------------------
@@ -323,9 +308,8 @@ def truncation_for_tolerance(consts: ModelConstants, tol: float) -> int:
     """Smallest N with C1 L e^(-C2 N) / (1 - e^(-C2)) <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c1l = consts.C1 * consts.L
-    omc = consts.one_minus_exp_neg_c2
-    return max(0, math.ceil(math.log(c1l / (tol * omc)) / consts.C2))
+    ratio = consts.C1 * consts.L / (tol * consts.one_minus_exp_neg_c2)
+    return max(0, math.ceil(math.log(ratio) / consts.C2))
 
 
 def poisson_estimate(
@@ -352,9 +336,7 @@ def poisson_estimate(
         raise ValueError("grid must be at least 2")
     if rollouts < 1:
         raise ValueError("rollouts must be at least 1")
-    c1l = consts.C1 * consts.L
-    omc = consts.one_minus_exp_neg_c2
-    tail = c1l * math.exp(-consts.C2 * truncation) / omc
+    tail = consts.poisson_tail(truncation)
     if tail > truncation_tol:
         raise ValueError(
             f"truncation {truncation} leaves a geometric tail of {tail:.3g} "
@@ -404,6 +386,4 @@ def poisson_residual_check(
     residual = np.abs(g - 0.5 * g_lo - 0.5 * g_hi - centered)
     lip_hat = float(np.abs(np.diff(g)).max() / spacing) if g.size > 1 else 0.0
     slack = lip_hat * spacing
-    return PoissonResidual(
-        float(residual.max()), 2.0 * estimate.mc_tolerance + slack, slack
-    )
+    return PoissonResidual(float(residual.max()), 2.0 * estimate.mc_tolerance + slack, slack)

@@ -270,6 +270,12 @@ def _plain(v: Any) -> Any:
     return v.item() if isinstance(v, np.generic) else v
 
 
+def _json_cell(v: Any) -> Any:
+    """Non-finite floats as the strings their CSV cells hold, since JSON has
+    no literal for them."""
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _fmt_cell(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -290,9 +296,9 @@ def render_report(report: Report, fmt: str) -> str:
         return buf.getvalue()
     if fmt == "json":
         payload = {
-            "metadata": report.metadata,
+            "metadata": {k: _json_cell(v) for k, v in report.metadata.items()},
             "columns": list(report.columns),
-            "rows": [list(r) for r in report.rows],
+            "rows": [[_json_cell(v) for v in r] for r in report.rows],
         }
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
@@ -588,16 +594,16 @@ def run_bounds_calculator(config: ExperimentConfig) -> Report:
     n_values, eps_values = _grid(config)
     rows: list[tuple] = []
     for eps in eps_values:
+        cov_u = covering_count(cls, eps / (4.0 * consts.L_bar))
+        cov_r = covering_count(cls, eps / consts.L_bar) if consts.m is not None else None
         for n in n_values:
             sh = bd.single_h_tail_bound(eps, n, consts)
             rows.append((float(eps), n, "single_h", sh.value, sh.valid))
-            cov_u = covering_count(cls, eps / (4.0 * consts.L_bar))
             un = bd.uniform_tail_bound(eps, n, consts, covering_number=cov_u)
             rows.append((float(eps), n, "uniform", un.value, un.valid))
-            if consts.m is not None:
-                cov_r = covering_count(cls, eps / consts.L_bar)
+            if cov_r is not None:
                 rel = bd.relative_tail_bound(eps, n, consts, covering_number=cov_r)
-                rows.append((float(eps), n, "relative", rel.value, rel.epsilon_prime_ok))
+                rows.append((float(eps), n, "relative", rel.value, rel.valid))
     meta = _base_metadata(config)
     meta.update(
         {
@@ -633,7 +639,7 @@ def run_poisson_check(config: ExperimentConfig) -> Report:
         config.truncation_tol,
     )
     residual = bd.poisson_residual_check(estimate, chain, h, pi_hat)
-    norm_bound = consts.C1 * consts.L / consts.one_minus_exp_neg_c2
+    norm_bound = consts.poisson_tail(0)
     sup_g = float(np.abs(estimate.values).max())
     norm_ok = sup_g <= norm_bound + estimate.mc_tolerance
     residual_ok = residual.max_residual <= residual.threshold

@@ -251,9 +251,13 @@ def _lipschitz_paths(
     spacing = 1.0 / cells
     step = lam * spacing  # lattice step == max knot move, <= eps/2
     knots = cells + 1
-    # with two or more levels (_lattice's test for k = 1) every start, and the
-    # anchor, begins at least 2**(knots-1) paths
-    if knots - 1 > math.log2(NET_SIZE_CAP) and cls.y_lo + 1.5 * step <= cls.y_hi + 1e-12:
+    # with two or more levels (_lattice's test for k = 1) every start has two
+    # moves or more at each knot, so it begins at least 2**(knots-1) paths;
+    # an anchored net starts at the anchor, an unanchored one at every level
+    # (more than width/step - 1 of them)
+    starts = max(cls.width / step - 1.0, 1.0) if cls.kind == "lipschitz" else 1.0
+    two_levels = cls.y_lo + 1.5 * step <= cls.y_hi + 1e-12
+    if two_levels and math.log2(starts) + knots - 1 > math.log2(NET_SIZE_CAP):
         raise _oversized(eps)
     lattice = _lattice(cls, step)
 
@@ -322,24 +326,20 @@ def random_member(
     if cls.kind == "constants":
         u = rng.uniform(seed, lane, 0)
         return Hypothesis((cls.y_lo + u * cls.width,))
-    spacing = 1.0 / (knot_count - 1)
-    move = cls.lip_bound * spacing
-    values = np.empty(knot_count)
+    move = cls.lip_bound * (1.0 / (knot_count - 1))
     if cls.kind == "lipschitz_anchored":
-        ax, ay = cls.anchor
+        ax, start_value = cls.anchor
         start = int(round(ax * (knot_count - 1)))
-        values[start] = ay
-        for k in range(start + 1, knot_count):
-            u = 2.0 * rng.uniform(seed, lane, k) - 1.0
-            values[k] = np.clip(values[k - 1] + u * move, cls.y_lo, cls.y_hi)
-        for k in range(start - 1, -1, -1):
-            u = 2.0 * rng.uniform(seed, lane, k) - 1.0
-            values[k] = np.clip(values[k + 1] + u * move, cls.y_lo, cls.y_hi)
     else:
-        values[0] = cls.y_lo + rng.uniform(seed, lane, 0) * cls.width
-        for k in range(1, knot_count):
+        start, start_value = 0, cls.y_lo + rng.uniform(seed, lane, 0) * cls.width
+    values = np.empty(knot_count)
+    values[start] = start_value
+    # knot k draws index k and moves at most `move` from its neighbour
+    # towards the start: a forward sweep, then a backward one
+    for ks, to_start in ((range(start + 1, knot_count), -1), (range(start - 1, -1, -1), 1)):
+        for k in ks:
             u = 2.0 * rng.uniform(seed, lane, k) - 1.0
-            values[k] = np.clip(values[k - 1] + u * move, cls.y_lo, cls.y_hi)
+            values[k] = np.clip(values[k + to_start] + u * move, cls.y_lo, cls.y_hi)
     return Hypothesis(tuple(float(v) for v in values))
 
 

@@ -67,15 +67,10 @@ def _corner_hypotheses(cls: HypothesisClass) -> list[Hypothesis]:
             Hypothesis((cls.y_hi,)),
             Hypothesis((0.5 * (cls.y_lo + cls.y_hi),)),
         ]
-    # extreme flat members are feasible for every Lipschitz class
-    grid = 9
-    out = [
-        Hypothesis(tuple([cls.y_lo] * grid)),
-        Hypothesis(tuple([cls.y_hi] * grid)),
-    ]
     if cls.kind == "lipschitz_anchored":
-        out = []
-    return out
+        return []
+    # extreme flat members are feasible for every unanchored Lipschitz class
+    return [Hypothesis(tuple([cls.y_lo] * 9)), Hypothesis(tuple([cls.y_hi] * 9))]
 
 
 _CORNER_XS = (0.0, 0.01, 0.5, 0.99, 1.0)

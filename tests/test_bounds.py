@@ -5,9 +5,13 @@ form (the `ref_*` helpers below), evaluated with plain `math` arithmetic.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlearn import rng
 from chainlearn.bounds import (
@@ -174,6 +178,27 @@ def test_uniform_validity_threshold():
     assert uniform_tail_bound(0.2, int(threshold) + 1, c, covering_number=5).valid
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    eta=st.floats(0.01, 0.99),
+    L=st.floats(0.01, 100.0),
+    eps=st.floats(1e-3, 2.0),
+    n=st.integers(1, 10**6),
+    cov=st.integers(1, 10**6),
+)
+def test_uniform_is_union_of_single_h_at_half_eps(eta, L, eps, n, cov):
+    c = consts_for(eta, SQ2, L)
+    half = single_h_tail_bound(eps / 2, n, c)
+    uni = uniform_tail_bound(eps, n, c, covering_number=cov)
+    assert uni.valid == half.valid
+    if half.value > 0.0:
+        assert uni.value == pytest.approx(
+            math.exp(math.log(cov) + math.log(half.value)), rel=1e-12
+        )
+    else:
+        assert uni.value == 0.0
+
+
 # n1 ---------------------------------------------------------------------------
 
 def test_n1_golden():
@@ -313,6 +338,102 @@ def test_n3_decreasing_in_alpha_with_holder_covering():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    m=st.floats(1e-3, 1.0),
+    spread=st.floats(1.0, 10.0),
+    eps=st.floats(1e-4, 1.0),
+    delta=st.floats(1e-6, 0.999),
+    alpha=st.floats(1e-2, 1e2),
+    cov=st.integers(1, 10**4),
+)
+def test_n3_is_n2_at_substituted_level(m, spread, eps, delta, alpha, cov):
+    c = consts_for(1 - SQ2 / 2, SQ2, 2.0, m=m, M=m * spread)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = n3(eps, delta, alpha, c, covering_number=cov)
+        level = math.sqrt(eps / (1 + 1 / alpha))
+        if value < 1e12:
+            assert value == n2(level, delta, c, covering_number=cov)
+    # and both terms agree with the independent transcription of n3
+    r1, r2 = ref_n3(eps, delta, alpha, m, m * spread, 2 * SQ2, 1 - SQ2 / 2, cov)
+    t1, t2 = n3_terms(eps, delta, alpha, c, covering_number=cov)
+    assert t1 == pytest.approx(r1, rel=1e-12)
+    assert t2 == pytest.approx(r2, rel=1e-12)
+
+
+def test_n3_warns_at_substituted_level():
+    m, M = 1 / 12, 1 / 3
+    c = consts_for(1 - SQ2 / 2, SQ2, 2.0, m=m, M=M)
+    alpha = 1.0
+    bad_level = (2 * m / 3) * (M + 6 * m) / m**1.5 * 1.01
+    bad_eps = bad_level**2 * (1 + 1 / alpha)
+    with pytest.warns(UserWarning, match="2m/3"):
+        n3(bad_eps, 0.05, alpha, c, covering_number=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n3(bad_eps / 1.1**2, 0.05, alpha, c, covering_number=4)
+
+
+# argument checks ----------------------------------------------------------------
+
+MM = consts_for(1 - SQ2 / 2, SQ2, 2.0, m=1 / 12, M=1 / 3)
+
+TAIL_BOUNDS = {
+    "single_h_tail_bound": lambda eps, n: single_h_tail_bound(eps, n, MM),
+    "uniform_tail_bound": lambda eps, n: uniform_tail_bound(eps, n, MM, covering_number=4),
+    "relative_tail_bound": lambda eps, n: relative_tail_bound(eps, n, MM, covering_number=4),
+}
+
+SAMPLE_SIZES = {
+    "n1_terms": lambda eps, delta: n1_terms(eps, delta, MM, covering_number=4),
+    "n1": lambda eps, delta: n1(eps, delta, MM, covering_number=4),
+    "n2_terms": lambda eps, delta: n2_terms(eps, delta, MM, covering_number=4),
+    "n2": lambda eps, delta: n2(eps, delta, MM, covering_number=4),
+    "n3_terms": lambda eps, delta: n3_terms(eps, delta, 1.0, MM, covering_number=4),
+    "n3": lambda eps, delta: n3(eps, delta, 1.0, MM, covering_number=4),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_BOUNDS)
+@pytest.mark.parametrize(
+    "eps, n, message",
+    [
+        (0.0, 100, "eps must be positive"),
+        (-0.3, 100, "eps must be positive"),
+        (0.3, 0, "n must be at least 1"),
+        (0.3, 0.5, "n must be at least 1"),
+        (0.0, 0, "eps must be positive"),
+    ],
+)
+def test_tail_bounds_reject_bad_arguments(name, eps, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TAIL_BOUNDS[name](eps, n)
+
+
+@pytest.mark.parametrize("name", SAMPLE_SIZES)
+@pytest.mark.parametrize(
+    "eps, delta, message",
+    [
+        (0.0, 0.05, "eps must be positive"),
+        (-0.3, 0.05, "eps must be positive"),
+        (0.3, 0.0, "delta must lie in (0,1)"),
+        (0.3, 1.0, "delta must lie in (0,1)"),
+        (0.3, -0.5, "delta must lie in (0,1)"),
+        (0.0, 1.5, "delta must lie in (0,1)"),
+    ],
+)
+def test_sample_sizes_reject_bad_arguments(name, eps, delta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SAMPLE_SIZES[name](eps, delta)
+
+
+def test_n3_rejects_nonpositive_alpha():
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            n3_terms(0.3, 0.05, alpha, MM, covering_number=4)
+
+
 # relative tail bound --------------------------------------------------------------
 
 def test_relative_tail_exponent_cancellation():
@@ -342,7 +463,7 @@ def test_relative_tail_golden_pinned():
     expected = 4 * 4 * math.exp(-xi1 * 0.09 * 1e6 + xi2 * 0.3)
     assert b.value == pytest.approx(expected, rel=1e-12)
     assert b.value == pytest.approx(13.9611, abs=2e-4)
-    assert b.epsilon_prime_ok
+    assert b.valid
 
 
 # Poisson equation ------------------------------------------------------------------
@@ -356,6 +477,17 @@ def test_truncation_sizing():
     omc = c.one_minus_exp_neg_c2
     assert c.C1 * c.L * math.exp(-c.C2 * N) / omc <= 1e-3
     assert c.C1 * c.L * math.exp(-c.C2 * (N - 1)) / omc > 1e-3
+
+
+def test_poisson_tail_is_the_truncation_tail():
+    c = consts_for(1 - SQ2 / 2, SQ2, 4.0)
+    N = truncation_for_tolerance(c, 1e-3)
+    assert c.poisson_tail(N) <= 1e-3 < c.poisson_tail(N - 1)
+    assert c.poisson_tail(0) == c.C1 * c.L / c.one_minus_exp_neg_c2
+    for n in (1, 7, 30):
+        assert c.poisson_tail(n) == pytest.approx(
+            c.C1 * c.L * math.exp(-c.C2 * n) / c.one_minus_exp_neg_c2, rel=1e-15
+        )
 
 
 def test_truncation_tail_halves_per_ln2_over_c2():

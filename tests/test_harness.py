@@ -283,6 +283,56 @@ def test_bounds_calculator_report():
     assert len(report.rows) == 2 * 2 * 3
 
 
+def test_bounds_calculator_counts_coverings_once_per_eps(monkeypatch):
+    import chainlearn.harness as harness
+
+    calls = []
+
+    def counting(cls, radius):
+        calls.append(radius)
+        return covering_count(cls, radius)
+
+    config = cfg(kind="bounds", eps_list=[0.2, 0.4], n_list=[1000, 2000, 4000],
+                 net_radius=0.1, pi_grid=512)
+    expected = run_bounds_calculator(config)
+    monkeypatch.setattr(harness, "covering_count", counting)
+    assert run_bounds_calculator(config) == expected
+    # the uniform and the relative radius for each eps, whatever the n grid
+    assert len(calls) == 2 * 2
+
+
+def test_nonfinite_bounds_render_as_strict_json():
+    config = cfg(kind="bounds", class_kind="constants", eps_list=[1e-305], n_list=[1000],
+                 pi_grid=512)
+    report = run_bounds_calculator(config)
+    assert math.isinf(report.rows[1][3])  # the uniform bound overflows
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(render_report(report, "json"), parse_constant=reject)
+    json_bounds = [r[3] for r in payload["rows"]]
+    assert json_bounds[1:] == ["inf", "inf"]
+    csv_rows = render_report(report, "csv").splitlines()[-len(report.rows):]
+    csv_bounds = [line.split(",")[3] for line in csv_rows]
+    assert [b if isinstance(b, str) else repr(b) for b in json_bounds] == csv_bounds
+
+
+def test_json_cells_match_csv_for_every_nonfinite_float():
+    report = Report({"lo": -math.inf, "bad": math.nan, "ok": 0.5}, ("a", "b"),
+                    [(math.inf, 1), (-math.inf, math.nan)])
+
+    def reject(token):
+        raise ValueError(token)
+
+    payload = json.loads(render_report(report, "json"), parse_constant=reject)
+    assert payload["metadata"] == {"lo": "-inf", "bad": "nan", "ok": 0.5}
+    assert payload["rows"] == [["inf", 1], ["-inf", "nan"]]
+    csv_text = render_report(report, "csv")
+    assert "# bad=nan\n# lo=-inf\n" in csv_text
+    assert csv_text.endswith("inf,1\n-inf,nan\n")
+
+
 def test_poisson_check_report():
     config = cfg(kind="poisson", class_kind="lipschitz", lip_bound=1.0,
                  poisson_grid=16, poisson_rollouts=400, pi_grid=512, master_seed=13)

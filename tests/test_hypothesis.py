@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainlearn import hypothesis as hy
+from chainlearn import rng
 from chainlearn.hypothesis import (
     HatMoments,
     Hypothesis,
@@ -202,6 +206,42 @@ def test_covering_count_raises_past_the_cap(cls, eps):
     assert str(counted.value) == str(built.value)
 
 
+@pytest.mark.parametrize("lip, eps", [(1e-4, 1e-5), (1e-6, 1e-7)])
+def test_unanchored_net_past_the_cap_builds_no_lattice(lip, eps, monkeypatch):
+    # 21 knots, so the knot-count test alone lets these through; their
+    # 2e5 and 2e7 levels each start 2**20 paths or more
+    def no_lattice(*args):
+        raise AssertionError("lattice built")
+
+    monkeypatch.setattr(hy, "_lattice", no_lattice)
+    cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=lip)
+    message = f"net for eps={eps} would have more than {hy.NET_SIZE_CAP} members"
+    for fn in (covering_count, build_epsilon_net):
+        with pytest.raises(NetExplosionError) as err:
+            fn(cls, eps)
+        assert str(err.value) == message
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    y_hi=st.floats(0.0, 2.0),
+    lip=st.floats(0.05, 1.0),
+    eps=st.floats(0.1, 1.0),
+    cap=st.integers(1, 10**6),
+)
+def test_early_rejection_agrees_with_the_count(y_hi, lip, eps, cap):
+    cls = HypothesisClass("lipschitz", 0.0, y_hi, lip_bound=lip)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hy, "NET_SIZE_CAP", 10**100)
+        total = covering_count(cls, eps)
+        mp.setattr(hy, "NET_SIZE_CAP", cap)
+        if total > cap:
+            with pytest.raises(NetExplosionError):
+                covering_count(cls, eps)
+        else:
+            assert covering_count(cls, eps) == total
+
+
 def test_constants_count_is_exact_past_the_cap():
     # counting a constants net allocates nothing, so only enumeration is capped
     with pytest.raises(NetExplosionError):
@@ -248,6 +288,47 @@ def test_random_members_are_feasible():
             if cls.lip_bound > 0:
                 slopes = np.abs(np.diff(vals)) * 8
                 assert slopes.max() <= cls.lip_bound + 1e-12
+
+
+def scalar_random_member(cls, knot_count, seed, lane):
+    """One clipped step per knot, outwards from knot 0 or the anchor."""
+    if cls.kind == "constants":
+        return (cls.y_lo + rng.uniform(seed, lane, 0) * cls.width,)
+    move = cls.lip_bound * (1.0 / (knot_count - 1))
+    values = [0.0] * knot_count
+    if cls.kind == "lipschitz":
+        start = 0
+        values[0] = cls.y_lo + rng.uniform(seed, lane, 0) * cls.width
+    else:
+        start = int(round(cls.anchor[0] * (knot_count - 1)))
+        values[start] = cls.anchor[1]
+    for k in range(start + 1, knot_count):
+        u = 2.0 * rng.uniform(seed, lane, k) - 1.0
+        values[k] = min(max(values[k - 1] + u * move, cls.y_lo), cls.y_hi)
+    for k in range(start - 1, -1, -1):
+        u = 2.0 * rng.uniform(seed, lane, k) - 1.0
+        values[k] = min(max(values[k + 1] + u * move, cls.y_lo), cls.y_hi)
+    return tuple(values)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        CONSTANTS,
+        LIP1,
+        HypothesisClass("lipschitz", -0.5, 0.25, lip_bound=3.0),
+        HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=2.0, anchor=(0.0, 0.9)),
+        ANCHORED,
+        HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=2.0, anchor=(1.0, 0.1)),
+    ],
+    ids=["constants", "lipschitz", "lipschitz-steep", "anchored-left", "anchored-mid",
+         "anchored-right"],
+)
+def test_random_member_matches_scalar_reference(cls):
+    knots = 1 if cls.kind == "constants" else 9
+    for lane in range(20):
+        h = random_member(cls, knots, seed=11, lane=lane)
+        assert h.knot_values == scalar_random_member(cls, knots, 11, lane)
 
 
 def test_covering_bound_holder_examples():

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from chainlearn.hypothesis import Hypothesis, HypothesisClass
-from chainlearn.loss import LossConstants, loss_composite, loss_constants, verify_a2
+from chainlearn.loss import (
+    LossConstants,
+    _corner_hypotheses,
+    loss_composite,
+    loss_constants,
+    verify_a2,
+)
 from chainlearn.state_space import StatePoint, graph_point, make_space, make_target
 
 IDENTITY_SPACE = make_space(make_target("identity"))
@@ -65,6 +71,14 @@ def test_verify_a2_passes_with_derived_constants():
 def test_verify_a2_passes_lipschitz_class():
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
     assert verify_a2(cls, IDENTITY_SPACE, sample_count=1000, seed=2) <= 0.0
+
+
+def test_corner_hypotheses_are_flat_extremes_of_unanchored_classes():
+    lip = HypothesisClass("lipschitz", 0.2, 0.7, lip_bound=1.0)
+    assert _corner_hypotheses(lip) == [Hypothesis((0.2,) * 9), Hypothesis((0.7,) * 9)]
+    anchored = HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.5, 0.5))
+    assert _corner_hypotheses(anchored) == []
+    assert verify_a2(anchored, IDENTITY_SPACE, sample_count=200, seed=2) <= 0.0
 
 
 def test_verify_a2_detects_forged_constants():
