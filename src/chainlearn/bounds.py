@@ -345,10 +345,16 @@ def poisson_estimate(
     target = chain.space.target
     er = true_error(h, pi_hat)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    lanes = np.arange((grid + 1) * rollouts, dtype=np.uint64).reshape(grid + 1, rollouts)
-    acc = np.zeros(lanes.shape)
+    acc = np.zeros((grid + 1, rollouts))
     stream = rng.derive(seed, rng.POISSON)
-    for states in simulate_x_blocks(xs[:, None], truncation + 1, stream, lanes):
+    blocks = simulate_x_blocks(
+        xs[:, None],
+        truncation + 1,
+        stream,
+        # not kept here, so the lane numbers are freed once hashed into keys
+        np.arange(acc.size, dtype=np.uint64).reshape(acc.shape),
+    )
+    for states in blocks:
         loss = (np.asarray(h(states), dtype=float) - np.asarray(target(states), dtype=float)) ** 2
         acc += loss.sum(axis=-1)
     values = acc.mean(axis=1) - (truncation + 1) * er

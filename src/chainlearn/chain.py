@@ -89,24 +89,30 @@ def simulate_x_blocks(x0, n: int, stream: int, lanes) -> Iterator[np.ndarray]:
     x_0 = x0 (broadcast against lanes) and x_k = (x_{k-1} + b)/2, where b
     is the bit at (lane, index k) of `stream`, so a lane's trajectory does
     not depend on the other lanes or on the block width
-    max(1, min(STEP_BLOCK, BUDGET // lanes)).  Bits are drawn a block at a
-    time; only the recursion itself runs step by step.  Callers must not
-    write into a block: the next block starts from a view of its last
-    column, which saves a copy of the states of every lane.
+    max(1, min(STEP_BLOCK, BUDGET // lanes)).  The lane keys are hashed once
+    per call and the bits drawn from them a block at a time; only the
+    recursion itself runs step by step, writing each column in place.
+    Callers must not write into a block: the next block starts from a view
+    of its last column, which saves a copy of the states of every lane.
     """
-    lanes = np.asarray(lanes, dtype=np.uint64)
-    width = max(1, min(STEP_BLOCK, BUDGET // lanes.size))
-    x = np.broadcast_to(np.asarray(x0, dtype=float), lanes.shape)
+    keys = rng.lane_keys(stream, lanes)
+    del lanes  # the keys stand in for the lanes, which may be freed
+    width = max(1, min(STEP_BLOCK, BUDGET // keys.size))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), keys.shape)
     for lo in range(0, n, width):
-        block = np.empty(lanes.shape + (min(width, n - lo),))
+        block = np.empty(keys.shape + (min(width, n - lo),))
         steps = np.arange(max(lo, 1), lo + block.shape[-1], dtype=np.uint64)
-        bits = rng.bit_array(stream, lanes[..., None], steps)
         first = block.shape[-1] - steps.size  # 1 in the block holding x_0
         if first:
             block[..., 0] = x
+        if steps.size:  # the block holding only x_0 draws no bits
+            bits = rng.keyed_words(keys[..., None], steps) >> np.uint64(63)
+            bits = bits.astype(np.uint8)
         for j in range(steps.size):
-            block[..., first + j] = (x + bits[..., j]) / 2.0
-            x = block[..., first + j]
+            col = block[..., first + j]
+            np.add(x, bits[..., j], out=col)
+            col /= 2.0
+            x = col
         yield block
 
 

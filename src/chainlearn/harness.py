@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
@@ -47,6 +48,11 @@ from .state_space import graph_point, make_space, make_target
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""
+
+
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        # the annotations are strings under `from __future__ import annotations`
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "tuple[int, ...]" and not all(_is_int(v) for v in value):
+                raise ConfigError(f"every {f.name} entry must be an integer, got {list(value)!r}")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.x0_policy not in ("fixed", "uniform", "stationary"):
@@ -119,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("n must be at least 1")
         if any(v < 1 for v in self.n_list):
             raise ConfigError("every n_list entry must be at least 1")
+        if self.lemma_grid < 2:
+            raise ConfigError("lemma_grid must be at least 2")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":

@@ -111,12 +111,33 @@ class HatMoments:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         rows, count = xs.shape
-        cells = max(knot_count - 1, 1)
-        scaled = np.clip(xs, 0.0, 1.0) * (knot_count - 1)
-        left = np.minimum(np.floor(scaled), cells - 1)
-        t = scaled - left  # weight of the right knot of the cell
+        if knot_count == 1:
+            # phi_0 = 1: sum y is a running sum from 0.0, added in the order
+            # the bincount below adds (a pairwise ys.sum rounds differently)
+            cross = np.zeros((rows, 1))
+            if count:
+                cross += np.cumsum(ys, axis=1)[:, -1:]
+            return cls(
+                1,
+                count,
+                np.full((rows, 1), float(count)),
+                np.zeros((rows, 0)),
+                cross,
+                (ys * ys).sum(axis=1),
+            )
+        # built in place: a block's moments hold few temporaries the size of
+        # the block, the same floats as out-of-place arithmetic
+        cells = knot_count - 1
+        t = np.clip(xs, 0.0, 1.0)
+        t *= cells
+        left = np.floor(t)
+        np.minimum(left, cells - 1, out=left)
+        t -= left  # weight of the right knot of the cell
         u = 1.0 - t  # weight of the left knot
-        cell = (np.arange(rows)[:, None] * cells + left.astype(np.intp)).ravel()
+        cell = left.astype(np.intp)
+        del left
+        cell += np.arange(rows)[:, None] * cells
+        cell = cell.ravel()
 
         def per_cell(w: np.ndarray) -> np.ndarray:
             return np.bincount(cell, w.ravel(), rows * cells).reshape(rows, cells)
@@ -124,14 +145,14 @@ class HatMoments:
         def on_knots(on_left: np.ndarray, on_right: np.ndarray) -> np.ndarray:
             out = np.zeros((rows, knot_count))
             out[:, :cells] = on_left
-            out[:, 1:] += on_right[:, : knot_count - 1]
+            out[:, 1:] += on_right
             return out
 
         return cls(
             knot_count,
             count,
             on_knots(per_cell(u * u), per_cell(t * t)),
-            per_cell(u * t)[:, : knot_count - 1],
+            per_cell(u * t),
             on_knots(per_cell(u * ys), per_cell(t * ys)),
             (ys * ys).sum(axis=1),
         )

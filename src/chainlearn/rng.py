@@ -46,10 +46,12 @@ def uniform(seed: int, lane: int, index: int) -> float:
 
 # Vectorized counterparts.  numpy >= 2 keeps Python-int operands in uint64,
 # and unsigned arithmetic wraps mod 2^64, matching the scalar versions bit
-# for bit.
+# for bit.  The key of a lane is fixed and only the index moves along its
+# stream, so a caller drawing many indices per lane hashes the keys once
+# with `lane_keys` and draws from them with `keyed_words`.
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
+    """Mix a uint64 array in place and return it; callers pass temporaries."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -58,15 +60,20 @@ def _mix_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def word_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def lane_keys(seed: int, lanes: np.ndarray) -> np.ndarray:
+    """The stream key of each lane of `seed`, as `word` computes it."""
     lanes = np.asarray(lanes, dtype=np.uint64)
+    return _mix_np(np.uint64(seed & _MASK) ^ (lanes * np.uint64(_LANE_MUL)))
+
+
+def keyed_words(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """64-bit words at the given indices of the streams with these keys."""
     indices = np.asarray(indices, dtype=np.uint64)
-    h = _mix_np(np.uint64(seed & _MASK) ^ (lanes * np.uint64(_LANE_MUL)))
-    return _mix_np(h ^ (indices * np.uint64(_INDEX_MUL)))
+    return _mix_np(keys ^ (indices * np.uint64(_INDEX_MUL)))
 
 
-def bit_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    return (word_array(seed, lanes, indices) >> np.uint64(63)).astype(np.uint8)
+def word_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    return keyed_words(lane_keys(seed, lanes), indices)
 
 
 def uniform_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:

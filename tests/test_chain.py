@@ -83,6 +83,73 @@ def test_batch_matches_scalar_stream_across_step_blocks():
         assert np.array_equal(xs[row], expected)
 
 
+def _scalar_trajectory(x0, n, stream, lane):
+    expected = [float(x0)]
+    for k in range(1, n):
+        expected.append((expected[-1] + rng.bit(stream, lane, k)) / 2.0)
+    return expected
+
+
+def test_one_step_blocks_above_budget_match_scalar_stream():
+    from chainlearn.chain import BUDGET
+
+    n = 4
+    lanes = np.arange(BUDGET + 1, dtype=np.uint64)
+    stream = rng.derive(23, rng.TRAJECTORY)
+    probes = [0, 1, BUDGET // 2, BUDGET]
+    columns = []
+    for block in simulate_x_blocks(0.25, n, stream, lanes):
+        assert block.shape == (BUDGET + 1, 1)
+        columns.append(block[probes, 0])
+    xs = np.stack(columns, axis=-1)
+    for row, lane in enumerate(probes):
+        assert xs[row].tolist() == _scalar_trajectory(0.25, n, stream, lane)
+
+
+def test_two_dimensional_lanes_match_scalar_stream():
+    n = 9
+    lanes = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    x0 = np.array([0.1, 0.5, 1.0])[:, None]
+    stream = rng.derive(31, rng.TRAJECTORY)
+    xs = np.concatenate(list(simulate_x_blocks(x0, n, stream, lanes)), axis=-1)
+    assert xs.shape == (3, 4, n)
+    for i in range(3):
+        for j in range(4):
+            assert xs[i, j].tolist() == _scalar_trajectory(x0[i, 0], n, stream, int(lanes[i, j]))
+
+
+def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
+    from chainlearn import chain
+
+    key_calls, drawn = [], []
+    lane_keys, keyed_words = rng.lane_keys, rng.keyed_words
+
+    def keys_spy(seed, lanes):
+        key_calls.append(np.size(lanes))
+        return lane_keys(seed, lanes)
+
+    def words_spy(keys, indices):
+        drawn.append(np.asarray(indices).tolist())
+        return keyed_words(keys, indices)
+
+    monkeypatch.setattr(rng, "lane_keys", keys_spy)
+    monkeypatch.setattr(rng, "keyed_words", words_spy)
+    stream = rng.derive(3, rng.TRAJECTORY)
+    lanes = np.arange(5)
+
+    monkeypatch.setattr(chain, "BUDGET", 4)  # one step per block
+    xs = np.concatenate(list(simulate_x_blocks(0.0, 4, stream, lanes)), axis=-1)
+    assert key_calls == [5]
+    assert drawn == [[1], [2], [3]]
+    for lane in range(5):
+        assert xs[lane].tolist() == _scalar_trajectory(0.0, 4, stream, lane)
+
+    key_calls.clear()
+    drawn.clear()
+    list(simulate_x_blocks(0.0, 1, stream, lanes))
+    assert key_calls == [5] and drawn == []
+
+
 def test_float_trajectory_follows_exact_dyadic_states():
     exact = trajectory_exact(CHAIN, DyadicState(()), 40, seed=29, replication_index=3)
     xs = simulate_one(0.0, 41, seed=29, replication_index=3)

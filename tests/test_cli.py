@@ -146,6 +146,37 @@ def test_cli_rejects_nonpositive_n(tmp_path, capsys, bad):
     assert err.count("\n") == 1
 
 
+INT_FIELDS = [
+    "master_seed", "replications", "pi_grid", "diameter_grid", "n", "pair_count",
+    "decay_n_max", "decay_grid", "opt_refinement", "poisson_grid", "poisson_rollouts",
+    "holder_d", "lemma_probes", "lemma_grid",
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, 5.5) for f in INT_FIELDS]
+    + [("n", 100.5), ("replications", True), ("poisson_grid", 8.5), ("n_list", [100.5]),
+       ("n_list", [1000, False]), ("pair_count", "10")],
+)
+def test_cli_rejects_non_integer_int_fields(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, "c.json", {"kind": "concentration", field: value})
+    assert main(["concentration", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert field in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_cli_rejects_degenerate_lemma_grid(tmp_path, capsys, grid):
+    config = write_config(
+        tmp_path, "c.json", {"kind": "lemma", "target_name": "tent", "lemma_grid": grid}
+    )
+    assert main(["lemma-check", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: lemma_grid must be at least 2\n"
+
+
 @pytest.mark.parametrize(
     "subcommand, payload",
     [

@@ -380,6 +380,35 @@ def test_moment_errors_match_pointwise_oracle(knots):
     assert np.abs(net.mean_squared_errors(split) - got).max() <= 1e-12
 
 
+def test_one_knot_moments_equal_bincount_reference_bit_for_bit():
+    gen = np.random.default_rng(11)
+    rows, count = 3, 2000
+    xs = gen.uniform(-0.5, 1.5, (rows, count))  # x plays no part at one knot
+    ys = gen.normal(0.3, 2.0, (rows, count))
+    row = np.repeat(np.arange(rows), count)
+
+    moments = HatMoments.from_samples(xs, ys, 1)
+    cross = np.bincount(row, ys.ravel(), rows)[:, None]
+    assert moments.knot_count == 1 and moments.count == count
+    gram_diag = np.bincount(row, np.ones(rows * count), rows)[:, None]
+    assert np.array_equal(moments.gram_diag, gram_diag)
+    assert moments.gram_off.shape == (rows, 0)
+    assert np.array_equal(moments.cross, cross)
+    assert np.array_equal(moments.square, (ys * ys).sum(axis=1))
+    # the reference is sensitive to summation order: pairwise sums differ
+    assert not np.array_equal(ys.sum(axis=1)[:, None], cross)
+
+    cut = 777
+    split = HatMoments.from_samples(xs[:, :cut], ys[:, :cut], 1) + HatMoments.from_samples(
+        xs[:, cut:], ys[:, cut:], 1
+    )
+    assert split.count == count and split.gram_off.shape == (rows, 0)
+    assert np.array_equal(split.gram_diag, moments.gram_diag)
+    assert np.abs(split.cross - cross).max() <= 1e-9
+    net = build_epsilon_net(HypothesisClass("constants", -2.0, 2.0), 0.5)
+    assert np.abs(net.mean_squared_errors(split) - net.mean_squared_errors(moments)).max() <= 1e-12
+
+
 def test_moment_errors_clamped_at_zero_for_exact_fit():
     net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, LIP1)
     xs = np.linspace(0.0, 1.0, 101)[None, :]

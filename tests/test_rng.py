@@ -1,0 +1,32 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainlearn import rng
+
+WORDS = st.integers(0, 2**64 - 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=WORDS,
+    lanes=st.lists(WORDS, min_size=1, max_size=6),
+    indices=st.lists(WORDS, min_size=1, max_size=6),
+)
+def test_vector_words_match_scalar_word_bit_for_bit(seed, lanes, indices):
+    lane_arr = np.array(lanes, dtype=np.uint64)[:, None]
+    index_arr = np.array(indices, dtype=np.uint64)
+    lane_copy, index_copy = lane_arr.copy(), index_arr.copy()
+    expected = np.array([[rng.word(seed, a, i) for i in indices] for a in lanes], dtype=np.uint64)
+
+    assert np.array_equal(rng.word_array(seed, lane_arr, index_arr), expected)
+    keys = rng.lane_keys(seed, lane_arr)
+    key_copy = keys.copy()
+    assert np.array_equal(rng.keyed_words(keys, index_arr), expected)
+    # the in-place mixing only ever touches temporaries
+    assert np.array_equal(keys, key_copy)
+    assert np.array_equal(lane_arr, lane_copy)
+    assert np.array_equal(index_arr, index_copy)
+
+    uniforms = [[rng.uniform(seed, a, i) for i in indices] for a in lanes]
+    assert np.array_equal(rng.uniform_array(seed, lane_arr, index_arr), uniforms)
