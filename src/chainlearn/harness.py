@@ -146,10 +146,17 @@ class ExperimentConfig:
         raw = dict(raw)
         for key in ("n_list", "eps_list"):
             if key in raw:
+                if not isinstance(raw[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
                 raw[key] = tuple(raw[key])
-        if raw.get("anchor") is not None:
-            ax, ay = raw["anchor"]
-            raw["anchor"] = (float(ax), float(ay))
+        anchor = raw.get("anchor")
+        if anchor is not None:
+            if not isinstance(anchor, (list, tuple)) or len(anchor) != 2:
+                raise ConfigError(f"anchor must be a list of two numbers, got {anchor!r}")
+            try:
+                raw["anchor"] = (float(anchor[0]), float(anchor[1]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"anchor must be a list of two numbers, got {anchor!r}") from exc
         try:
             return cls(**raw)
         except TypeError as exc:

@@ -3,10 +3,11 @@
 The metric is the plain Euclidean distance of R^2 restricted to the graph of
 a Lipschitz target function f.  The target's Lipschitz constant must stay
 below sqrt(3), which keeps the two-branch chain a strict Wasserstein
-contraction.  `chord_distances` is the one array form of that metric: the
-diameter, the transport cost matrices, the Kantorovich-Rubinstein witnesses
-and the closed-form two-atom W1 all take their distances from it, and
-`rho` is its scalar form for single pairs.
+contraction.  `paired_chord_distances` is the one array form of that
+metric, elementwise over pairs of points, and `chord_distances` is its
+outer form: the diameter, the transport costs, the Kantorovich-Rubinstein
+witnesses and the closed-form two-atom W1 all take their distances from
+them, and `rho` is its scalar form for single pairs.
 """
 
 from __future__ import annotations
@@ -98,21 +99,31 @@ def rho(z1: StatePoint, z2: StatePoint) -> float:
     return math.hypot(z1.x - z2.x, z1.y - z2.y)
 
 
-def chord_distances(x1, y1, x2, y2) -> np.ndarray:
-    """Distances between the points (x1, y1) and (x2, y2), outer over the
-    leading axis: 1-d inputs of lengths m and n give an (m, n) array, (2, P)
-    inputs give (2, 2, P).
+def paired_chord_distances(x1, y1, x2, y2, work=None) -> np.ndarray:
+    """Distances between the points (x1, y1) and (x2, y2), elementwise under
+    numpy broadcasting: equal-length 1-d inputs give one distance per pair.
 
     Built in place on two temporaries the size of the result, bit for bit
-    sqrt(dx*dx + dy*dy).
+    sqrt(dx*dx + dy*dy).  A float array `work` of shape (2, *result shape)
+    replaces the two temporaries, and the result is then `work[0]`.
     """
-    x1, y1, x2, y2 = (np.asarray(a, dtype=float) for a in (x1, y1, x2, y2))
-    dx = x1[:, None] - x2[None, :]
-    dy = y1[:, None] - y2[None, :]
+    dx, dy = (None, None) if work is None else work
+    dx = np.subtract(x1, x2, out=dx, dtype=float)
+    dy = np.subtract(y1, y2, out=dy, dtype=float)
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+def chord_distances(x1, y1, x2, y2, work=None) -> np.ndarray:
+    """Distances between the points (x1, y1) and (x2, y2), outer over the
+    leading axis: 1-d inputs of lengths m and n give an (m, n) array, (2, P)
+    inputs give (2, 2, P).  Each entry is `paired_chord_distances` of its
+    pair, with the same IEEE operations, and `work` is passed on to it.
+    """
+    x1, y1, x2, y2 = (np.asarray(a, dtype=float) for a in (x1, y1, x2, y2))
+    return paired_chord_distances(x1[:, None], y1[:, None], x2[None, :], y2[None, :], work)
 
 
 def curve_diameter(target: TargetFunction, grid: int = 1024) -> float:
@@ -206,8 +217,15 @@ class DiscreteMeasure:
         return float(np.dot(self.weights, values))
 
     def merged(self, tol: float = 1e-15) -> "DiscreteMeasure":
-        """Merge duplicate atoms (both coordinates within tol), summing weights."""
+        """Merge duplicate atoms (both coordinates within tol), summing weights.
+
+        Until its first merge the loop compares each atom with the one
+        before it, so it merges nothing exactly when no adjacent pair is
+        within tol; that case returns self without the loop.
+        """
         xs, ys, ws = self.xs, self.ys, self.weights
+        if not ((np.abs(np.diff(xs)) <= tol) & (np.abs(np.diff(ys)) <= tol)).any():
+            return self
         keep_x = [xs[0]]
         keep_y = [ys[0]]
         keep_w = [ws[0]]
@@ -218,8 +236,6 @@ class DiscreteMeasure:
                 keep_x.append(x)
                 keep_y.append(y)
                 keep_w.append(w)
-        if len(keep_x) == len(xs):
-            return self
         return DiscreteMeasure(keep_x, keep_y, keep_w, normalize_check=False)
 
     def __repr__(self) -> str:

@@ -8,10 +8,15 @@ Solver strategy, in order:
     recovered by a single sweep.  If the reduced cost c_ij - u_i - v_j is
     nonnegative everywhere (up to a tolerance), LP duality certifies the
     coupling as optimal and the cost is exact.  This route covers
-    order-compatible ground costs (affine targets) at O(m n) cost, which is
-    what the geometric-decay audit needs at 4096 atoms a side.
+    order-compatible ground costs (affine targets) in O(m n) time, which is
+    what the geometric-decay audit needs at 4096 atoms a side, and in
+    O(m + n) memory plus one block of about `_BLOCK_CELLS` cells: costs are
+    read on the staircase's m + n - 1 cells only, and the check prices
+    every cell of the m x n matrix one block of rows at a time.  No cost
+    matrix is built on this route.
 2.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
-    everything else, on a restricted support: the staircase cells, which
+    everything else.  Only this route builds the m x n cost matrix.  It
+    solves the LP on a restricted support: the staircase cells, which
     alone make it feasible, plus the cheapest cells of each row and
     column.  After each solve the duals u, v price every cell of the full
     matrix through the same reduced cost; the most negative cells with
@@ -29,9 +34,11 @@ coupling of two uniform two-atom measures is one of the two permutations
 (Birkhoff-von Neumann).  scipy is imported on the first LP solve, so runs
 that never reach route 2 do not pay for importing it.
 
-The cost matrix comes from `state_space.chord_distances`, the one array
-form of the curve metric, and both routes price it with `_reduced_cost`,
-each against its own tolerance.
+Costs come from the curve metric in `state_space`: the route-1 blocks and
+the route-2 matrix from `chord_distances`, the staircase and the plan cost
+from its paired form, with the same IEEE operations, so every cost is the
+same float whichever form computed it.  Both routes price cells with
+`_reduced_cost`, each against its own tolerance.
 
 Every returned plan is feasible and attains the returned cost; the test
 suite cross-checks the solver against exhaustive vertex-coupling
@@ -41,17 +48,24 @@ dual lower bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .state_space import DiscreteMeasure, StatePoint, chord_distances, graph_point, rho
+from .state_space import (
+    DiscreteMeasure,
+    StatePoint,
+    chord_distances,
+    graph_point,
+    paired_chord_distances,
+    rho,
+)
 
 ATOM_CAP = 4096          # per measure, after duplicate merging
 _DUAL_TOL = 1e-11
 _LP_TOL = 1e-10  # HiGHS feasibility tolerances and the restricted LP's pricing check
 _GROW = 2  # cells added per row and per column when the restricted LP grows
+_BLOCK_CELLS = 1 << 16  # cells per row block of the route-1 dual check
 
 
 class SizeError(ValueError):
@@ -68,10 +82,18 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return chord_distances(mu.xs, mu.ys, nu.xs, nu.ys)
 
 
-def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """c_ij - u_i - v_j in one m x n array: the duals u, v are feasible
-    where it is nonnegative."""
-    r = cost - u[:, None]
+def _support_costs(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> list[float]:
+    """c_ij on the cells (i, j, mass) of `entries`, in their order."""
+    rows = np.fromiter((i for i, _, _ in entries), dtype=np.intp, count=len(entries))
+    cols = np.fromiter((j for _, j, _ in entries), dtype=np.intp, count=len(entries))
+    return paired_chord_distances(mu.xs[rows], mu.ys[rows], nu.xs[cols], nu.ys[cols]).tolist()
+
+
+def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """c_ij - u_i - v_j in one m x n array, written into `out` if given
+    (which may be `cost`): the duals u, v are feasible where it is
+    nonnegative."""
+    r = np.subtract(cost, u[:, None], out=out)
     r -= v
     return r
 
@@ -79,6 +101,7 @@ def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
     """Quantile coupling entries, with zero-mass tie links keeping the
     support a connected staircase tree (a degenerate transportation basis)."""
+    a, b = a.tolist(), b.tolist()
     entries: list[tuple[int, int, float]] = []
     i = j = 0
     ra, rb = a[0], b[0]
@@ -109,25 +132,40 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
     return entries
 
 
-def _plan_cost(entries, cost) -> float:
-    return float(sum(mass * cost[i, j] for i, j, mass in entries))
+def _plan_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> float:
+    """Sum of mass * c_ij over the entries, added in their order."""
+    total = 0.0
+    for (_, _, mass), c in zip(entries, _support_costs(mu, nu, entries)):
+        total += mass * c
+    return total
 
 
-def _certified_monotone(a, b, cost) -> list[tuple[int, int, float]] | None:
-    entries = _staircase(a, b)
-    m, n = cost.shape
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
+def _certified_monotone(
+    mu: DiscreteMeasure, nu: DiscreteMeasure
+) -> list[tuple[int, int, float]] | None:
+    """The staircase plan if the dual check certifies it optimal (route 1)."""
+    entries = _staircase(mu.weights, nu.weights)
+    m, n = len(mu), len(nu)
+    u: list[float | None] = [None] * m
+    v: list[float | None] = [None] * n
     u[0] = 0.0
-    for i, j, _ in entries:
-        if math.isnan(v[j]) and not math.isnan(u[i]):
-            v[j] = cost[i, j] - u[i]
-        elif math.isnan(u[i]) and not math.isnan(v[j]):
-            u[i] = cost[i, j] - v[j]
-    if np.isnan(u).any() or np.isnan(v).any():
+    for (i, j, _), c in zip(entries, _support_costs(mu, nu, entries)):
+        if v[j] is None and u[i] is not None:
+            v[j] = c - u[i]
+        elif u[i] is None and v[j] is not None:
+            u[i] = c - v[j]
+    if None in u or None in v:
         return None
-    if not (_reduced_cost(cost, u, v) >= -_DUAL_TOL).all():
-        return None
+    u, v = np.array(u), np.array(v)
+    # every block is priced in place in one buffer: block-sized arrays
+    # allocated afresh page-fault again on every block
+    step = max(1, _BLOCK_CELLS // n)
+    work = np.empty((2, min(step, m), n))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        block = chord_distances(mu.xs[lo:hi], mu.ys[lo:hi], nu.xs, nu.ys, work[:, : hi - lo])
+        if not (_reduced_cost(block, u[lo:hi], v, out=block) >= -_DUAL_TOL).all():
+            return None
     return [(i, j, mass) for i, j, mass in entries if mass > 0.0]
 
 
@@ -209,13 +247,10 @@ def wasserstein1_exact(
             f"{max(len(mu), len(nu))} atoms exceed the cap of {ATOM_CAP}; "
             "pre-coarsen via quantile binning"
         )
-    cost = _cost_matrix(mu, nu)
-    a, b = mu.weights, nu.weights
-
-    entries = _certified_monotone(a, b, cost)
+    entries = _certified_monotone(mu, nu)
     if entries is None:
-        entries = _transportation_lp(a, b, cost)
-    total = _plan_cost(entries, cost)
+        entries = _transportation_lp(mu.weights, nu.weights, _cost_matrix(mu, nu))
+    total = _plan_cost(mu, nu, entries)
     return total, TransportPlan(tuple(entries), total)
 
 
@@ -226,7 +261,7 @@ def wasserstein1_monotone_upper(mu: DiscreteMeasure, nu: DiscreteMeasure) -> flo
     whenever the chord metric is order-compatible (affine targets).
     """
     mu, nu = mu.merged(), nu.merged()
-    return _plan_cost(_staircase(mu.weights, nu.weights), _cost_matrix(mu, nu))
+    return _plan_cost(mu, nu, _staircase(mu.weights, nu.weights))
 
 
 def kr_dual_lower(

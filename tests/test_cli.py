@@ -167,6 +167,18 @@ def test_cli_rejects_non_integer_int_fields(tmp_path, capsys, field, value):
     assert field in err and "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_list", 5), ("eps_list", 0.1), ("anchor", 1), ("anchor", [0.5]), ("anchor", [[0.5], 0.5])],
+)
+def test_cli_rejects_malformed_list_fields(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, "c.json", {"kind": "concentration", field: value})
+    assert main(["concentration", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert field in err
+
+
 @pytest.mark.parametrize("grid", [0, 1])
 def test_cli_rejects_degenerate_lemma_grid(tmp_path, capsys, grid):
     config = write_config(

@@ -13,6 +13,7 @@ from chainlearn.state_space import (
     graph_point,
     make_space,
     make_target,
+    paired_chord_distances,
     rho,
     target_range,
     verify_target_lipschitz,
@@ -127,6 +128,26 @@ def test_chord_distances_match_the_difference_tensor(name, params):
         assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name, params", BUILT_IN, ids=[n for n, _ in BUILT_IN])
+def test_paired_and_buffered_chord_distances_match_the_matrix(name, params):
+    # the paired form at cells (rows[k], cols[k]) and the outer form computed
+    # in a caller's work buffer are the matrix entries, bit for bit
+    target = make_target(name, **params)
+    s = rng.derive(5, rng.PROBE)
+    x1 = rng.uniform_array(s, np.arange(9), np.zeros(9, dtype=int))
+    x2 = rng.uniform_array(s, np.arange(6), np.ones(6, dtype=int))
+    y1, y2 = target(x1), target(x2)
+    full = chord_distances(x1, y1, x2, y2)
+    rows = np.array([8, 0, 3, 3, 5, 1, 7])
+    cols = np.array([0, 5, 2, 2, 4, 1, 5])
+    got = paired_chord_distances(x1[rows], y1[rows], x2[cols], y2[cols])
+    assert got.tobytes() == full[rows, cols].tobytes()
+    work = np.full((2, 4, 6), np.nan)
+    block = chord_distances(x1[3:7], y1[3:7], x2, y2, work)
+    assert np.shares_memory(block, work)
+    assert block.tobytes() == full[3:7].tobytes()
+
+
 def test_lipschitz_cap_enforced():
     with pytest.raises(ValueError):
         make_target("affine", a=1.8)  # 1.8 > sqrt(3)
@@ -162,3 +183,39 @@ def test_discrete_measure_merge():
     assert len(merged) == 2
     assert merged.weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert merged.weights[merged.xs == 0.5][0] == pytest.approx(0.5, abs=1e-15)
+
+
+def merged_reference(measure, tol=1e-15):
+    """The merge loop without its no-merge shortcut."""
+    xs, ys, ws = measure.xs, measure.ys, measure.weights
+    keep_x, keep_y, keep_w = [xs[0]], [ys[0]], [ws[0]]
+    for x, y, w in zip(xs[1:], ys[1:], ws[1:]):
+        if abs(x - keep_x[-1]) <= tol and abs(y - keep_y[-1]) <= tol:
+            keep_w[-1] += w
+        else:
+            keep_x.append(x)
+            keep_y.append(y)
+            keep_w.append(w)
+    return np.array(keep_x), np.array(keep_y), np.array(keep_w)
+
+
+@pytest.mark.parametrize("lane", range(6))
+@pytest.mark.parametrize("near", [False, True], ids=["distinct", "near-duplicates"])
+def test_merged_matches_the_reference_loop(lane, near):
+    s = rng.derive(17, rng.PROBE)
+    xs = rng.uniform_array(s, np.full(40, lane), np.arange(40))
+    if near:
+        # exact copies, offsets inside and outside tol, and a chain a, a + 6e-16,
+        # a + 1.2e-15 whose last step is within tol of its neighbour only
+        xs = np.concatenate(
+            [xs, xs[:3], xs[3:6] + 5e-16, xs[6:9] + 3e-15, xs[9:10] + 6e-16, xs[9:10] + 1.2e-15]
+        )
+    w = rng.uniform_array(s, np.full(xs.size, lane), np.arange(xs.size) + 1000) + 1e-3
+    measure = DiscreteMeasure.on_graph(TENT, xs, w / w.sum())
+    merged = measure.merged()
+    want = merged_reference(measure)
+    assert len(merged) == want[0].size
+    for got, ref in zip((merged.xs, merged.ys, merged.weights), want):
+        assert got.tobytes() == ref.tobytes()
+    # nothing merges among distinct atoms, and the measure itself comes back
+    assert (merged is measure) == (not near) == (want[0].size == len(measure))

@@ -241,7 +241,7 @@ def test_plan_is_feasible_and_attains_cost():
 
 
 def test_certified_route_memory(monkeypatch):
-    # the m x n cost matrix and one reduced-cost temporary, no third array
+    # route 1 builds no cost matrix: O(m + n) memory plus one row block
     import chainlearn.transport as tr
 
     monkeypatch.setattr(tr, "_transportation_lp", None)  # the LP is not reached
@@ -254,6 +254,107 @@ def test_certified_route_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 1024 * 1024 * 8
+
+
+def test_certified_decay_solve_memory_at_the_atom_cap(monkeypatch):
+    # the largest audit solve, 2^12 kernel atoms against the 4096-point grid,
+    # in a few MiB; the full cost matrix alone would take 128 MiB
+    import chainlearn.transport as tr
+
+    monkeypatch.setattr(tr, "_transportation_lp", None)  # the LP is not reached
+    mu = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 12)
+    nu = invariant_measure(CHAIN, 4096)
+    tracemalloc.start()
+    try:
+        wasserstein1_exact(mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024
+
+
+BLOCK_TARGETS = {
+    "identity": IDENTITY,
+    "affine": make_target("affine", a=-0.7, b=0.9),
+    "quadratic": make_target("quadratic"),
+}
+
+
+@pytest.mark.parametrize("cells", [1, 7003], ids=["one-row", "ragged"])
+@pytest.mark.parametrize("name", BLOCK_TARGETS)
+def test_certificate_blocks_leave_the_plan_unchanged(monkeypatch, name, cells):
+    # one row per block, and 7003 cells (7 or 27 rows, with a short last
+    # block), give the default block's entries and cost bit for bit
+    import chainlearn.transport as tr
+
+    target = BLOCK_TARGETS[name]
+    chain = ContractiveChain(make_space(target))
+    grid = invariant_measure(chain, 1000)
+    pairs = [
+        (n_step_kernel(chain, graph_point(0.3, target), 8), grid),
+        (invariant_measure(chain, 257), grid),
+        (grid, invariant_measure(chain, 257)),
+    ]
+    default = [(tr._certified_monotone(mu, nu), wasserstein1_exact(mu, nu)) for mu, nu in pairs]
+    monkeypatch.setattr(tr, "_BLOCK_CELLS", cells)
+    for (mu, nu), (entries, (d, plan)) in zip(pairs, default):
+        assert entries is not None and tr._certified_monotone(mu, nu) == entries
+        d_block, plan_block = wasserstein1_exact(mu, nu)
+        assert d_block.hex() == d.hex() and plan_block == plan
+
+
+def lp_route_pair():
+    """Tent atoms on either side of 1/2, which the staircase pairs
+    anti-monotonically (see the route-pin note below)."""
+    half = np.array([0.5, 0.5])
+    return (
+        DiscreteMeasure.on_graph(TENT, np.array([0.1, 0.3]), half),
+        DiscreteMeasure.on_graph(TENT, np.array([0.7, 0.9]), half),
+    )
+
+
+def test_cost_matrix_built_only_for_the_lp(monkeypatch):
+    import chainlearn.transport as tr
+
+    calls = []
+    real = tr._cost_matrix
+    monkeypatch.setattr(tr, "_cost_matrix", lambda *a: calls.append(1) or real(*a))
+    kernel = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 6)
+    wasserstein1_exact(kernel, invariant_measure(CHAIN, 64))
+    assert calls == []
+    _, _, used = solve_with_route(*lp_route_pair())
+    assert used == "_transportation_lp" and calls == [1]
+
+
+def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
+    # 30 left-branch tent atoms, then a cross-branch pair, 32 x 32 cells: in
+    # blocks of two rows, every block before the pair's prices out, and the
+    # check must still reach the last block, reject the staircase and leave
+    # the instance to the LP
+    import chainlearn.transport as tr
+
+    weights = np.r_[np.full(30, 0.8 / 30), [0.1, 0.1]]
+    left = np.arange(1, 31) / 80
+    mu = DiscreteMeasure.on_graph(TENT, np.r_[left, [0.45, 0.46]], weights)
+    nu = DiscreteMeasure.on_graph(TENT, np.r_[left + 1 / 160, [0.55, 0.56]], weights)
+    assert tr._certified_monotone(mu, nu) is None
+    monkeypatch.setattr(tr, "_BLOCK_CELLS", 2 * len(nu))
+    lows = []
+    real = tr._reduced_cost
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        lows.append(float(out.min()))
+        return out
+
+    monkeypatch.setattr(tr, "_reduced_cost", spy)
+    assert tr._certified_monotone(mu, nu) is None
+    assert len(lows) == len(mu) // 2
+    assert min(lows[:-1]) >= -tr._DUAL_TOL > lows[-1]
+    d, plan, used = solve_with_route(mu, nu)
+    assert used == "_transportation_lp"
+    dense = dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu))
+    assert d == pytest.approx(dense, rel=1e-12)
 
 
 def test_symmetry_and_triangle():
@@ -300,6 +401,22 @@ def test_monotone_upper_examples():
     a = n_step_kernel(CHAIN, graph_point(0.0, IDENTITY), 1)
     b = n_step_kernel(CHAIN, graph_point(1.0, IDENTITY), 1)
     assert wasserstein1_monotone_upper(a, b) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+
+
+def test_monotone_upper_is_the_dense_staircase_sum_bit_for_bit():
+    # priced on the staircase cells only, the sum is the float the dense
+    # cost matrix gives when added in staircase order
+    import chainlearn.transport as tr
+
+    for target in (IDENTITY, TENT):
+        chain = ContractiveChain(make_space(target))
+        mu = n_step_kernel(chain, graph_point(0.3, target), 7)
+        nu = invariant_measure(chain, 200)
+        cost = cost_matrix(mu, nu)
+        want = 0.0
+        for i, j, mass in tr._staircase(mu.weights, nu.weights):
+            want += mass * cost[i, j]
+        assert wasserstein1_monotone_upper(mu, nu).hex() == float(want).hex()
 
 
 def test_monotone_upper_dominates_exact():
