@@ -17,6 +17,7 @@ raw count or as a natural log for models too large to exponentiate.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import rng
-from .chain import ContractiveChain, simulate_x_blocks
+from .chain import CHUNK, ContractiveChain, simulate_x_blocks
 from .hypothesis import Hypothesis
 from .learner import true_error
 from .loss import LossConstants
@@ -327,10 +328,16 @@ def poisson_estimate(
     g(z) = sum_k E_z[centered loss at step k] on a dyadic x-grid.
 
     Rollout r from grid point i is the `simulate_x_blocks` trajectory of
-    lane i * rollouts + r in the Poisson stream of `seed`; the loss of
-    each block of its states is summed as the block is drawn.  Raises if
-    the truncation's geometric tail exceeds the requested tolerance.  The
-    reported Monte Carlo tolerance is 3 B sqrt(N / R).
+    lane i * rollouts + r in the Poisson stream of `seed`.  The lanes are
+    cut into contiguous chunks of about `CHUNK` lane-steps, each its own
+    `simulate_x_blocks` call, folded by one worker per CPU the process may
+    use: the calling thread and a pool of the others.  Keeping the caller
+    busy leaves its chunks' memory in the main heap, which later work
+    reuses.  A chunk adds the squared losses of its lanes into its own
+    slice of the sums in step order, ((0 + l_0) + l_1) + ..., so an
+    estimate does not depend on the chunk, the block width or the thread.
+    Raises if the truncation's geometric tail exceeds the requested
+    tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -345,19 +352,50 @@ def poisson_estimate(
     target = chain.space.target
     er = true_error(h, pi_hat)
     xs = np.linspace(0.0, 1.0, grid + 1)
-    acc = np.zeros((grid + 1, rollouts))
+    steps = truncation + 1
+    sums = np.zeros((grid + 1) * rollouts)  # one loss sum per lane
     stream = rng.derive(seed, rng.POISSON)
-    blocks = simulate_x_blocks(
-        xs[:, None],
-        truncation + 1,
-        stream,
-        # not kept here, so the lane numbers are freed once hashed into keys
-        np.arange(acc.size, dtype=np.uint64).reshape(acc.shape),
-    )
-    for states in blocks:
-        loss = (np.asarray(h(states), dtype=float) - np.asarray(target(states), dtype=float)) ** 2
-        acc += loss.sum(axis=-1)
-    values = acc.mean(axis=1) - (truncation + 1) * er
+    size = max(1, CHUNK // steps)
+
+    def fold(lo: int) -> None:
+        lanes = np.arange(lo, min(lo + size, sums.size))
+        out = sums[lo : lo + lanes.size]
+        for states in simulate_x_blocks(xs[lanes // rollouts], steps, stream, lanes):
+            loss = h(states)  # a new array, squared in place
+            loss -= target(states)
+            np.square(loss, out=loss)
+            for k in range(loss.shape[-1]):
+                out += loss[:, k]
+
+    starts = range(0, sums.size, size)
+    chunks = iter(starts)  # shared by the workers: next() is atomic under the GIL
+
+    def drain() -> None:
+        try:
+            for lo in chunks:
+                fold(lo)
+        except BaseException:
+            for _ in chunks:  # no thread starts another chunk
+                pass
+            raise
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    helpers = min(workers, len(starts)) - 1
+    if helpers:
+        # numpy releases the GIL inside its loops, so the folds overlap
+        from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
+
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for future in futures:
+                future.result()
+    else:
+        drain()
+    values = sums.reshape(grid + 1, rollouts).mean(axis=1) - steps * er
     mc_tol = 3.0 * consts.B * math.sqrt(max(truncation, 1) / rollouts)
     return PoissonEstimate(xs, values, truncation, rollouts, mc_tol, er)
 

@@ -49,6 +49,9 @@ STEP_BLOCK = 512
 # most cells (lanes x steps, or replications x knots of the moments the
 # callers fold blocks into) held per block
 BUDGET = 2**20
+# most lane-steps (lanes x steps) in one chunk of Poisson rollouts; chunks
+# are folded on parallel threads, and smaller ones lose to GIL contention
+CHUNK = 2**18
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,26 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value: Any) -> bool:
+    """A real number that is not a bool (integers and numpy floats count)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# what the value of a field of each annotated type must be, and the entries of
+# each tuple type; the annotations are strings under `from __future__ import
+# annotations`
+_VALUE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a number"),
+    "Optional[float]": (lambda v: v is None or _is_real(v), "a number"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
+_ENTRY_CHECKS = {
+    "tuple[int, ...]": (_is_int, "an integer"),
+    "tuple[float, ...]": (_is_real, "a number"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -111,13 +131,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        # the annotations are strings under `from __future__ import annotations`
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "tuple[int, ...]" and not all(_is_int(v) for v in value):
-                raise ConfigError(f"every {f.name} entry must be an integer, got {list(value)!r}")
+            if f.type in _VALUE_CHECKS:
+                ok, what = _VALUE_CHECKS[f.type]
+                if not ok(value):
+                    raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            if f.type in _ENTRY_CHECKS:
+                ok, what = _ENTRY_CHECKS[f.type]
+                if not all(ok(v) for v in value):
+                    raise ConfigError(f"every {f.name} entry must be {what}, got {list(value)!r}")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.x0_policy not in ("fixed", "uniform", "stationary"):

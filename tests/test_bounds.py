@@ -6,6 +6,8 @@ form (the `ref_*` helpers below), evaluated with plain `math` arithmetic.
 
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlearn import bounds as bounds_module
+from chainlearn import chain as chain_module
 from chainlearn import rng
 from chainlearn.bounds import (
     ModelConstants,
@@ -567,6 +571,92 @@ def test_poisson_estimate_follows_the_scalar_stream():
                     x = (x + rng.bit(s, i * rollouts + r, k)) / 2.0
                 total += (h(x) - target(x)) ** 2
         assert est.values[i] == pytest.approx(total / rollouts - (N + 1) * er, rel=1e-12, abs=1e-15)
+
+
+TENT_CHAIN = ContractiveChain(make_space(make_target("tent")))
+TENT_PI = invariant_measure(TENT_CHAIN, 256)
+TENT_CONSTS = consts_for(1 - SQ2 / 2, SQ2, 4.0)
+FOLD_H = Hypothesis((0.2, 0.9, 0.4))
+FOLD_GRID, FOLD_ROLLOUTS, FOLD_N, FOLD_SEED = 4, 6, 20, 31
+
+
+def fold_estimate(h=FOLD_H):
+    return poisson_estimate(h, TENT_CHAIN, TENT_PI, TENT_CONSTS, grid=FOLD_GRID,
+                            truncation=FOLD_N, rollouts=FOLD_ROLLOUTS, seed=FOLD_SEED,
+                            truncation_tol=math.inf)
+
+
+def test_poisson_lane_sums_run_in_step_order():
+    # each lane's losses are added ((0 + l_0) + l_1) + ..., and the lane sums
+    # of a grid point are averaged as one row
+    s = rng.derive(FOLD_SEED, rng.POISSON)
+    target = TENT_CHAIN.space.target
+    sums = np.zeros((FOLD_GRID + 1, FOLD_ROLLOUTS))
+    for i, x0 in enumerate(np.linspace(0.0, 1.0, FOLD_GRID + 1)):
+        for r in range(FOLD_ROLLOUTS):
+            x = float(x0)
+            for k in range(FOLD_N + 1):
+                if k:
+                    x = (x + rng.bit(s, i * FOLD_ROLLOUTS + r, k)) / 2.0
+                sums[i, r] += (FOLD_H(x) - target(x)) ** 2
+    want = sums.mean(axis=1) - (FOLD_N + 1) * true_error(FOLD_H, TENT_PI)
+    assert np.array_equal(fold_estimate().values, want)
+
+
+# lanes per chunk: 1, 4 (less than a grid row and not dividing the
+# rollouts), 9 (more than a row, dividing neither the rollouts nor the lane
+# count), more than all 30 lanes, and as many as the default chunk holds
+@pytest.mark.parametrize("lanes", [1, 4, 9, 10**5, None])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", [4, None])
+def test_poisson_estimate_independent_of_chunks_workers_and_blocks(
+    monkeypatch, lanes, workers, budget
+):
+    want = fold_estimate().values
+    if lanes is not None:
+        monkeypatch.setattr(bounds_module, "CHUNK", lanes * (FOLD_N + 1))
+    if budget is not None:
+        monkeypatch.setattr(chain_module, "BUDGET", budget)
+    monkeypatch.setattr(bounds_module.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    assert np.array_equal(fold_estimate().values, want)
+
+
+def test_poisson_fold_with_more_workers_than_cores_and_fast_switching(monkeypatch):
+    # one lane per chunk, eight workers taking chunks from one iterator: a
+    # chunk folded twice or skipped would change its lane's sum
+    want = fold_estimate().values
+    monkeypatch.setattr(bounds_module, "CHUNK", FOLD_N + 1)
+    monkeypatch.setattr(bounds_module.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(fold_estimate().values, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_poisson_chunk_error_reaches_caller_and_no_thread_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(bounds_module, "CHUNK", FOLD_N + 1)  # one lane per chunk
+    monkeypatch.setattr(bounds_module.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    error = RuntimeError("chunk failed")
+    lock, calls = threading.Lock(), []
+
+    def failing(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:  # a block of rollout states, not the true error's atoms
+            with lock:
+                calls.append(None)
+                if len(calls) == 7:
+                    raise error
+        return FOLD_H(x)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        fold_estimate(failing)
+    assert excinfo.value is error
+    assert threading.active_count() == before
+    assert len(calls) < FOLD_ROLLOUTS * (FOLD_GRID + 1)  # the remaining chunks were skipped
 
 
 def test_model_constants_validation():

@@ -179,6 +179,26 @@ def test_cli_rejects_malformed_list_fields(tmp_path, capsys, field, value):
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, payload, field",
+    [
+        ("concentration", {"kind": "concentration", "eps": "0.1"}, "eps"),
+        ("concentration", {"kind": "concentration", "eps_list": ["a"]}, "eps_list"),
+        ("bounds", {"kind": "bounds", "eps_list": [None]}, "eps_list"),
+        ("concentration", {"kind": "concentration", "y_lo": "0"}, "y_lo"),
+        ("concentration", {"kind": "concentration", "target_params": 3}, "target_params"),
+        ("concentration", {"kind": "concentration", "eta_override": "0.5"}, "eta_override"),
+        ("concentration", {"kind": "concentration", "eps": True}, "eps"),
+    ],
+)
+def test_cli_rejects_mistyped_fields(tmp_path, capsys, subcommand, payload, field):
+    config = write_config(tmp_path, "c.json", payload)
+    assert main([subcommand, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert field in err
+
+
 @pytest.mark.parametrize("grid", [0, 1])
 def test_cli_rejects_degenerate_lemma_grid(tmp_path, capsys, grid):
     config = write_config(

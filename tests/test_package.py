@@ -28,9 +28,13 @@ def test_public_surface_resolves():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported on the first LP solve, not with the package
+    # scipy is imported on the first LP solve and the thread pool on the first
+    # parallel Poisson fold, not with the package
     src = os.path.dirname(os.path.dirname(chainlearn.__file__))
-    code = "import sys, chainlearn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, chainlearn.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
