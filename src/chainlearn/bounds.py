@@ -17,7 +17,7 @@ raw count or as a natural log for models too large to exponentiate.
 from __future__ import annotations
 
 import math
-import os
+import os  # noqa: F401 -- bounds.os.sched_getaffinity sets the Poisson fold's worker count
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -29,6 +29,7 @@ from .chain import CHUNK, ContractiveChain, simulate_x_blocks
 from .hypothesis import Hypothesis
 from .learner import true_error
 from .loss import LossConstants
+from .parallel import for_each
 from .state_space import DiscreteMeasure
 
 
@@ -330,12 +331,13 @@ def poisson_estimate(
     Rollout r from grid point i is the `simulate_x_blocks` trajectory of
     lane i * rollouts + r in the Poisson stream of `seed`.  The lanes are
     cut into contiguous chunks of about `CHUNK` lane-steps, each its own
-    `simulate_x_blocks` call, folded by one worker per CPU the process may
-    use: the calling thread and a pool of the others.  Keeping the caller
-    busy leaves its chunks' memory in the main heap, which later work
-    reuses.  A chunk adds the squared losses of its lanes into its own
-    slice of the sums in step order, ((0 + l_0) + l_1) + ..., so an
-    estimate does not depend on the chunk, the block width or the thread.
+    `simulate_x_blocks` call, folded by `parallel.for_each`: one worker
+    per CPU the process may use, the calling thread and a pool of the
+    others.  Keeping the caller busy leaves its chunks' memory in the main
+    heap, which later work reuses.  A chunk adds the squared losses of its
+    lanes into its own slice of the sums in step order,
+    ((0 + l_0) + l_1) + ..., so an estimate does not depend on the chunk,
+    the block width or the thread.
     Raises if the truncation's geometric tail exceeds the requested
     tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
@@ -367,34 +369,7 @@ def poisson_estimate(
             for k in range(loss.shape[-1]):
                 out += loss[:, k]
 
-    starts = range(0, sums.size, size)
-    chunks = iter(starts)  # shared by the workers: next() is atomic under the GIL
-
-    def drain() -> None:
-        try:
-            for lo in chunks:
-                fold(lo)
-        except BaseException:
-            for _ in chunks:  # no thread starts another chunk
-                pass
-            raise
-
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    helpers = min(workers, len(starts)) - 1
-    if helpers:
-        # numpy releases the GIL inside its loops, so the folds overlap
-        from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
-
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-            for future in futures:
-                future.result()
-    else:
-        drain()
+    for_each(fold, range(0, sums.size, size))
     values = sums.reshape(grid + 1, rollouts).mean(axis=1) - steps * er
     mc_tol = 3.0 * consts.B * math.sqrt(max(truncation, 1) / rollouts)
     return PoissonEstimate(xs, values, truncation, rollouts, mc_tol, er)

@@ -1,0 +1,54 @@
+"""Work items spread over the CPUs this process may use.
+
+`for_each` calls a function on every item of a sequence.  The calling
+thread and one helper thread per further usable CPU take items from one
+shared iterator until it is empty, so the caller never idles while helpers
+work.  numpy loops and the HiGHS solver release the GIL, so such items
+overlap.  The result of an item must not depend on the thread that ran it;
+callers write each item's result into its own slot.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Callable, Sequence, TypeVar
+
+T = TypeVar("T")
+
+
+def for_each(work: Callable[[T], object], items: Sequence[T]) -> None:
+    """Call `work(item)` for every item, on the caller plus one helper
+    thread per further CPU in the process's affinity mask, read at call
+    time.
+
+    The first exception raised reaches the caller unchanged, no thread
+    starts an item after it, and no thread outlives the call.  With one
+    usable CPU or one item, the caller does all the work and no pool is
+    created.
+    """
+    shared = iter(items)  # next() on a sequence iterator is atomic under the GIL
+
+    def drain() -> None:
+        try:
+            for item in shared:
+                work(item)
+        except BaseException:
+            for _ in shared:  # no thread starts another item
+                pass
+            raise
+
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    helpers = min(usable, len(items)) - 1
+    if helpers < 1:
+        drain()
+        return
+    from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import
+
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,27 @@ def test_cli_rejects_mistyped_fields(tmp_path, capsys, subcommand, payload, fiel
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, field",
+    [
+        ("concentration", {"kind": "concentration", "replications": 5, "n_list": [100],
+                           "eps_list": [math.nan]}, "eps_list"),
+        ("asem", {"kind": "asem", "replications": 2, "n": 10, "eps": math.inf}, "eps"),
+        ("bounds", {"kind": "bounds", "eps_list": [math.nan]}, "eps_list"),
+        ("concentration", {"kind": "concentration", "eta_override": -math.inf},
+         "eta_override"),
+    ],
+    ids=["concentration-nan-list", "asem-inf", "bounds-nan-list", "optional-minus-inf"],
+)
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, subcommand, payload, field):
+    # json writes these as NaN and Infinity, which json.load accepts
+    config = write_config(tmp_path, "c.json", payload)
+    assert main([subcommand, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert field in err and "finite" in err
 
 
 @pytest.mark.parametrize("grid", [0, 1])

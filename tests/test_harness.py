@@ -121,6 +121,34 @@ def test_contraction_audit_reports_invariance_defects():
     )
 
 
+@pytest.mark.parametrize("target, pools", [("identity", []), ("tent", [2])])
+def test_contraction_audit_pools_only_its_lp_solves(monkeypatch, target, pools):
+    # the identity audit certifies every W1 solve and starts no thread; on the
+    # tent the decay LPs share one pool of helpers, and the report does not
+    # depend on the number of workers
+    import concurrent.futures
+
+    import chainlearn.parallel as parallel
+
+    started = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Spy(real):
+        def __init__(self, workers, *args, **kwargs):
+            started.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    config = cfg(kind="contraction", target_name=target, pair_count=20, decay_n_max=8,
+                 decay_grid=256, master_seed=3)
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
+        reports.append(render_report(run_contraction_audit(config), "csv"))
+    assert started == pools
+    assert reports[0] == reports[1]
+
+
 def test_contraction_decay_matches_exact_rate():
     config = cfg(kind="contraction", pair_count=10, decay_n_max=6, decay_grid=1024,
                  master_seed=3)

@@ -8,6 +8,8 @@ vertices is the exact distance.
 
 import contextlib
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -215,7 +217,7 @@ def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
             mu = n_step_kernel(chain, graph_point(x0, TENT), n)
             a, b, cost = mu.weights, grid.weights, cost_matrix(mu, grid)
             results.clear()
-            entries = tr._transportation_lp(a, b, cost)
+            entries = tr._transportation_lp(mu, grid, tr._staircase(a, b))
             rounds.append(len(results))
             total = sum(mass * cost[i, j] for i, j, mass in entries)
             assert total == pytest.approx(dense_lp_cost(a, b, cost), rel=1e-12)
@@ -313,17 +315,139 @@ def lp_route_pair():
     )
 
 
-def test_cost_matrix_built_only_for_the_lp(monkeypatch):
+def test_lp_solve_memory_at_the_audit_size(monkeypatch):
+    # route 2 builds no m x n array: the n = 8 tent decay solve against the
+    # 1024-point grid (256 x 1024 cells) in a few row blocks and its LPs
+    import chainlearn.transport as tr
+
+    used = []
+    real = tr._transportation_lp
+    monkeypatch.setattr(tr, "_transportation_lp", lambda *a: used.append(1) or real(*a))
+    chain = ContractiveChain(make_space(TENT))
+    mu = n_step_kernel(chain, graph_point(0.0, TENT), 8)
+    nu = invariant_measure(chain, 1024)
+    wasserstein1_exact(*lp_route_pair())  # scipy's imports are not part of the solve
+    used.clear()
+    tracemalloc.start()
+    try:
+        wasserstein1_exact(mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used == [1]
+    assert peak < 4 * 1024 * 1024  # one 256 x 1024 float matrix alone is 2 MiB
+
+
+LP_GRID_CHAIN = ContractiveChain(make_space(TENT))
+LP_GRID = invariant_measure(LP_GRID_CHAIN, 64)
+
+
+def lp_block_pairs():
+    """Tent kernels n = 1..7 against the 64-point grid, and random tent
+    measures of mixed sizes."""
+    pairs = [
+        (n_step_kernel(LP_GRID_CHAIN, graph_point(x0, TENT), n), LP_GRID)
+        for x0 in (0.0, 0.3)
+        for n in range(1, 8)
+    ]
+    for trial in range(6):
+        mu = random_measure(TENT, 20 + 7 * trial, lane=trial, seed=13)
+        nu = random_measure(TENT, 45 - 4 * trial, lane=90 + trial, seed=13)
+        pairs.append((mu.merged(), nu.merged()))
+    return pairs
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 64 + 5], ids=["one-row", "ragged"])
+def test_lp_pricing_blocks_leave_the_plan_unchanged(monkeypatch, cells):
+    # one row per block, and 197 cells (3 rows on the 64-point grid, with a
+    # short last block) price the same cells as the default single block:
+    # rows are chosen within a block, columns across blocks, ties to the
+    # lower index
+    import chainlearn.transport as tr
+
+    pairs = lp_block_pairs()
+    stairs = [tr._staircase(mu.weights, nu.weights) for mu, nu in pairs]
+    default = [tr._transportation_lp(mu, nu, s) for (mu, nu), s in zip(pairs, stairs)]
+    solved = [wasserstein1_exact(mu, nu) for mu, nu in pairs]
+    monkeypatch.setattr(tr, "_BLOCK_CELLS", cells)
+    for (mu, nu), s, entries, (d, plan) in zip(pairs, stairs, default, solved):
+        assert tr._transportation_lp(mu, nu, s) == entries
+        d_block, plan_block = wasserstein1_exact(mu, nu)
+        assert d_block.hex() == d.hex() and plan_block == plan
+
+
+def batch_pairs():
+    """LP-route tent decay pairs with certified identity pairs between them."""
+    identity = [
+        (n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), n), invariant_measure(CHAIN, 64))
+        for n in (2, 5)
+    ]
+    tent = lp_block_pairs()[:7]
+    return tent[:3] + identity[:1] + tent[3:] + identity[1:]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_batch_equals_one_by_one_calls(monkeypatch, workers):
+    import chainlearn.parallel as parallel
+    import chainlearn.transport as tr
+
+    pairs = batch_pairs()
+    alone = [wasserstein1_exact(mu, nu) for mu, nu in pairs]
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    interval = sys.getswitchinterval()
+    for switch in (interval, 1e-6):
+        sys.setswitchinterval(switch)
+        try:
+            batch = list(tr.wasserstein1_exact_batch(pairs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal([d for d, _ in batch], [d for d, _ in alone])
+        assert [plan for _, plan in batch] == [plan for _, plan in alone]
+
+
+def test_batch_yields_certified_results_before_the_next_certificate(monkeypatch):
+    # a certified result is not held back unless an earlier instance waits
+    # for its LP, so an all-certified batch holds one plan at a time
     import chainlearn.transport as tr
 
     calls = []
-    real = tr._cost_matrix
-    monkeypatch.setattr(tr, "_cost_matrix", lambda *a: calls.append(1) or real(*a))
-    kernel = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 6)
-    wasserstein1_exact(kernel, invariant_measure(CHAIN, 64))
-    assert calls == []
-    _, _, used = solve_with_route(*lp_route_pair())
-    assert used == "_transportation_lp" and calls == [1]
+    real = tr._certified_monotone
+    monkeypatch.setattr(tr, "_certified_monotone", lambda *a: calls.append(1) or real(*a))
+    identity = [
+        (n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), n), invariant_measure(CHAIN, 64))
+        for n in range(1, 5)
+    ]
+    assert [len(calls) for _ in tr.wasserstein1_exact_batch(identity)] == [1, 2, 3, 4]
+    calls.clear()
+    mixed = identity[:1] + lp_block_pairs()[:1] + identity[1:]
+    assert [len(calls) for _ in tr.wasserstein1_exact_batch(mixed)] == [1, 5, 5, 5, 5]
+
+
+def test_batch_lp_error_in_a_worker_reaches_the_caller(monkeypatch):
+    # the caller's own solve waits until a helper thread has failed, so the
+    # error is raised on a worker, not on the calling thread
+    import chainlearn.parallel as parallel
+    import chainlearn.transport as tr
+
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    error = RuntimeError("transportation LP failed: forced")
+    failed = threading.Event()
+    real = tr._transportation_lp
+
+    def failing(*args):
+        if threading.current_thread() is threading.main_thread():
+            failed.wait(10.0)
+            return real(*args)
+        failed.set()
+        raise error
+
+    monkeypatch.setattr(tr, "_transportation_lp", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        list(tr.wasserstein1_exact_batch(lp_block_pairs()[:7]))
+    assert excinfo.value is error
+    assert failed.is_set()
+    assert threading.active_count() == before
 
 
 def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
