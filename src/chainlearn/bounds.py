@@ -337,7 +337,9 @@ def poisson_estimate(
     heap, which later work reuses.  A chunk adds the squared losses of its
     lanes into its own slice of the sums in step order,
     ((0 + l_0) + l_1) + ..., so an estimate does not depend on the chunk,
-    the block width or the thread.
+    the block width or the thread.  The losses are computed on the
+    transposed blocks, in the simulator's step-major memory, so each
+    step's losses are one contiguous row and every pass is a sweep.
     Raises if the truncation's geometric tail exceeds the requested
     tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
@@ -363,11 +365,12 @@ def poisson_estimate(
         lanes = np.arange(lo, min(lo + size, sums.size))
         out = sums[lo : lo + lanes.size]
         for states in simulate_x_blocks(xs[lanes // rollouts], steps, stream, lanes):
-            loss = h(states)  # a new array, squared in place
-            loss -= target(states)
+            rows = states.T  # the block's memory: one contiguous row per step
+            loss = h(rows)  # a new array, squared in place
+            loss -= target(rows)
             np.square(loss, out=loss)
-            for k in range(loss.shape[-1]):
-                out += loss[:, k]
+            for row in loss:
+                out += row
 
     for_each(fold, range(0, sums.size, size))
     values = sums.reshape(grid + 1, rollouts).mean(axis=1) - steps * er

@@ -92,30 +92,34 @@ def simulate_x_blocks(x0, n: int, stream: int, lanes) -> Iterator[np.ndarray]:
     is the bit at (lane, index k) of `stream`, so a lane's trajectory does
     not depend on the other lanes or on the block width
     max(1, min(STEP_BLOCK, BUDGET // lanes)).  The lane keys are hashed once
-    per call and the bits drawn from them a block at a time; only the
-    recursion itself runs step by step, writing each column in place.
-    Callers must not write into a block: the next block starts from a view
-    of its last column, which saves a copy of the states of every lane.
+    per call and the branch bits drawn from them a block at a time
+    (`rng.keyed_bits`); only the recursion itself runs step by step.
+
+    A block lives in memory step-major: it is allocated (width, lanes) in
+    C order, so each step writes one contiguous row, and it is yielded as
+    a lane-major view of that memory.  A caller that folds a block step by
+    step reads its contiguous rows from `block.T` (1-D lanes).  Callers
+    must not write into a block: the next block starts from a view of its
+    last row, which saves a copy of the states of every lane.
     """
     keys = rng.lane_keys(stream, lanes)
     del lanes  # the keys stand in for the lanes, which may be freed
+    shape = keys.shape
+    keys = keys.reshape(-1)
     width = max(1, min(STEP_BLOCK, BUDGET // keys.size))
-    x = np.broadcast_to(np.asarray(x0, dtype=float), keys.shape)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), shape).reshape(-1)
     for lo in range(0, n, width):
-        block = np.empty(keys.shape + (min(width, n - lo),))
-        steps = np.arange(max(lo, 1), lo + block.shape[-1], dtype=np.uint64)
-        first = block.shape[-1] - steps.size  # 1 in the block holding x_0
+        block = np.empty((min(width, n - lo), keys.size))
+        first = int(lo == 0)  # the row of x_0, which takes no bit
         if first:
-            block[..., 0] = x
+            block[0] = x
+        steps = np.arange(lo + first, lo + len(block), dtype=np.uint64)
         if steps.size:  # the block holding only x_0 draws no bits
-            bits = rng.keyed_words(keys[..., None], steps) >> np.uint64(63)
-            bits = bits.astype(np.uint8)
-        for j in range(steps.size):
-            col = block[..., first + j]
-            np.add(x, bits[..., j], out=col)
-            col /= 2.0
-            x = col
-        yield block
+            for row, bits in zip(block[first:], rng.keyed_bits(keys, steps)):
+                np.add(x, bits, out=row)
+                row *= 0.5  # the same float as / 2.0, sooner
+                x = row
+        yield np.moveaxis(block.reshape((len(block),) + shape), 0, -1)
 
 
 def trajectory_exact(

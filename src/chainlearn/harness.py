@@ -160,6 +160,14 @@ class ExperimentConfig:
             raise ConfigError("every n_list entry must be at least 1")
         if self.lemma_grid < 2:
             raise ConfigError("lemma_grid must be at least 2")
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive")
+        if any(v <= 0 for v in self.eps_list):
+            raise ConfigError("every eps_list entry must be positive")
+        if not 0 < self.delta < 1:
+            raise ConfigError("delta must lie in (0, 1)")
+        if self.alpha <= 0:
+            raise ConfigError("alpha must be positive")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":

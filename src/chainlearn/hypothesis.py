@@ -107,15 +107,27 @@ class HatMoments:
     @classmethod
     def from_samples(cls, xs, ys, knot_count: int) -> HatMoments:
         """Moments of the rows of xs and ys, both of shape (rows, count);
-        x is clamped to [0, 1] as the pointwise interpolant does."""
+        x is clamped to [0, 1] as the pointwise interpolant does.
+
+        Either memory layout gives the same floats: the bincount inputs
+        are read in the order xs is stored in, which hands each cell a
+        row's samples in column order whether the rows or the columns are
+        contiguous, and sum y^2 is summed over contiguous rows.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         rows, count = xs.shape
+        # pairwise sums over contiguous rows, whatever the layout of ys
+        square = np.multiply(ys, ys, order="C").sum(axis=1)
         if knot_count == 1:
             # phi_0 = 1: sum y is a running sum from 0.0, added in the order
-            # the bincount below adds (a pairwise ys.sum rounds differently)
+            # the bincount below adds (a pairwise ys.sum rounds differently).
+            # numpy sums along a slow axis one element at a time, so on
+            # step-major memory of several rows that order needs no cumsum.
             cross = np.zeros((rows, 1))
-            if count:
+            if count and rows > 1 and ys.T.flags.c_contiguous:
+                cross[:, 0] += ys.T.sum(axis=0)
+            elif count:
                 cross += np.cumsum(ys, axis=1)[:, -1:]
             return cls(
                 1,
@@ -123,7 +135,7 @@ class HatMoments:
                 np.full((rows, 1), float(count)),
                 np.zeros((rows, 0)),
                 cross,
-                (ys * ys).sum(axis=1),
+                square,
             )
         # built in place: a block's moments hold few temporaries the size of
         # the block, the same floats as out-of-place arithmetic
@@ -137,10 +149,11 @@ class HatMoments:
         cell = left.astype(np.intp)
         del left
         cell += np.arange(rows)[:, None] * cells
-        cell = cell.ravel()
+        order = "F" if t.flags.f_contiguous else "C"  # ravels in it are views
+        cell = cell.ravel(order)
 
         def per_cell(w: np.ndarray) -> np.ndarray:
-            return np.bincount(cell, w.ravel(), rows * cells).reshape(rows, cells)
+            return np.bincount(cell, w.ravel(order), rows * cells).reshape(rows, cells)
 
         def on_knots(on_left: np.ndarray, on_right: np.ndarray) -> np.ndarray:
             out = np.zeros((rows, knot_count))
@@ -154,7 +167,7 @@ class HatMoments:
             on_knots(per_cell(u * u), per_cell(t * t)),
             per_cell(u * t),
             on_knots(per_cell(u * ys), per_cell(t * ys)),
-            (ys * ys).sum(axis=1),
+            square,
         )
 
     def __add__(self, other: HatMoments) -> HatMoments:

@@ -118,22 +118,43 @@ def test_two_dimensional_lanes_match_scalar_stream():
             assert xs[i, j].tolist() == _scalar_trajectory(x0[i, 0], n, stream, int(lanes[i, j]))
 
 
+@pytest.mark.parametrize("lanes", [np.arange(7) * 3, np.arange(12).reshape(3, 4)])
+@pytest.mark.parametrize("budget", [12, 40])  # blocks 1 step wide, or 5 and 3
+def test_blocks_are_lane_major_views_of_step_major_memory(monkeypatch, lanes, budget):
+    from chainlearn import chain
+
+    monkeypatch.setattr(chain, "BUDGET", budget)
+    n = 11
+    x0 = np.linspace(0.0, 1.0, lanes.shape[0]).reshape((-1,) + (1,) * (lanes.ndim - 1))
+    stream = rng.derive(37, rng.TRAJECTORY)
+    blocks = list(simulate_x_blocks(x0, n, stream, lanes))
+    assert len(blocks) > 1
+    for block in blocks:
+        assert block.shape[:-1] == lanes.shape
+        assert np.moveaxis(block, -1, 0).flags.c_contiguous  # one row per step
+        assert lanes.ndim > 1 or block.T.flags.c_contiguous
+    xs = np.concatenate(blocks, axis=-1)
+    x0 = np.broadcast_to(x0, lanes.shape)
+    for idx in np.ndindex(lanes.shape):
+        assert xs[idx].tolist() == _scalar_trajectory(x0[idx], n, stream, int(lanes[idx]))
+
+
 def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
     from chainlearn import chain
 
     key_calls, drawn = [], []
-    lane_keys, keyed_words = rng.lane_keys, rng.keyed_words
+    lane_keys, keyed_bits = rng.lane_keys, rng.keyed_bits
 
     def keys_spy(seed, lanes):
         key_calls.append(np.size(lanes))
         return lane_keys(seed, lanes)
 
-    def words_spy(keys, indices):
+    def bits_spy(keys, indices):
         drawn.append(np.asarray(indices).tolist())
-        return keyed_words(keys, indices)
+        return keyed_bits(keys, indices)
 
     monkeypatch.setattr(rng, "lane_keys", keys_spy)
-    monkeypatch.setattr(rng, "keyed_words", words_spy)
+    monkeypatch.setattr(rng, "keyed_bits", bits_spy)
     stream = rng.derive(3, rng.TRAJECTORY)
     lanes = np.arange(5)
 

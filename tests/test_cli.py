@@ -221,6 +221,34 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, subcommand, payload, fi
     assert field in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, payload, message",
+    [
+        ("scaling", {"kind": "scaling", "alpha": 0}, "alpha must be positive"),
+        ("scaling", {"kind": "scaling", "alpha": -1}, "alpha must be positive"),
+        ("asem", {"kind": "asem", "replications": 2, "n": 10, "delta": -0.1},
+         "delta must lie in (0, 1)"),
+        ("concentration", {"kind": "concentration", "replications": 2, "n_list": [10],
+                           "delta": 2}, "delta must lie in (0, 1)"),
+        ("bounds", {"kind": "bounds", "delta": 1}, "delta must lie in (0, 1)"),
+        ("relative", {"kind": "relative", "replications": 2, "n_list": [10],
+                      "eps_list": [0]}, "every eps_list entry must be positive"),
+        ("asem", {"kind": "asem", "replications": 2, "n": 10, "eps": 0},
+         "eps must be positive"),
+        ("scaling", {"kind": "scaling", "eps_list": [0.1, -0.2]},
+         "every eps_list entry must be positive"),
+    ],
+    ids=["scaling-alpha-0", "scaling-alpha-negative", "asem-delta-negative",
+         "concentration-delta-2", "bounds-delta-1", "relative-eps-list-0", "asem-eps-0",
+         "scaling-eps-list-negative"],
+)
+def test_cli_rejects_out_of_range_eps_delta_alpha(tmp_path, capsys, subcommand, payload, message):
+    # rejected when the config loads, before any Monte Carlo runs
+    config = write_config(tmp_path, "c.json", payload)
+    assert main([subcommand, "--config", config]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("grid", [0, 1])
 def test_cli_rejects_degenerate_lemma_grid(tmp_path, capsys, grid):
     config = write_config(

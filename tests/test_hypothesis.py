@@ -409,6 +409,23 @@ def test_one_knot_moments_equal_bincount_reference_bit_for_bit():
     assert np.abs(net.mean_squared_errors(split) - net.mean_squared_errors(moments)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("knots", [1, 2, 5])
+@pytest.mark.parametrize("rows, count", [(1, 7), (2, 1), (3, 513), (37, 76), (300, 512)])
+def test_moments_identical_on_lane_major_and_step_major_memory(knots, rows, count):
+    gen = np.random.default_rng(rows * count + knots)
+    xs = gen.uniform(-0.1, 1.1, (rows, count))
+    ys = gen.normal(0.3, 2.0, (rows, count))
+    # the simulator's blocks: (count, rows) in C order, viewed as (rows, count)
+    xt, yt = np.ascontiguousarray(xs.T).T, np.ascontiguousarray(ys.T).T
+    assert xt.T.flags.c_contiguous and np.array_equal(xt, xs)
+    want = HatMoments.from_samples(xs, ys, knots)
+    for a, b in [(xt, yt), (xt, ys), (xs, yt)]:
+        got = HatMoments.from_samples(a, b, knots)
+        assert got.knot_count == knots and got.count == count
+        for name in ("gram_diag", "gram_off", "cross", "square"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_moment_errors_clamped_at_zero_for_exact_fit():
     net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, LIP1)
     xs = np.linspace(0.0, 1.0, 101)[None, :]

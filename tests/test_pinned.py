@@ -1,0 +1,89 @@
+"""Pinned bytes of the simulator and its two folds.
+
+Each pin is the sha256 of little-endian float64 outputs at a fixed small
+input.  None of these outputs goes through BLAS (the one-atom measure
+makes the true error a product), so a moved bit anywhere in the bit
+draw, the recursion, the Poisson fold or the hat moments fails here.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from chainlearn import chain as chain_module
+from chainlearn import rng
+from chainlearn.bounds import ModelConstants, poisson_estimate
+from chainlearn.chain import ContractiveChain, simulate_x_blocks
+from chainlearn.hypothesis import HatMoments, Hypothesis
+from chainlearn.loss import LossConstants
+from chainlearn.state_space import DiscreteMeasure, make_space, make_target
+
+TENT = make_target("tent")
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def states(x0, n, seed, lanes) -> np.ndarray:
+    stream = rng.derive(seed, rng.TRAJECTORY)
+    return np.concatenate(list(simulate_x_blocks(x0, n, stream, lanes)), axis=-1)
+
+
+LANES_1D = np.arange(37, dtype=np.uint64) * 3 + 11
+LANES_2D = np.arange(15, dtype=np.uint64).reshape(3, 5) * 7
+X0_1D = np.linspace(0.0, 1.0, 37)
+X0_2D = np.array([0.0, 0.3, 1.0])[:, None]
+
+SIMULATOR_PINS = {
+    ("1d", 1): "a34af7f0ed9cb12bae55bdee4543f9d6e0cd11f609a16d73e01e2f9aefb1c6db",
+    ("1d", 512): "9ac9f79e8aa70a2c6f79078ea7ab98c37b6f9570668f4a6dd6f8199ead8f95c9",
+    ("2d", 1): "3c3ab2ae5231cafa0286b51c18277fa2fc702a197e674d9a09d9ddd99bcfb553",
+    ("2d", 512): "3e76ce42805fb66dea7b47c162afbc61128e0861964f6d0a2506a14d06fa34af",
+}
+
+
+@pytest.mark.parametrize("lanes, width", sorted(SIMULATOR_PINS))
+def test_simulator_states_are_pinned(monkeypatch, lanes, width):
+    lane_ids, x0 = (LANES_1D, X0_1D) if lanes == "1d" else (LANES_2D, X0_2D)
+    n = 1100
+    if width == 1:
+        monkeypatch.setattr(chain_module, "BUDGET", lane_ids.size)
+        n = 9
+    blocks = [b.shape[-1] for b in simulate_x_blocks(x0, n, 17, lane_ids)]
+    assert max(blocks) == width
+    assert digest(states(x0, n, 5, lane_ids)) == SIMULATOR_PINS[lanes, width]
+
+
+def test_poisson_estimate_is_pinned():
+    chain = ContractiveChain(make_space(TENT))
+    consts = ModelConstants.from_chain(
+        1 - math.sqrt(2) / 2, math.sqrt(2), LossConstants(4.0, 2.0, 1.0), None, None
+    )
+    pi_hat = DiscreteMeasure.on_graph(TENT, [0.25], [1.0])  # no BLAS in the true error
+    est = poisson_estimate(Hypothesis((0.2, 0.9, 0.4)), chain, pi_hat, consts, grid=4,
+                           truncation=20, rollouts=6, seed=31, truncation_tol=math.inf)
+    assert digest(est.values, [est.er_pi]) == (
+        "847eef378fb81d8c860475ad6cc6565fa7fadde48d2fb2f1b6cc4e8f5301bf84"
+    )
+
+
+@pytest.mark.parametrize("knots", [1, 5])
+def test_hat_moments_fold_is_pinned(knots):
+    stream = rng.derive(13, rng.TRAJECTORY)
+    lanes = np.arange(300, dtype=np.uint64)
+    total = None
+    for xs in simulate_x_blocks(np.linspace(0.0, 1.0, 300), 1100, stream, lanes):
+        part = HatMoments.from_samples(xs, TENT(xs), knots)
+        total = part if total is None else total + part
+    assert total.count == 1100
+    pins = {
+        1: "58856e33162a05ddc298f1e9ac16e9028b3867b07d6c27b2f87710fc216382c9",
+        5: "ed06fb43b34e0733217748d0b14b6e1f5c6bdada0a4c324c444e3896dec1c55e",
+    }
+    assert digest(total.gram_diag, total.gram_off, total.cross, total.square) == pins[knots]

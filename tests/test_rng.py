@@ -30,3 +30,21 @@ def test_vector_words_match_scalar_word_bit_for_bit(seed, lanes, indices):
 
     uniforms = [[rng.uniform(seed, a, i) for i in indices] for a in lanes]
     assert np.array_equal(rng.uniform_array(seed, lane_arr, index_arr), uniforms)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=WORDS,
+    lanes=st.lists(WORDS, min_size=1, max_size=6),
+    indices=st.lists(st.one_of(st.just(0), WORDS), min_size=1, max_size=6),
+)
+def test_top_bit_draw_matches_words_and_scalar_bit(seed, lanes, indices):
+    keys = rng.lane_keys(seed, np.array(lanes, dtype=np.uint64))
+    idx = np.array(indices, dtype=np.uint64)
+    key_copy = keys.copy()
+    bits = rng.keyed_bits(keys, idx)
+    assert bits.dtype == np.bool_ and bits.shape == (idx.size, keys.size)  # step-major
+    words = rng.keyed_words(keys[None, :], idx[:, None])
+    assert np.array_equal(bits, words >> np.uint64(63))
+    assert bits.tolist() == [[bool(rng.bit(seed, a, i)) for a in lanes] for i in indices]
+    assert np.array_equal(keys, key_copy)
