@@ -17,7 +17,6 @@ raw count or as a natural log for models too large to exponentiate.
 from __future__ import annotations
 
 import math
-import os  # noqa: F401 -- bounds.os.sched_getaffinity sets the Poisson fold's worker count
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional

@@ -69,10 +69,6 @@ class DyadicState:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
 
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
     def value(self) -> Fraction:
         num = 0
         for b in self.bits:

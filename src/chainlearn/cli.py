@@ -11,11 +11,11 @@ other exception, reported on one line).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (
     ConfigError,
-    ExperimentConfig,
     Report,
     load_config,
     render_report,
@@ -69,15 +69,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     kind = _SUBCOMMANDS[args.command]
+    seed = {} if args.seed is None else {"master_seed": args.seed}
     try:
-        config = load_config(args.config)
-        overrides: dict = {}
-        if config.kind != kind:
-            overrides["kind"] = kind
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if overrides:
-            config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
+        # `replace` checks the changed config again
+        config = dataclasses.replace(load_config(args.config), kind=kind, **seed)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

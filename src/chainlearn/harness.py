@@ -16,8 +16,9 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -67,6 +68,7 @@ def _is_finite(value: Any) -> bool:
 # each tuple type; the annotations are strings under `from __future__ import
 # annotations`
 _VALUE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
     "float": (_is_finite, "a finite number"),
     "Optional[float]": (lambda v: v is None or _is_finite(v), "a finite number"),
@@ -78,62 +80,76 @@ _ENTRY_CHECKS = {
 }
 
 
+def _ranged(default: Any, ok: Callable[[Any], bool], must: Any) -> Any:
+    """A config field whose value, or every entry of a tuple value, passes
+    `ok`; `must`, or what it returns when it is a function, ends the
+    message "<field> must ..." that rejects any other value."""
+    return field(default=default, metadata={"range": (ok, must)})
+
+
+def _at_least(lo: int, default: Any) -> Any:
+    return _ranged(default, lambda v: v >= lo, f"be at least {lo}")
+
+
+def _positive(default: float) -> Any:
+    return _ranged(default, lambda v: v > 0, "be positive")
+
+
+def _one_of(default: Any, choices: Callable[[], Iterable[str]]) -> Any:
+    """`choices` is read when a config is checked, since `RUNNERS` comes later."""
+    return _ranged(default, lambda v: v in choices(), lambda: "be one of " + ", ".join(choices()))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
+    """One experiment.  Each field's type and range is checked when the
+    config is made, in field order, and the first failure raises a
+    `ConfigError` naming the field.  The ranges are the hypotheses of the
+    bounds (ε > 0, δ ∈ (0, 1), a positive net radius, a Hölder covering
+    bound ln N ≤ C·r^(-2d/γ) with C > 0, d ≥ 1 and γ ∈ (0, 1]) and the
+    least grids and counts that a run can work with."""
+
+    kind: str = _one_of(MISSING, lambda: RUNNERS)
     target_name: str = "identity"
     target_params: dict = field(default_factory=dict)
-    x0_policy: str = "fixed"  # fixed | uniform | stationary
-    x0: float = 0.0
+    x0_policy: str = _one_of("fixed", lambda: ("fixed", "uniform", "stationary"))
+    x0: float = _ranged(0.0, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
     class_kind: str = "constants"
     y_lo: float = 0.0
     y_hi: float = 1.0
     lip_bound: float = 0.0
     anchor: Optional[tuple[float, float]] = None
-    net_radius: float = 0.05
+    net_radius: float = _positive(0.05)
     master_seed: int = 1
-    replications: int = 100
-    pi_grid: int = 4096
-    diameter_grid: int = 1024
-    n: int = 10_000
-    n_list: tuple[int, ...] = ()
-    eps: float = 0.1
-    eps_list: tuple[float, ...] = ()
-    delta: float = 0.05
-    alpha: float = 1.0
-    pair_count: int = 10_000
-    decay_n_max: int = 12
-    decay_grid: int = 4096
-    opt_refinement: int = 8
+    replications: int = _at_least(1, 100)
+    pi_grid: int = _at_least(2, 4096)
+    diameter_grid: int = _at_least(2, 1024)
+    n: int = _at_least(1, 10_000)
+    n_list: tuple[int, ...] = _at_least(1, ())
+    eps: float = _positive(0.1)
+    eps_list: tuple[float, ...] = _positive(())
+    delta: float = _ranged(0.05, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+    alpha: float = _positive(1.0)
+    pair_count: int = _at_least(1, 10_000)
+    decay_n_max: int = _ranged(12, lambda v: 1 <= v <= 12, "lie in 1..12")
+    decay_grid: int = _at_least(2, 4096)
+    opt_refinement: int = _at_least(1, 8)
     eta_override: Optional[float] = None
     c1_override: Optional[float] = None
     m_override: Optional[float] = None
     M_override: Optional[float] = None
-    poisson_grid: int = 64
-    poisson_rollouts: int = 10_000
+    poisson_grid: int = _at_least(2, 64)
+    poisson_rollouts: int = _at_least(1, 10_000)
     poisson_h_const: float = 0.5
-    truncation_tol: float = 1e-3
-    holder_c: float = 1.0
-    holder_d: int = 1
-    holder_gamma: float = 1.0
-    lemma_probes: int = 32
-    lemma_tolerance: float = 1e-9
-    lemma_grid: int = 4096
-
-    KINDS = (
-        "contraction",
-        "concentration",
-        "asem",
-        "relative",
-        "scaling",
-        "bounds",
-        "poisson",
-        "lemma",
-    )
+    truncation_tol: float = _positive(1e-3)
+    holder_c: float = _positive(1.0)
+    holder_d: int = _at_least(1, 1)
+    holder_gamma: float = _ranged(1.0, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+    lemma_probes: int = _at_least(1, 32)
+    lemma_tolerance: float = _at_least(0, 1e-9)
+    lemma_grid: int = _at_least(2, 4096)
 
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in _VALUE_CHECKS:
@@ -144,30 +160,18 @@ class ExperimentConfig:
                 ok, what = _ENTRY_CHECKS[f.type]
                 if not all(ok(v) for v in value):
                     raise ConfigError(f"every {f.name} entry must be {what}, got {list(value)!r}")
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
-        if self.x0_policy not in ("fixed", "uniform", "stationary"):
-            raise ConfigError(f"unknown x0 policy {self.x0_policy!r}")
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ConfigError("x0 must lie in [0, 1]")
-        if not 1 <= self.decay_n_max <= 12:
-            raise ConfigError("decay_n_max must lie in 1..12")
-        if self.net_radius <= 0:
-            raise ConfigError("net_radius must be positive")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if any(v < 1 for v in self.n_list):
-            raise ConfigError("every n_list entry must be at least 1")
-        if self.lemma_grid < 2:
-            raise ConfigError("lemma_grid must be at least 2")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if any(v <= 0 for v in self.eps_list):
-            raise ConfigError("every eps_list entry must be positive")
-        if not 0 < self.delta < 1:
-            raise ConfigError("delta must lie in (0, 1)")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+            if "range" in f.metadata:
+                ok, must = f.metadata["range"]
+                entries = isinstance(value, tuple)
+                if not all(map(ok, value if entries else (value,))):
+                    name = f"every {f.name} entry" if entries else f.name
+                    raise ConfigError(f"{name} must {must() if callable(must) else must}")
+        # the Poisson check bounds h's loss with the class's loss constants
+        if self.kind == "poisson" and not self.y_lo <= self.poisson_h_const <= self.y_hi:
+            raise ConfigError(
+                f"poisson_h_const must lie in the class range [y_lo, y_hi] = "
+                f"[{self.y_lo}, {self.y_hi}]"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
@@ -280,20 +284,46 @@ def model_constants(
     return bd.ModelConstants.from_chain(eta, c1, losses, m, M)
 
 
-def _error_range(
-    config: ExperimentConfig, cls: HypothesisClass, pi_hat, true: Optional[np.ndarray] = None
-) -> tuple[float, float]:
-    """(m, M): `m_override` and `M_override`, or else the least and greatest
-    true error over the net at `net_radius`.  Those errors are `true` when
-    the caller has them; otherwise the net is built, and only when an end
-    is not overridden."""
-    m, M = config.m_override, config.M_override
-    if m is None or M is None:
-        if true is None:
-            true = true_errors(build_epsilon_net(cls, config.net_radius), pi_hat)
-        m = float(true.min()) if m is None else m
-        M = float(true.max()) if M is None else M
-    return m, M
+@dataclass
+class _Model:
+    """What a run reads of its config, each part built on first use, so a
+    run builds only what it reads.  The builders are looked up in this
+    module when called, so a wrapper bound there sees every build."""
+
+    config: ExperimentConfig
+
+    @cached_property
+    def chain(self) -> ContractiveChain:
+        return build_chain(self.config)
+
+    @cached_property
+    def cls(self) -> HypothesisClass:
+        return build_class(self.config)
+
+    @cached_property
+    def net(self) -> HypothesisNet:
+        return build_epsilon_net(self.cls, self.config.net_radius)
+
+    @cached_property
+    def pi_hat(self):
+        return invariant_measure(self.chain, self.config.pi_grid)
+
+    @cached_property
+    def true(self) -> np.ndarray:
+        """The true error of every net member."""
+        return true_errors(self.net, self.pi_hat)
+
+    def consts(self, m: Optional[float] = None, M: Optional[float] = None) -> bd.ModelConstants:
+        return model_constants(self.config, self.chain, self.cls, m, M)
+
+    def error_range(self) -> tuple[float, float]:
+        """(m, M): `m_override` and `M_override`, or else the least and
+        greatest true error over the net; the net and the invariant measure
+        are built only when an end is not overridden."""
+        m, M = self.config.m_override, self.config.M_override
+        m = float(self.true.min()) if m is None else m
+        M = float(self.true.max()) if M is None else M
+        return m, M
 
 
 def initial_xs(config: ExperimentConfig, pi_hat, reps: np.ndarray) -> np.ndarray:
@@ -409,10 +439,7 @@ def _grid(config: ExperimentConfig) -> tuple[tuple[int, ...], tuple[float, ...]]
 
 
 def _exceedance_report(
-    config: ExperimentConfig,
-    chain: ContractiveChain,
-    net: HypothesisNet,
-    pi_hat,
+    model: _Model,
     deviation: Callable[[np.ndarray], np.ndarray],
     bound: Callable[[float, int], tuple[float, bool]],
     meta: dict[str, Any],
@@ -425,12 +452,13 @@ def _exceedance_report(
     its validity flag.  `low_probability_rows` lists the rows whose bound
     is below 1e-3, and `meta` adds to the metadata.
     """
+    config = model.config
     n_values, eps_values = _grid(config)
     trials = config.replications
     rows: list[tuple] = []
     low_rows: list[int] = []
     for n in n_values:
-        devs = deviation(_batch_empirical(net, chain, config, n, pi_hat))
+        devs = deviation(_batch_empirical(model.net, model.chain, config, n, model.pi_hat))
         for eps in eps_values:
             exceed = int((devs > eps).sum())
             value, valid = bound(eps, n)
@@ -441,7 +469,7 @@ def _exceedance_report(
         {
             **_base_metadata(config),
             **meta,
-            "net_size": len(net),
+            "net_size": len(model.net),
             "low_probability_rows": ",".join(map(str, low_rows)),
         },
         ("n", "eps", "trials", "exceedances", "empirical_freq", "theoretical_bound", "bound_valid"),
@@ -506,19 +534,13 @@ def run_contraction_audit(config: ExperimentConfig) -> Report:
 
 
 def run_concentration_experiment(config: ExperimentConfig) -> Report:
-    chain = build_chain(config)
-    cls = build_class(config)
-    net = build_epsilon_net(cls, config.net_radius)
-    consts = model_constants(config, chain, cls)
-    pi_hat = invariant_measure(chain, config.pi_grid)
-    true = true_errors(net, pi_hat)
+    model = _Model(config)
+    consts = model.consts()
+    true = model.true
     return _exceedance_report(
-        config,
-        chain,
-        net,
-        pi_hat,
+        model,
         lambda emp: np.abs(emp - true[:, None]).max(axis=0),
-        lambda eps, n: bd.uniform_tail_bound(eps, n, consts, covering_number=len(net)),
+        lambda eps, n: bd.uniform_tail_bound(eps, n, consts, covering_number=len(model.net)),
         {"L": consts.L, "L_bar": consts.L_bar, "B": consts.B, "eta": consts.eta, "c1": consts.C1},
     )
 
@@ -529,20 +551,17 @@ def run_asem_experiment(config: ExperimentConfig) -> Report:
     over the finite net it is a 0-ASEM for the net and, through the
     joint-Lipschitz inequality, an (L_bar * radius)-ASEM for the full class.
     """
-    chain = build_chain(config)
-    cls = build_class(config)
-    net = build_epsilon_net(cls, config.net_radius)
-    consts = model_constants(config, chain, cls)
-    pi_hat = invariant_measure(chain, config.pi_grid)
-    true = true_errors(net, pi_hat)
-    opt = opt_pi(net, pi_hat, config.opt_refinement)
+    model = _Model(config)
+    consts = model.consts()
+    net, true = model.net, model.true
+    opt = opt_pi(net, model.pi_hat, config.opt_refinement)
 
-    emp = _batch_empirical(net, chain, config, config.n, pi_hat)
+    emp = _batch_empirical(net, model.chain, config, config.n, model.pi_hat)
     picks = emp.argmin(axis=0)
     gaps = np.abs(true[picks] - opt)
     successes = gaps < 5.0 * config.eps
 
-    cov_n1 = covering_count(cls, config.eps / (4.0 * consts.L_bar))
+    cov_n1 = covering_count(model.cls, config.eps / (4.0 * consts.L_bar))
     n1_value = bd.n1(config.eps, config.delta, consts, covering_number=cov_n1)
     rows = [
         (int(r), int(picks[r]), float(emp[picks[r], r]), float(true[picks[r]]), float(gaps[r]), bool(successes[r]))
@@ -569,37 +588,29 @@ def run_asem_experiment(config: ExperimentConfig) -> Report:
 
 
 def run_relative_experiment(config: ExperimentConfig) -> Report:
-    chain = build_chain(config)
-    cls = build_class(config)
-    net = build_epsilon_net(cls, config.net_radius)
-    pi_hat = invariant_measure(chain, config.pi_grid)
-    true = true_errors(net, pi_hat)
-    m, M = _error_range(config, cls, pi_hat, true)
+    model = _Model(config)
+    true = model.true
+    m, M = model.error_range()
     if m <= 0.0:
         raise DegenerateClassError("class error range has m = 0")
-    consts = model_constants(config, chain, cls, m=m, M=M)
+    consts = model.consts(m, M)
     xi1, xi2 = bd.xi_constants(m, M, consts)
     return _exceedance_report(
-        config,
-        chain,
-        net,
-        pi_hat,
+        model,
         lambda emp: (np.abs(emp - true[:, None]) / np.sqrt(true)[:, None]).max(axis=0),
         lambda eps, n: bd.relative_tail_bound(
-            eps, n, consts, covering_number=covering_count(cls, eps / consts.L_bar)
+            eps, n, consts, covering_number=covering_count(model.cls, eps / consts.L_bar)
         ),
         {"m": m, "M": M, "xi1": xi1, "xi2": xi2},
     )
 
 
 def run_scaling_experiment(config: ExperimentConfig) -> Report:
-    chain = build_chain(config)
-    cls = build_class(config)
-    pi_hat = invariant_measure(chain, config.pi_grid)
-    m, M = _error_range(config, cls, pi_hat)
+    model = _Model(config)
+    m, M = model.error_range()
     if m <= 0.0:
         raise DegenerateClassError("class error range has m = 0")
-    consts = model_constants(config, chain, cls, m=m, M=M)
+    consts = model.consts(m, M)
 
     def ln_holder(radius: float) -> float:
         return covering_bound_holder(config.holder_c, config.holder_d, config.holder_gamma, radius)
@@ -640,19 +651,15 @@ def run_scaling_experiment(config: ExperimentConfig) -> Report:
 
 
 def run_bounds_calculator(config: ExperimentConfig) -> Report:
-    chain = build_chain(config)
-    cls = build_class(config)
-    pi_hat = invariant_measure(chain, config.pi_grid)
-    m, M = _error_range(config, cls, pi_hat)
-    consts = model_constants(
-        config, chain, cls, m=m if m > 0 else None, M=M if m > 0 else None
-    )
+    model = _Model(config)
+    m, M = model.error_range()
+    consts = model.consts(m if m > 0 else None, M if m > 0 else None)
 
     n_values, eps_values = _grid(config)
     rows: list[tuple] = []
     for eps in eps_values:
-        cov_u = covering_count(cls, eps / (4.0 * consts.L_bar))
-        cov_r = covering_count(cls, eps / consts.L_bar) if consts.m is not None else None
+        cov_u = covering_count(model.cls, eps / (4.0 * consts.L_bar))
+        cov_r = covering_count(model.cls, eps / consts.L_bar) if consts.m is not None else None
         for n in n_values:
             sh = bd.single_h_tail_bound(eps, n, consts)
             rows.append((float(eps), n, "single_h", sh.value, sh.valid))
@@ -678,22 +685,15 @@ def run_bounds_calculator(config: ExperimentConfig) -> Report:
 
 
 def run_poisson_check(config: ExperimentConfig) -> Report:
-    chain = build_chain(config)
-    cls = build_class(config)
-    consts = model_constants(config, chain, cls)
-    pi_hat = invariant_measure(chain, config.pi_grid)
+    model = _Model(config)
+    consts = model.consts()
+    chain, pi_hat = model.chain, model.pi_hat
     h = Hypothesis((config.poisson_h_const,))
-    truncation = bd.truncation_for_tolerance(consts, config.truncation_tol)
+    tol = config.truncation_tol
+    truncation = bd.truncation_for_tolerance(consts, tol)
     estimate = bd.poisson_estimate(
-        h,
-        chain,
-        pi_hat,
-        consts,
-        config.poisson_grid,
-        truncation,
-        config.poisson_rollouts,
-        config.master_seed,
-        config.truncation_tol,
+        h, chain, pi_hat, consts, config.poisson_grid, truncation, config.poisson_rollouts,
+        config.master_seed, tol,
     )
     residual = bd.poisson_residual_check(estimate, chain, h, pi_hat)
     norm_bound = consts.poisson_tail(0)

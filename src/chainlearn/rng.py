@@ -94,12 +94,8 @@ def keyed_bits(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return _mix_top_np(x ^ keys) >= np.uint64(1 << 63)
 
 
-def word_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    return keyed_words(lane_keys(seed, lanes), indices)
-
-
 def uniform_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    return (word_array(seed, lanes, indices) >> np.uint64(11)) * 2.0**-53
+    return (keyed_words(lane_keys(seed, lanes), indices) >> np.uint64(11)) * 2.0**-53
 
 
 # Purpose tags used across the library.

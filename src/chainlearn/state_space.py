@@ -85,7 +85,6 @@ class StatePoint:
 class SpaceDescriptor:
     target: TargetFunction
     diameter: float
-    metric_tag: str = "euclidean-R2"
 
 
 def graph_point(x: float, target: TargetFunction) -> StatePoint:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from chainlearn import bounds as bounds_module
 from chainlearn import chain as chain_module
+from chainlearn import parallel
 from chainlearn import rng
 from chainlearn.bounds import (
     ModelConstants,
@@ -617,7 +618,7 @@ def test_poisson_estimate_independent_of_chunks_workers_and_blocks(
         monkeypatch.setattr(bounds_module, "CHUNK", lanes * (FOLD_N + 1))
     if budget is not None:
         monkeypatch.setattr(chain_module, "BUDGET", budget)
-    monkeypatch.setattr(bounds_module.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
     assert np.array_equal(fold_estimate().values, want)
 
 
@@ -626,7 +627,7 @@ def test_poisson_fold_with_more_workers_than_cores_and_fast_switching(monkeypatc
     # chunk folded twice or skipped would change its lane's sum
     want = fold_estimate().values
     monkeypatch.setattr(bounds_module, "CHUNK", FOLD_N + 1)
-    monkeypatch.setattr(bounds_module.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(8)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -638,7 +639,7 @@ def test_poisson_fold_with_more_workers_than_cores_and_fast_switching(monkeypatc
 
 def test_poisson_chunk_error_reaches_caller_and_no_thread_outlives_the_call(monkeypatch):
     monkeypatch.setattr(bounds_module, "CHUNK", FOLD_N + 1)  # one lane per chunk
-    monkeypatch.setattr(bounds_module.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     error = RuntimeError("chunk failed")
     lock, calls = threading.Lock(), []
 

@@ -345,3 +345,69 @@ def test_cli_rejects_identically_zero_loss(tmp_path, capsys, subcommand):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "L_bar = 0" in err
+
+
+RANGE_CASES = [
+    ("poisson-check", "poisson_grid", 1, "poisson_grid must be at least 2"),
+    ("concentration", "pi_grid", 1, "pi_grid must be at least 2"),
+    ("audit-contraction", "diameter_grid", 1, "diameter_grid must be at least 2"),
+    ("audit-contraction", "decay_grid", 1, "decay_grid must be at least 2"),
+    ("poisson-check", "poisson_rollouts", 0, "poisson_rollouts must be at least 1"),
+    ("audit-contraction", "pair_count", 0, "pair_count must be at least 1"),
+    ("lemma-check", "lemma_probes", 0, "lemma_probes must be at least 1"),
+    ("asem", "opt_refinement", 0, "opt_refinement must be at least 1"),
+    ("scaling", "holder_d", 0, "holder_d must be at least 1"),
+    ("poisson-check", "truncation_tol", 0.0, "truncation_tol must be positive"),
+    ("scaling", "holder_gamma", 0.0, "holder_gamma must lie in (0, 1]"),
+    ("scaling", "holder_gamma", math.nextafter(1.0, 2.0), "holder_gamma must lie in (0, 1]"),
+    ("scaling", "holder_c", 0.0, "holder_c must be positive"),
+    ("lemma-check", "lemma_tolerance", -math.ulp(0.0), "lemma_tolerance must be at least 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, field, value, message", RANGE_CASES, ids=[f"{c[1]}={c[2]!r}" for c in RANGE_CASES]
+)
+def test_cli_rejects_each_range_at_load_time(
+    tmp_path, capsys, monkeypatch, subcommand, field, value, message
+):
+    # each at its first invalid value, before any experiment starts
+    import chainlearn.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: calls.append(config))
+    config = write_config(tmp_path, "c.json", {"kind": "lemma", field: value})
+    assert main([subcommand, "--config", config]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, message",
+    [
+        ("scaling", {"kind": "scaling", "holder_c": -1}, "holder_c must be positive"),
+        ("lemma-check", {"kind": "lemma", "lemma_tolerance": -1},
+         "lemma_tolerance must be at least 0"),
+        ("poisson-check", {"kind": "poisson", "poisson_h_const": 5},
+         "poisson_h_const must lie in the class range [y_lo, y_hi] = [0.0, 1.0]"),
+        # the subcommand sets the kind, and the changed config is checked again
+        ("poisson-check", {"kind": "concentration", "y_lo": 0.6, "y_hi": 0.9},
+         "poisson_h_const must lie in the class range [y_lo, y_hi] = [0.6, 0.9]"),
+    ],
+    ids=["scaling-holder-c", "lemma-tolerance", "poisson-h-outside-class",
+         "poisson-h-outside-class-after-kind-override"],
+)
+def test_cli_rejects_configs_without_a_meaningful_verdict(tmp_path, capsys, subcommand,
+                                                          payload, message):
+    config = write_config(tmp_path, "c.json", payload)
+    assert main([subcommand, "--config", config]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_poisson_h_range_binds_only_the_poisson_check(tmp_path):
+    # the default h = 0.5 lies outside this class, which only the Poisson check uses h with
+    config = write_config(tmp_path, "c.json", {
+        "kind": "concentration", "y_lo": 0.6, "y_hi": 0.9, "n_list": [60], "replications": 4,
+        "net_radius": 0.25, "pi_grid": 64,
+    })
+    assert main(["concentration", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlearn import bounds as bd
 from chainlearn.harness import (
+    RUNNERS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -546,3 +549,93 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
     got = harness._batch_empirical(net, chain, config, 300, pi_hat)
     assert blocks == [3, 3, 1]
     assert np.abs(got - ref).max() <= 1e-12
+
+
+# numeric fields with no range of their own: the seed is any integer, the
+# class range, Lipschitz bound and anchor are checked against each other by
+# the class, h against the class range for the Poisson check, and the
+# overrides against the certified constants when a run uses them
+UNBOUNDED = {
+    "master_seed", "y_lo", "y_hi", "lip_bound", "anchor", "poisson_h_const",
+    "eta_override", "c1_override", "m_override", "M_override",
+}
+
+
+def test_every_numeric_field_has_a_range_or_is_listed_unbounded():
+    from dataclasses import fields
+
+    numeric = {f.name for f in fields(ExperimentConfig) if "int" in f.type or "float" in f.type}
+    ranged = {f.name for f in fields(ExperimentConfig) if "range" in f.metadata}
+    assert numeric - ranged == UNBOUNDED
+
+
+_POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+_VALID = st.fixed_dictionaries(
+    {"kind": st.sampled_from(sorted(RUNNERS))},
+    optional={
+        "target_name": st.sampled_from(["identity", "tent", "affine"]),
+        "target_params": st.dictionaries(st.sampled_from("abc"), st.floats(-2, 2), max_size=2),
+        "x0_policy": st.sampled_from(["fixed", "uniform", "stationary"]),
+        "x0": st.floats(0.0, 1.0),
+        "y_lo": st.floats(-5.0, 0.0),
+        "y_hi": st.floats(1.0, 5.0),
+        "lip_bound": st.floats(0.0, 5.0),
+        "anchor": st.none() | st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+        "net_radius": _POSITIVE,
+        "master_seed": st.integers(-(2**70), 2**70),
+        "replications": st.integers(1, 10**6),
+        "pi_grid": st.integers(2, 10**6),
+        "n_list": st.lists(st.integers(1, 10**9), max_size=4),
+        "eps": _POSITIVE,
+        "eps_list": st.lists(_POSITIVE, max_size=4),
+        "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "alpha": _POSITIVE,
+        "decay_n_max": st.integers(1, 12),
+        "eta_override": st.none() | st.floats(0.0, 1.0),
+        "M_override": st.none() | _POSITIVE,
+        "poisson_h_const": st.floats(0.0, 1.0),
+        "truncation_tol": _POSITIVE,
+        "holder_c": _POSITIVE | st.integers(1, 100),
+        "holder_gamma": st.floats(0.0, 1.0, exclude_min=True),
+        "lemma_tolerance": st.floats(0.0, 1.0),
+    },
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(raw=_VALID)
+def test_config_round_trips_with_its_digest(raw):
+    config = cfg(**raw)
+    for again in (cfg(**config.to_dict()), cfg(**json.loads(json.dumps(config.to_dict())))):
+        assert again == config
+        assert again.digest() == config.digest()
+
+
+def _count_builds(monkeypatch):
+    import chainlearn.harness as harness
+
+    counts = {}
+    for name in ("build_chain", "build_epsilon_net", "invariant_measure"):
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("run", [run_bounds_calculator, run_scaling_experiment])
+def test_runs_with_both_overrides_build_no_measure_and_no_net(monkeypatch, run):
+    counts = _count_builds(monkeypatch)
+    report = run(cfg(kind="bounds", m_override=1 / 12, M_override=1 / 3))
+    assert (report.metadata["m"], report.metadata["M"]) == (1 / 12, 1 / 3)
+    assert counts == {"build_chain": 1}
+
+
+@pytest.mark.parametrize(
+    "run", [run_concentration_experiment, run_asem_experiment, run_relative_experiment]
+)
+def test_monte_carlo_runs_build_chain_net_and_measure_once(monkeypatch, run):
+    counts = _count_builds(monkeypatch)
+    run(cfg(kind="asem", n_list=[50, 80], n=50, replications=3, net_radius=0.25, pi_grid=64))
+    assert counts == {"build_chain": 1, "build_epsilon_net": 1, "invariant_measure": 1}

@@ -19,7 +19,6 @@ def test_vector_words_match_scalar_word_bit_for_bit(seed, lanes, indices):
     lane_copy, index_copy = lane_arr.copy(), index_arr.copy()
     expected = np.array([[rng.word(seed, a, i) for i in indices] for a in lanes], dtype=np.uint64)
 
-    assert np.array_equal(rng.word_array(seed, lane_arr, index_arr), expected)
     keys = rng.lane_keys(seed, lane_arr)
     key_copy = keys.copy()
     assert np.array_equal(rng.keyed_words(keys, index_arr), expected)

@@ -166,7 +166,6 @@ def test_target_range_exact_families():
 
 def test_space_descriptor():
     sp = make_space(IDENTITY)
-    assert sp.metric_tag == "euclidean-R2"
     assert 1.0 <= sp.diameter <= math.sqrt(1 + IDENTITY.lip**2)
 
 
