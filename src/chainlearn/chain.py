@@ -211,10 +211,10 @@ def invariant_candidates_audit(chain: ContractiveChain, grid_size: int) -> dict[
         "uniform_pushforward": invariant_measure(chain, grid_size),
         "arc_length": arc_length_measure(chain, grid_size),
     }
-    solved = transport.wasserstein1_exact_batch(
+    costs = transport.wasserstein1_exact_batch(
         [(m, kernel_pushforward(chain, m)) for m in candidates.values()]
     )
-    return {name: cost for name, (cost, _) in zip(candidates, solved)}
+    return dict(zip(candidates, costs))
 
 
 @dataclass(frozen=True)

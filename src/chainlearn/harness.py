@@ -166,6 +166,10 @@ class ExperimentConfig:
                 if not all(map(ok, value if entries else (value,))):
                     name = f"every {f.name} entry" if entries else f.name
                     raise ConfigError(f"{name} must {must() if callable(must) else must}")
+        try:  # the class fields against each other, checked by the class
+            build_class(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # the Poisson check bounds h's loss with the class's loss constants
         if self.kind == "poisson" and not self.y_lo <= self.poisson_h_const <= self.y_hi:
             raise ConfigError(
@@ -499,7 +503,7 @@ def run_contraction_audit(config: ExperimentConfig) -> Report:
     decay_violations = 0
     steps = range(1, config.decay_n_max + 1)
     pairs = ((n_step_kernel(chain, z0, n), pi_hat) for n in steps)
-    for n, (w1, _) in zip(steps, transport.wasserstein1_exact_batch(pairs)):
+    for n, w1 in zip(steps, transport.wasserstein1_exact_batch(pairs)):
         bound = c1 * math.exp(-c2 * n)
         ok = w1 <= bound + decay_tol + 1e-9
         decay_violations += not ok

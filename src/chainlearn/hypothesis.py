@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -35,6 +35,11 @@ class NetExplosionError(ValueError):
 
 @dataclass(frozen=True)
 class HypothesisClass:
+    """Functions [0, 1] -> [y_lo, y_hi] of one `kind`.  A bad field raises
+    a `ValueError` naming it as `harness.ExperimentConfig` spells it
+    (`class_kind` for `kind`), since the config checks its class fields by
+    making the class."""
+
     kind: Kind
     y_lo: float
     y_hi: float
@@ -43,23 +48,26 @@ class HypothesisClass:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.y_lo) or not math.isfinite(self.y_hi):
-            raise ValueError("class range must be bounded")
+            raise ValueError("y_lo and y_hi must be finite")
         if self.y_hi < self.y_lo:
-            raise ValueError("empty class range")
+            raise ValueError(f"y_hi must be at least y_lo = {self.y_lo}")
         if self.kind == "constants":
             if self.lip_bound != 0.0:
-                raise ValueError("constants class must have lip_bound 0")
+                raise ValueError("lip_bound must be 0 for class_kind constants")
         elif self.kind in ("lipschitz", "lipschitz_anchored"):
-            if self.lip_bound <= 0.0:
-                raise ValueError("lipschitz classes need lip_bound > 0")
+            if not self.lip_bound > 0.0:
+                raise ValueError(f"lip_bound must be positive for class_kind {self.kind}")
         else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise ValueError("class_kind must be one of " + ", ".join(get_args(Kind)))
         if self.kind == "lipschitz_anchored":
             if self.anchor is None:
-                raise ValueError("anchored class needs an anchor")
+                raise ValueError("anchor must be given for class_kind lipschitz_anchored")
             ax, ay = self.anchor
             if not (0.0 <= ax <= 1.0 and self.y_lo <= ay <= self.y_hi):
-                raise ValueError("anchor outside the class domain or range")
+                raise ValueError(
+                    f"anchor must lie in [0, 1] x [y_lo, y_hi] = "
+                    f"[0, 1] x [{self.y_lo}, {self.y_hi}]"
+                )
 
     @property
     def width(self) -> float:

@@ -40,13 +40,19 @@ Route 2 chooses each row's cell within its block and each column's cell
 across the blocks with `argmin`, so ties go to the lower index and the
 support does not depend on the block size.
 
-`wasserstein1_exact_batch` solves many pairs and yields their results in
-order: every certificate runs on the calling thread, in order, and the
-instances it rejects are solved by route 2 on the calling thread plus one
-helper thread per further usable CPU (`parallel.for_each`).  HiGHS
-releases the GIL, so the LPs overlap.  Each solve is computed exactly as
-alone, so no result depends on the thread, and a batch that needs no LP
-starts no thread.
+`wasserstein1_exact_batch` solves many pairs, largest first, and returns
+their costs in order.  Instances the certificate accepts are solved on the
+calling thread.  From the first instance it rejects on, each instance left
+is one work item of `parallel.for_each` (the calling thread plus one
+helper thread per further usable CPU): the staircase, the certificate
+and, only if it rejects, route 2.  HiGHS releases the GIL, so the LPs
+overlap each other and the certificates.  Certificates alone are short
+numpy steps: spreading them over two threads saved no wall time on a
+2-vCPU host, and the helper's malloc arena kept up to 4 MiB more resident
+(glibc reallocs a block in the arena that owns it, so a small block freed
+across threads can pull a later large buffer into the helper's arena).
+Each solve is computed exactly as alone, so no cost depends on the
+thread.
 
 There is no assignment route.  The only uniform measures of equal size
 the experiments compare are pairs of one-step kernels, two atoms each, and
@@ -69,8 +75,9 @@ dual lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,7 +89,6 @@ from .state_space import (
     chord_distances,
     graph_point,
     paired_chord_distances,
-    rho,
 )
 
 ATOM_CAP = 4096          # per measure, after duplicate merging
@@ -106,11 +112,14 @@ def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, rows, cols) -> np.ndarray:
     return paired_chord_distances(mu.xs[rows], mu.ys[rows], nu.xs[cols], nu.ys[cols])
 
 
-def _support_costs(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> list[float]:
+def _column(entries, k: int, dtype) -> np.ndarray:
+    """Item k of every entry (i, j, mass), in their order."""
+    return np.fromiter(map(itemgetter(k), entries), dtype, len(entries))
+
+
+def _support_costs(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> np.ndarray:
     """c_ij on the cells (i, j, mass) of `entries`, in their order."""
-    rows = np.fromiter((i for i, _, _ in entries), dtype=np.intp, count=len(entries))
-    cols = np.fromiter((j for _, j, _ in entries), dtype=np.intp, count=len(entries))
-    return _costs(mu, nu, rows, cols).tolist()
+    return _costs(mu, nu, _column(entries, 0, np.intp), _column(entries, 1, np.intp))
 
 
 def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -125,42 +134,42 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
     """Quantile coupling entries, with zero-mass tie links keeping the
     support a connected staircase tree (a degenerate transportation basis)."""
     a, b = a.tolist(), b.tolist()
+    m, n = len(a), len(b)
     entries: list[tuple[int, int, float]] = []
     i = j = 0
     ra, rb = a[0], b[0]
-    while i < len(a) and j < len(b):
-        mass = min(ra, rb)
+    while i < m and j < n:
+        mass = rb if rb < ra else ra  # min(ra, rb) without the call
         entries.append((i, j, mass))
         ra -= mass
         rb -= mass
         a_done = ra <= 1e-18
         b_done = rb <= 1e-18
         if a_done and b_done:
-            if i + 1 < len(a) and j + 1 < len(b):
+            if i + 1 < m and j + 1 < n:
                 entries.append((i + 1, j, 0.0))
             i += 1
             j += 1
-            if i < len(a):
+            if i < m:
                 ra = a[i]
-            if j < len(b):
+            if j < n:
                 rb = b[j]
         elif a_done:
             i += 1
-            if i < len(a):
+            if i < m:
                 ra = a[i]
         else:
             j += 1
-            if j < len(b):
+            if j < n:
                 rb = b[j]
     return entries
 
 
 def _plan_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> float:
-    """Sum of mass * c_ij over the entries, added in their order."""
-    total = 0.0
-    for (_, _, mass), c in zip(entries, _support_costs(mu, nu, entries)):
-        total += mass * c
-    return total
+    """Sum of mass * c_ij over the entries, added one at a time in their
+    order (`cumsum` adds sequentially)."""
+    masses = _column(entries, 2, float)
+    return float(np.cumsum(masses * _support_costs(mu, nu, entries))[-1])
 
 
 def _reduced_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, u: np.ndarray, v: np.ndarray):
@@ -188,7 +197,7 @@ def _certified_monotone(
     u: list[float | None] = [None] * m
     v: list[float | None] = [None] * n
     u[0] = 0.0
-    for (i, j, _), c in zip(stairs, _support_costs(mu, nu, stairs)):
+    for (i, j, _), c in zip(stairs, _support_costs(mu, nu, stairs).tolist()):
         if v[j] is None and u[i] is not None:
             v[j] = c - u[i]
         elif u[i] is None and v[j] is not None:
@@ -196,7 +205,7 @@ def _certified_monotone(
     if None in u or None in v:
         return None
     for _, block in _reduced_blocks(mu, nu, np.array(u), np.array(v)):
-        if not (block >= -_DUAL_TOL).all():
+        if not block.min() >= -_DUAL_TOL:  # NaN rejects too
             return None
     return [entry for entry in stairs if entry[2] > 0.0]
 
@@ -296,57 +305,77 @@ def _transportation_lp(
     ]
 
 
+def _checked(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """mu and nu merged, once both are normalized and within the atom cap."""
+    for name, m in (("mu", mu), ("nu", nu)):
+        if abs(m.weights.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{name} is not normalized: weights sum to {m.weights.sum()!r}")
+    mu = mu.merged()
+    nu = nu.merged()
+    if len(mu) > ATOM_CAP or len(nu) > ATOM_CAP:
+        raise SizeError(
+            f"{max(len(mu), len(nu))} atoms exceed the cap of {ATOM_CAP}; "
+            "pre-coarsen via quantile binning"
+        )
+    return mu, nu
+
+
+def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple[int, int, float]]:
+    """Entries of an optimal plan of a checked pair: the staircase if the
+    certificate accepts it (route 1), route 2's plan otherwise."""
+    stairs = _staircase(mu.weights, nu.weights)
+    entries = _certified_monotone(mu, nu, stairs)
+    return _transportation_lp(mu, nu, stairs) if entries is None else entries
+
+
 def wasserstein1_exact(
     mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> tuple[float, TransportPlan]:
     """Optimal transport cost between mu and nu under the Euclidean metric."""
-    return next(wasserstein1_exact_batch([(mu, nu)]))
-
-
-def wasserstein1_exact_batch(pairs) -> Iterator[tuple[float, TransportPlan]]:
-    """`wasserstein1_exact` of every pair (mu, nu) in `pairs`, yielded in
-    order.
-
-    Every certificate (route 1) runs on the calling thread, in order.  A
-    certified result is yielded at once unless an earlier instance waits
-    for its LP, so a batch that certifies everything holds one plan at a
-    time and starts no thread.  Once every certificate has run, the
-    instances it rejected are solved by route 2 through
-    `parallel.for_each`, their LPs overlapping on the usable CPUs (HiGHS
-    releases the GIL).  Each solve is computed exactly as alone, so no
-    result depends on the thread.
-    """
-    waiting, plans = [], []  # from the first rejected instance on
-    for mu, nu in pairs:
-        for name, m in (("mu", mu), ("nu", nu)):
-            if abs(m.weights.sum() - 1.0) > 1e-9:
-                raise ValueError(f"{name} is not normalized: weights sum to {m.weights.sum()!r}")
-        mu = mu.merged()
-        nu = nu.merged()
-        if len(mu) > ATOM_CAP or len(nu) > ATOM_CAP:
-            raise SizeError(
-                f"{max(len(mu), len(nu))} atoms exceed the cap of {ATOM_CAP}; "
-                "pre-coarsen via quantile binning"
-            )
-        stairs = _staircase(mu.weights, nu.weights)
-        entries = _certified_monotone(mu, nu, stairs)
-        if entries is None or waiting:
-            waiting.append((mu, nu, stairs))
-            plans.append(entries)
-        else:
-            yield _solved(mu, nu, entries)
-
-    def solve(k: int) -> None:
-        plans[k] = _transportation_lp(*waiting[k])
-
-    for_each(solve, [k for k, entries in enumerate(plans) if entries is None])
-    for (mu, nu, _), entries in zip(waiting, plans):
-        yield _solved(mu, nu, entries)
-
-
-def _solved(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> tuple[float, TransportPlan]:
+    mu, nu = _checked(mu, nu)
+    entries = _optimal_plan(mu, nu)
     total = _plan_cost(mu, nu, entries)
     return total, TransportPlan(tuple(entries), total)
+
+
+def wasserstein1_exact_batch(pairs) -> list[float]:
+    """The cost of `wasserstein1_exact` of every pair (mu, nu) in `pairs`,
+    in their order.
+
+    Every pair is checked and merged on the calling thread before any solve
+    starts, so the first bad pair raises there.  The instances are then
+    solved largest (m * n) first, and only each plan's cost is kept.  The
+    calling thread solves them in turn while the certificate accepts; from
+    the first instance it rejects on, each instance left is one work item
+    of `parallel.for_each`: the staircase, the certificate and, only if it
+    rejects, the restricted LP.  Each solve is computed exactly as alone, so
+    no cost depends on the thread.
+    """
+    checked = [_checked(mu, nu) for mu, nu in pairs]
+    costs = [0.0] * len(checked)
+    order = sorted(
+        range(len(checked)), key=lambda k: len(checked[k][0]) * len(checked[k][1]), reverse=True
+    )
+    for i, first in enumerate(order):
+        mu, nu = checked[first]
+        stairs = _staircase(mu.weights, nu.weights)
+        entries = _certified_monotone(mu, nu, stairs)
+        if entries is None:
+            break
+        costs[first] = _plan_cost(mu, nu, entries)
+    else:
+        return costs
+
+    def solve(k: int) -> None:
+        mu, nu = checked[k]
+        if k == first:  # its certificate rejected above
+            entries = _transportation_lp(mu, nu, stairs)
+        else:
+            entries = _optimal_plan(mu, nu)
+        costs[k] = _plan_cost(mu, nu, entries)
+
+    for_each(solve, order[i:])
+    return costs
 
 
 def wasserstein1_monotone_upper(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -422,16 +451,19 @@ def contraction_audit(chain, pair_count: int, seed: int = 0) -> ContractionAudit
         while x2[i] == x1[i]:  # degenerate pair: resample deterministically
             x2[i] = rng.uniform(s, i, bump)
             bump += 1
-    rows = []
-    sup = -1.0
-    worst = None
-    for a, b, w1 in zip(x1.tolist(), x2.tolist(), one_step_w1(chain, x1, x2).tolist()):
-        z1 = graph_point(a, target)
-        z2 = graph_point(b, target)
-        d = rho(z1, z2)
-        ratio = w1 / d
-        rows.append((a, b, d, w1, ratio))
-        if ratio > sup:
-            sup = ratio
-            worst = (z1, z2)
-    return ContractionAudit(sup, worst, tuple(rows))
+    y1, y2 = (_graph_ys(xs, target) for xs in (x1, x2))
+    w1 = one_step_w1(chain, x1, x2)
+    d = np.fromiter(map(math.hypot, x1 - x2, y1 - y2), float, pair_count)
+    ratio = w1 / d
+    k = int(np.argmax(ratio))  # the first maximum, as a loop with a strict > keeps
+    worst = (StatePoint(x1[k].item(), y1[k].item()), StatePoint(x2[k].item(), y2[k].item()))
+    rows = zip(x1.tolist(), x2.tolist(), d.tolist(), w1.tolist(), ratio.tolist())
+    return ContractionAudit(ratio[k].item(), worst, tuple(rows))
+
+
+def _graph_ys(xs: np.ndarray, target) -> np.ndarray:
+    """f(xs), with `graph_point`'s error for an x outside the domain."""
+    outside = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))
+    if outside.size:
+        graph_point(xs[outside[0]].item(), target)  # raises
+    return np.asarray(target(xs), dtype=float)

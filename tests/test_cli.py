@@ -411,3 +411,47 @@ def test_cli_poisson_h_range_binds_only_the_poisson_check(tmp_path):
         "net_radius": 0.25, "pi_grid": 64,
     })
     assert main(["concentration", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+
+
+CLASS_CASES = [
+    ({"y_lo": 1.0, "y_hi": 0.0}, "y_hi must be at least y_lo = 1.0"),
+    ({"class_kind": "constants", "lip_bound": 2.0},
+     "lip_bound must be 0 for class_kind constants"),
+    ({"class_kind": "lipschitz"}, "lip_bound must be positive for class_kind lipschitz"),
+    ({"class_kind": "lipschitz_anchored", "lip_bound": -1.0},
+     "lip_bound must be positive for class_kind lipschitz_anchored"),
+    ({"class_kind": "lipschitz_anchored", "lip_bound": 1.0},
+     "anchor must be given for class_kind lipschitz_anchored"),
+    ({"class_kind": "lipschitz_anchored", "lip_bound": 1.0, "anchor": [0.5, 2.0]},
+     "anchor must lie in [0, 1] x [y_lo, y_hi] = [0, 1] x [0.0, 1.0]"),
+    ({"class_kind": "lipschitz_anchored", "lip_bound": 1.0, "anchor": [-0.5, 0.5]},
+     "anchor must lie in [0, 1] x [y_lo, y_hi] = [0, 1] x [0.0, 1.0]"),
+    ({"class_kind": "holder"},
+     "class_kind must be one of constants, lipschitz, lipschitz_anchored"),
+]
+
+
+@pytest.mark.parametrize("subcommand", sorted(chainlearn.cli._SUBCOMMANDS))
+@pytest.mark.parametrize(
+    "payload, message", CLASS_CASES, ids=[f"case{i}" for i in range(len(CLASS_CASES))]
+)
+def test_cli_rejects_class_fields_against_each_other(tmp_path, capsys, monkeypatch,
+                                                     subcommand, payload, message):
+    # checked at load time for every subcommand, also those that never build
+    # the class, in one line that names the field
+    import chainlearn.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: calls.append(config))
+    config = write_config(tmp_path, "c.json", {"kind": "lemma", **payload})
+    assert main([subcommand, "--config", config]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+
+
+def test_cli_accepts_a_consistent_anchored_class(tmp_path):
+    config = write_config(tmp_path, "c.json", {
+        "kind": "lemma", "class_kind": "lipschitz_anchored", "lip_bound": 1.0,
+        "anchor": [0.0, 1.0], "lemma_probes": 4,
+    })
+    assert main(["lemma-check", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0

@@ -579,7 +579,6 @@ _VALID = st.fixed_dictionaries(
         "x0": st.floats(0.0, 1.0),
         "y_lo": st.floats(-5.0, 0.0),
         "y_hi": st.floats(1.0, 5.0),
-        "lip_bound": st.floats(0.0, 5.0),
         "anchor": st.none() | st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
         "net_radius": _POSITIVE,
         "master_seed": st.integers(-(2**70), 2**70),
@@ -600,6 +599,21 @@ _VALID = st.fixed_dictionaries(
         "lemma_tolerance": st.floats(0.0, 1.0),
     },
 )
+# the class fields, which must agree with each other: constants have
+# lip_bound 0, the Lipschitz classes a positive one, and an anchored class an
+# anchor inside [0, 1] x [y_lo, y_hi] (every y range drawn above holds [0, 1])
+_LIP = st.floats(0.0, 5.0, exclude_min=True)
+_ANCHOR = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)
+_CLASS = st.one_of(
+    st.fixed_dictionaries(
+        {}, optional={"class_kind": st.just("constants"), "lip_bound": st.just(0.0)}
+    ),
+    st.fixed_dictionaries({"class_kind": st.just("lipschitz"), "lip_bound": _LIP}),
+    st.fixed_dictionaries(
+        {"class_kind": st.just("lipschitz_anchored"), "lip_bound": _LIP, "anchor": _ANCHOR}
+    ),
+)
+_VALID = st.builds(lambda fields, cls: {**fields, **cls}, _VALID, _CLASS)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -1,9 +1,11 @@
-"""Pinned bytes of the simulator and its two folds.
+"""Pinned bytes of the simulator, its two folds and the identity audit.
 
-Each pin is the sha256 of little-endian float64 outputs at a fixed small
-input.  None of these outputs goes through BLAS (the one-atom measure
-makes the true error a product), so a moved bit anywhere in the bit
-draw, the recursion, the Poisson fold or the hat moments fails here.
+Each simulator pin is the sha256 of little-endian float64 outputs at a
+fixed small input.  None of these outputs goes through BLAS (the one-atom
+measure makes the true error a product), so a moved bit anywhere in the
+bit draw, the recursion, the Poisson fold or the hat moments fails here.
+The identity contraction audit certifies every W1 solve, so its report
+goes through neither BLAS nor HiGHS and is pinned as CSV bytes.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from chainlearn import chain as chain_module
 from chainlearn import rng
 from chainlearn.bounds import ModelConstants, poisson_estimate
 from chainlearn.chain import ContractiveChain, simulate_x_blocks
+from chainlearn.harness import ExperimentConfig, render_report, run_contraction_audit
 from chainlearn.hypothesis import HatMoments, Hypothesis
 from chainlearn.loss import LossConstants
 from chainlearn.state_space import DiscreteMeasure, make_space, make_target
@@ -87,3 +90,12 @@ def test_hat_moments_fold_is_pinned(knots):
         5: "ed06fb43b34e0733217748d0b14b6e1f5c6bdada0a4c324c444e3896dec1c55e",
     }
     assert digest(total.gram_diag, total.gram_off, total.cross, total.square) == pins[knots]
+
+
+def test_identity_contraction_audit_is_pinned():
+    config = ExperimentConfig(kind="contraction", target_name="identity", pair_count=300,
+                              decay_n_max=9, decay_grid=512, master_seed=5)
+    text = render_report(run_contraction_audit(config), "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aa3606bf83d9759d0ce58823b1cc9e7c882d51dcf79d1b35a11d7e5237b42d9c"
+    )

@@ -386,41 +386,123 @@ def batch_pairs():
     return tent[:3] + identity[:1] + tent[3:] + identity[1:]
 
 
+def spy_solves(monkeypatch):
+    """Record (thread name, mu weights, nu weights) of every instance as its
+    staircase, the first step of its solve, is built."""
+    import chainlearn.transport as tr
+
+    started = []
+    real = tr._staircase
+
+    def spy(a, b):
+        started.append((threading.current_thread().name, a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(tr, "_staircase", spy)
+    return started
+
+
+def spy_pools(monkeypatch):
+    """The helper counts of every thread pool started."""
+    import concurrent.futures
+
+    pools = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Spy(real):
+        def __init__(self, workers, *args, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return pools
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_batch_equals_one_by_one_calls(monkeypatch, workers):
+    # every cost bit for bit as `wasserstein1_exact` gives it alone, whichever
+    # thread solved it, also when threads switch as often as they can; the
+    # batch spreads from its fifth instance by size, the first the
+    # certificate rejects, and certified and LP instances follow it
     import chainlearn.parallel as parallel
     import chainlearn.transport as tr
 
     pairs = batch_pairs()
-    alone = [wasserstein1_exact(mu, nu) for mu, nu in pairs]
+    alone = [wasserstein1_exact(mu, nu)[0] for mu, nu in pairs]
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    pools = spy_pools(monkeypatch)
     interval = sys.getswitchinterval()
     for switch in (interval, 1e-6):
         sys.setswitchinterval(switch)
         try:
-            batch = list(tr.wasserstein1_exact_batch(pairs))
+            batch = tr.wasserstein1_exact_batch(pairs)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal([d for d, _ in batch], [d for d, _ in alone])
-        assert [plan for _, plan in batch] == [plan for _, plan in alone]
+        assert [d.hex() for d in batch] == [d.hex() for d in alone]
+    assert pools == ([workers - 1] * 2 if workers > 1 else [])
 
 
-def test_batch_yields_certified_results_before_the_next_certificate(monkeypatch):
-    # a certified result is not held back unless an earlier instance waits
-    # for its LP, so an all-certified batch holds one plan at a time
+def test_batch_starts_items_largest_first(monkeypatch):
+    # by m * n, and pairs of equal size in their input order (the batch has
+    # two 32 x 64 pairs); no pair here merges atoms, so each solve gets the
+    # measures it was given
+    import chainlearn.parallel as parallel
     import chainlearn.transport as tr
 
-    calls = []
-    real = tr._certified_monotone
-    monkeypatch.setattr(tr, "_certified_monotone", lambda *a: calls.append(1) or real(*a))
-    identity = [
-        (n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), n), invariant_measure(CHAIN, 64))
-        for n in range(1, 5)
-    ]
-    assert [len(calls) for _ in tr.wasserstein1_exact_batch(identity)] == [1, 2, 3, 4]
-    calls.clear()
-    mixed = identity[:1] + lp_block_pairs()[:1] + identity[1:]
-    assert [len(calls) for _ in tr.wasserstein1_exact_batch(mixed)] == [1, 5, 5, 5, 5]
+    pairs = batch_pairs()
+    started = spy_solves(monkeypatch)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    tr.wasserstein1_exact_batch(pairs)
+    sizes = [len(mu) * len(nu) for mu, nu in pairs]
+    assert sizes.count(32 * 64) == 2
+    order = sorted(range(len(pairs)), key=lambda k: (-sizes[k], k))
+    assert len(started) == len(pairs)
+    assert all(a is pairs[k][0].weights and b is pairs[k][1].weights
+               for (_, a, b), k in zip(started, order))
+
+
+@pytest.mark.parametrize(
+    "cpus, pairs",
+    [
+        ({0}, batch_pairs()),
+        ({0, 1, 2}, batch_pairs()[:1]),
+        ({0, 1, 2}, batch_pairs()[3::5]),
+    ],
+    ids=["one-cpu", "one-pair", "all-certified"],
+)
+def test_batch_without_a_pool(monkeypatch, cpus, pairs):
+    # one usable CPU, one pair, or a batch the certificate accepts whole (the
+    # two identity kernels, at 3 and 8) runs on the calling thread alone
+    import chainlearn.parallel as parallel
+    import chainlearn.transport as tr
+
+    pools = spy_pools(monkeypatch)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: cpus)
+    started = spy_solves(monkeypatch)
+    assert tr.wasserstein1_exact_batch(pairs) == [wasserstein1_exact(*p)[0] for p in pairs]
+    assert pools == []
+    assert {name for name, _, _ in started} == {threading.current_thread().name}
+
+
+@pytest.mark.parametrize("bad", ["unnormalized", "oversized"])
+def test_batch_checks_every_pair_before_any_solve(monkeypatch, bad):
+    # the first bad pair raises on the calling thread, before any instance
+    # starts, even when later pairs are good
+    import chainlearn.transport as tr
+
+    pairs = batch_pairs()
+    if bad == "unnormalized":
+        mu = DiscreteMeasure([0.1], [0.1], [0.5], normalize_check=False)
+        error, match = ValueError, "not normalized"
+    else:
+        xs = np.arange(4097) / 4097
+        mu = DiscreteMeasure.on_graph(IDENTITY, xs, np.full(4097, 1.0 / 4097))
+        error, match = SizeError, "exceed the cap"
+    pairs.insert(3, (mu, DiscreteMeasure([0.5], [0.5], [1.0])))
+    started = spy_solves(monkeypatch)
+    with pytest.raises(error, match=match):
+        tr.wasserstein1_exact_batch(pairs)
+    assert started == []
 
 
 def test_batch_lp_error_in_a_worker_reaches_the_caller(monkeypatch):
@@ -479,6 +561,124 @@ def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
     assert used == "_transportation_lp"
     dense = dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu))
     assert d == pytest.approx(dense, rel=1e-12)
+
+
+def generator_cells(entries):
+    """Rows and columns of the entries as the solver once built them, one
+    generator per array."""
+    rows = np.fromiter((i for i, _, _ in entries), dtype=np.intp, count=len(entries))
+    cols = np.fromiter((j for _, j, _ in entries), dtype=np.intp, count=len(entries))
+    return rows, cols
+
+
+def looped_plan_cost(mu, nu, entries):
+    """Sum of mass * c_ij added one entry at a time in a Python loop."""
+    import chainlearn.transport as tr
+
+    total = 0.0
+    for (_, _, mass), c in zip(entries, tr._costs(mu, nu, *generator_cells(entries)).tolist()):
+        total += mass * c
+    return total
+
+
+def random_plans():
+    """Staircases, LP plans and random entry lists on random tent measures."""
+    import chainlearn.transport as tr
+
+    s = rng.derive(23, rng.PROBE)
+    for trial in range(12):
+        mu = random_measure(TENT, 3 + 9 * trial, lane=trial, seed=17).merged()
+        nu = random_measure(TENT, 80 - 6 * trial, lane=50 + trial, seed=17).merged()
+        stairs = tr._staircase(mu.weights, nu.weights)
+        yield mu, nu, stairs
+        yield mu, nu, tr._transportation_lp(mu, nu, stairs)
+        k = np.arange(40)
+        i = (rng.uniform_array(s, k, np.full(40, 3 * trial)) * len(mu)).astype(int)
+        j = (rng.uniform_array(s, k, np.full(40, 3 * trial + 1)) * len(nu)).astype(int)
+        mass = rng.uniform_array(s, k, np.full(40, 3 * trial + 2)) * 10.0 ** -(trial % 5)
+        yield mu, nu, list(zip(i.tolist(), j.tolist(), mass.tolist()))
+
+
+def test_plan_cost_and_support_costs_equal_the_loops_bit_for_bit():
+    import chainlearn.transport as tr
+
+    for mu, nu, entries in random_plans():
+        rows, cols = generator_cells(entries)
+        want = tr._costs(mu, nu, rows, cols)
+        assert [c.hex() for c in tr._support_costs(mu, nu, entries).tolist()] == [
+            c.hex() for c in want.tolist()
+        ]
+        masses = tr._column(entries, 2, float)
+        assert [m.hex() for m in masses.tolist()] == [m.hex() for _, _, m in entries]
+        assert tr._plan_cost(mu, nu, entries).hex() == looped_plan_cost(mu, nu, entries).hex()
+
+
+def builtin_min_staircase(a, b):
+    """`_staircase` as it was written with the builtin `min` and `len` calls."""
+    a, b = a.tolist(), b.tolist()
+    entries = []
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while i < len(a) and j < len(b):
+        mass = min(ra, rb)
+        entries.append((i, j, mass))
+        ra -= mass
+        rb -= mass
+        a_done = ra <= 1e-18
+        b_done = rb <= 1e-18
+        if a_done and b_done:
+            if i + 1 < len(a) and j + 1 < len(b):
+                entries.append((i + 1, j, 0.0))
+            i += 1
+            j += 1
+            if i < len(a):
+                ra = a[i]
+            if j < len(b):
+                rb = b[j]
+        elif a_done:
+            i += 1
+            if i < len(a):
+                ra = a[i]
+        else:
+            j += 1
+            if j < len(b):
+                rb = b[j]
+    return entries
+
+
+def test_staircase_equals_the_builtin_min_loop():
+    # random, dyadic (exact ties) and uniform weights, on both sides
+    import chainlearn.transport as tr
+
+    weights = [np.full(8, 1 / 8), np.full(64, 1 / 64), np.full(3, 1 / 3)]
+    for trial in range(10):
+        weights.append(random_measure(TENT, 5 + 7 * trial, lane=trial, seed=31).weights)
+        weights.append(random_measure(TENT, 4 + trial, lane=40 + trial, seed=31,
+                                      dyadic=True).weights)
+    for a in weights:
+        for b in weights:
+            got, want = tr._staircase(a, b), builtin_min_staircase(a, b)
+            assert [(i, j, m.hex()) for i, j, m in got] == [(i, j, m.hex()) for i, j, m in want]
+
+
+def test_certificate_block_minimum_decides_as_the_elementwise_check():
+    # `block.min() >= -tol` accepts exactly the blocks that `(block >= -tol).all()`
+    # accepts, a NaN anywhere rejecting in both
+    import chainlearn.transport as tr
+
+    tol = tr._DUAL_TOL
+    s = rng.derive(29, rng.PROBE)
+    edges = np.array([-tol, np.nextafter(-tol, -1.0), np.nextafter(-tol, 1.0), 0.0, -0.0])
+    accepted = []
+    for trial in range(200):
+        cells = rng.uniform_array(s, np.arange(48), np.full(48, trial)).reshape(6, 8)
+        block = cells * 1e-9 - 2e-11 * (trial % 3)
+        block[trial % 6, trial % 8] = edges[trial % edges.size]
+        if trial % 7 == 0:
+            block[(trial // 7) % 6, 3] = np.nan
+        accepted.append(bool(block.min() >= -tol))
+        assert accepted[-1] == bool((block >= -tol).all())
+    assert 0 < sum(accepted) < len(accepted)
 
 
 def test_symmetry_and_triangle():
@@ -597,6 +797,65 @@ def test_contraction_bound_all_lipschitz_targets():
         chain = ContractiveChain(make_space(target))
         audit = contraction_audit(chain, pair_count=200, seed=4)
         assert audit.sup_ratio <= math.sqrt(1 + target.lip**2) / 2 + 1e-9
+
+
+def looped_audit(chain, pair_count, seed):
+    """`contraction_audit` as one loop over the pairs: one `graph_point` and
+    one `rho` per pair, the worst pair kept on a strict >."""
+    from chainlearn.chain import one_step_w1
+
+    target = chain.space.target
+    s = rng.derive(seed, rng.PAIR_SAMPLING)
+    lanes = np.arange(pair_count)
+    x1 = rng.uniform_array(s, lanes, np.zeros_like(lanes))
+    x2 = rng.uniform_array(s, lanes, np.ones_like(lanes))
+    for i in np.flatnonzero(x1 == x2).tolist():
+        bump = 2
+        while x2[i] == x1[i]:
+            x2[i] = rng.uniform(s, i, bump)
+            bump += 1
+    rows, sup, worst = [], -1.0, None
+    for a, b, w1 in zip(x1.tolist(), x2.tolist(), one_step_w1(chain, x1, x2).tolist()):
+        z1, z2 = graph_point(a, target), graph_point(b, target)
+        d = rho(z1, z2)
+        rows.append((a, b, d, w1, w1 / d))
+        if w1 / d > sup:
+            sup, worst = w1 / d, (z1, z2)
+    return sup, worst, tuple(rows)
+
+
+AUDIT_TARGETS = {
+    "identity": IDENTITY,
+    "tent": TENT,
+    "quadratic": make_target("quadratic"),
+    "affine": make_target("affine", a=-0.7, b=0.9),
+    "constant": make_target("constant", c=0.3),
+}
+
+
+@pytest.mark.parametrize("name", AUDIT_TARGETS)
+def test_contraction_audit_arrays_equal_the_pair_loop_bit_for_bit(name):
+    chain = ContractiveChain(make_space(AUDIT_TARGETS[name]))
+    for pair_count, seed in ((1, 1), (500, 7), (3000, 20211008)):
+        audit = contraction_audit(chain, pair_count, seed)
+        sup, worst, rows = looped_audit(chain, pair_count, seed)
+        assert audit.sup_ratio.hex() == sup.hex() and audit.worst_pair == worst
+        assert len(audit.rows) == len(rows)
+        for got, want in zip(audit.rows, rows):
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_contraction_audit_keeps_the_domain_error(monkeypatch):
+    real = rng.uniform_array
+
+    def outside(seed, lanes, indices):
+        out = real(seed, lanes, indices)
+        out[3] = 1.5
+        return out
+
+    monkeypatch.setattr(rng, "uniform_array", outside)
+    with pytest.raises(ValueError, match=r"x=1\.5 outside the domain \[0, 1\]"):
+        contraction_audit(CHAIN, pair_count=10, seed=1)
 
 
 def solver_audit_rows(chain, pair_count, seed):
