@@ -72,6 +72,10 @@ _VALUE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (_is_finite, "a finite number"),
     "Optional[float]": (lambda v: v is None or _is_finite(v), "a finite number"),
+    "Optional[tuple[float, float]]": (
+        lambda v: v is None or (isinstance(v, tuple) and len(v) == 2 and all(map(_is_finite, v))),
+        "a list of two finite numbers",
+    ),
     "dict": (lambda v: isinstance(v, dict), "an object"),
 }
 _ENTRY_CHECKS = {
@@ -106,8 +110,10 @@ class ExperimentConfig:
     config is made, in field order, and the first failure raises a
     `ConfigError` naming the field.  The ranges are the hypotheses of the
     bounds (ε > 0, δ ∈ (0, 1), a positive net radius, a Hölder covering
-    bound ln N ≤ C·r^(-2d/γ) with C > 0, d ≥ 1 and γ ∈ (0, 1]) and the
-    least grids and counts that a run can work with."""
+    bound ln N ≤ C·r^(-2d/γ) with C > 0, d ≥ 1 and γ ∈ (0, 1], overridden
+    constants η ∈ (0, 1), C1 > 0 and 0 < m ≤ M) and the least grids and
+    counts that a run can work with.  The target and the class are checked
+    by making them."""
 
     kind: str = _one_of(MISSING, lambda: RUNNERS)
     target_name: str = "identity"
@@ -134,10 +140,10 @@ class ExperimentConfig:
     decay_n_max: int = _ranged(12, lambda v: 1 <= v <= 12, "lie in 1..12")
     decay_grid: int = _at_least(2, 4096)
     opt_refinement: int = _at_least(1, 8)
-    eta_override: Optional[float] = None
-    c1_override: Optional[float] = None
-    m_override: Optional[float] = None
-    M_override: Optional[float] = None
+    eta_override: Optional[float] = _ranged(None, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+    c1_override: Optional[float] = _positive(None)
+    m_override: Optional[float] = _positive(None)
+    M_override: Optional[float] = _positive(None)
     poisson_grid: int = _at_least(2, 64)
     poisson_rollouts: int = _at_least(1, 10_000)
     poisson_h_const: float = 0.5
@@ -160,12 +166,24 @@ class ExperimentConfig:
                 ok, what = _ENTRY_CHECKS[f.type]
                 if not all(ok(v) for v in value):
                     raise ConfigError(f"every {f.name} entry must be {what}, got {list(value)!r}")
-            if "range" in f.metadata:
+            if "range" in f.metadata and value is not None:
                 ok, must = f.metadata["range"]
                 entries = isinstance(value, tuple)
                 if not all(map(ok, value if entries else (value,))):
                     name = f"every {f.name} entry" if entries else f.name
                     raise ConfigError(f"{name} must {must() if callable(must) else must}")
+        if not all(map(_is_finite, self.target_params.values())):
+            raise ConfigError(
+                f"every target_params value must be a finite number, got {self.target_params!r}"
+            )
+        try:  # the target, checked by making it
+            make_target(self.target_name, **self.target_params)
+        except ValueError as exc:
+            raise ConfigError(
+                f"target_name {self.target_name!r} with target_params {self.target_params}: {exc}"
+            ) from None
+        if None not in (self.m_override, self.M_override) and self.m_override > self.M_override:
+            raise ConfigError(f"m_override must be at most M_override = {self.M_override}")
         try:  # the class fields against each other, checked by the class
             build_class(self)
         except ValueError as exc:
@@ -191,14 +209,8 @@ class ExperimentConfig:
                 if not isinstance(raw[key], (list, tuple)):
                     raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
                 raw[key] = tuple(raw[key])
-        anchor = raw.get("anchor")
-        if anchor is not None:
-            if not isinstance(anchor, (list, tuple)) or len(anchor) != 2:
-                raise ConfigError(f"anchor must be a list of two numbers, got {anchor!r}")
-            try:
-                raw["anchor"] = (float(anchor[0]), float(anchor[1]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"anchor must be a list of two numbers, got {anchor!r}") from exc
+        if isinstance(raw.get("anchor"), (list, tuple)):  # numbers as floats, for the digest
+            raw["anchor"] = tuple(float(v) if _is_finite(v) else v for v in raw["anchor"])
         try:
             return cls(**raw)
         except TypeError as exc:

@@ -30,7 +30,7 @@ Kind = Literal["constants", "lipschitz", "lipschitz_anchored"]
 
 
 class NetExplosionError(ValueError):
-    """The requested net would exceed the enumeration cap."""
+    """A net past the cap on enumeration, or a lattice past the cap on counting."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,17 @@ class HypothesisClass:
                 raise ValueError(f"lip_bound must be positive for class_kind {self.kind}")
         else:
             raise ValueError("class_kind must be one of " + ", ".join(get_args(Kind)))
-        if self.kind == "lipschitz_anchored":
-            if self.anchor is None:
-                raise ValueError("anchor must be given for class_kind lipschitz_anchored")
-            ax, ay = self.anchor
-            if not (0.0 <= ax <= 1.0 and self.y_lo <= ay <= self.y_hi):
-                raise ValueError(
-                    f"anchor must lie in [0, 1] x [y_lo, y_hi] = "
-                    f"[0, 1] x [{self.y_lo}, {self.y_hi}]"
-                )
+        if self.kind != "lipschitz_anchored":
+            if self.anchor is not None:
+                raise ValueError(f"anchor must not be given for class_kind {self.kind}")
+            return
+        if self.anchor is None:
+            raise ValueError("anchor must be given for class_kind lipschitz_anchored")
+        ax, ay = self.anchor
+        if not (0.0 <= ax <= 1.0 and self.y_lo <= ay <= self.y_hi):
+            raise ValueError(
+                f"anchor must lie in [0, 1] x [y_lo, y_hi] = [0, 1] x [{self.y_lo}, {self.y_hi}]"
+            )
 
     @property
     def width(self) -> float:
@@ -262,64 +264,46 @@ def _lattice(cls: HypothesisClass, step: float) -> np.ndarray:
 
 
 def _path_count(levels: int, knots: int, pinned: Optional[tuple[int, int]]) -> int:
-    """Number of index paths of the given length with steps in {-1, 0, 1}."""
-    ways = np.zeros(levels, dtype=object)
-    if pinned is not None and pinned[0] == 0:
-        ways[pinned[1]] = 1
-    else:
-        ways[:] = 1
-    for k in range(1, knots):
-        nxt = np.zeros(levels, dtype=object)
-        for v in range(levels):
-            lo, hi = max(0, v - 1), min(levels - 1, v + 1)
-            nxt[v] = sum(ways[lo : hi + 1])
-        if pinned is not None and pinned[0] == k:
-            mask = np.zeros(levels, dtype=object)
-            mask[pinned[1]] = nxt[pinned[1]]
-            nxt = mask
-        ways = nxt
-    return int(ways.sum())
+    """Walks over the knots with steps in {-1, 0, 1} on `levels` levels, swept
+    knot by knot in Python ints.  The walks through a pinned (p, q) join one
+    over p + 1 knots ending at q to one over the other knots starting at q,
+    and as many walks start at q as end there."""
+    p, q = pinned or (knots - 1, 0)
+    ways = np.ones(levels, dtype=object)  # walks over the knots so far, by their last level
+    at_q = [ways[q]]
+    for _ in range(max(p, knots - 1 - p)):
+        last = ways.copy()
+        ways[1:] += last[:-1]
+        ways[:-1] += last[1:]
+        at_q.append(ways[q])
+    return at_q[p] * at_q[knots - 1 - p] if pinned else int(ways.sum())
 
 
 def _lipschitz_paths(
     cls: HypothesisClass, eps: float
 ) -> tuple[np.ndarray, int, Optional[tuple[int, int]], int]:
-    """Lattice, knot count, pinned (knot, level) of the anchor and member
-    count of the Lipschitz net; raises before counting a net past the cap."""
+    """Lattice, knot count, pinned (knot, level) of the anchor and exact member
+    count of the Lipschitz net; raises for levels x knots, the work of counting, past the cap."""
     lam = cls.lip_bound
     if 2.0 * lam / eps == math.inf:  # a lattice step that underflows to 0
         raise _oversized(eps)
     cells = max(1, math.ceil(2.0 * lam / eps - 1e-9))
-    spacing = 1.0 / cells
-    step = lam * spacing  # lattice step == max knot move, <= eps/2
+    step = lam * (1.0 / cells)  # lattice step == max knot move, <= eps/2
     knots = cells + 1
-    # with two or more levels (_lattice's test for k = 1) every start has two
-    # moves or more at each knot, so it begins at least 2**(knots-1) paths;
-    # an anchored net starts at the anchor, an unanchored one at every level
-    # (more than width/step - 1 of them)
-    starts = max(cls.width / step - 1.0, 1.0) if cls.kind == "lipschitz" else 1.0
-    two_levels = cls.y_lo + 1.5 * step <= cls.y_hi + 1e-12
-    if two_levels and math.log2(starts) + knots - 1 > math.log2(NET_SIZE_CAP):
-        raise _oversized(eps)
+    if (cls.width / step + 1.0) * knots > NET_SIZE_CAP:  # about _lattice's levels x knots
+        raise NetExplosionError(f"net for eps={eps} has too many lattice points to count")
     lattice = _lattice(cls, step)
-
     pinned = None
     if cls.kind == "lipschitz_anchored":
         ax, ay = cls.anchor
         pinned = (int(round(ax * cells)), int(np.argmin(np.abs(lattice - ay))))
-
-    total = _path_count(lattice.size, knots, pinned)
-    if total > NET_SIZE_CAP:
-        raise _oversized(eps)
-    if total == 0:
-        raise ValueError("anchored construction produced no feasible member")
-    return lattice, knots, pinned, total
+    return lattice, knots, pinned, _path_count(lattice.size, knots, pinned)
 
 
 def covering_count(cls: HypothesisClass, eps: float) -> int:
     """Cardinality of the net `build_epsilon_net` constructs at radius eps,
-    an upper bound for the class covering number, counted without building
-    the net.  Constants nets are counted past the enumeration cap."""
+    an upper bound for the class covering number, counted exactly without
+    building the net, past the enumeration cap too."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if cls.kind == "constants":
@@ -339,7 +323,9 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
         values = cls.y_lo + (np.arange(count) + 0.5) * (cls.width / count)
         return HypothesisNet(tuple(Hypothesis((float(v),)) for v in values), eps, cls)
 
-    lattice, knots, pinned, _ = _lipschitz_paths(cls, eps)
+    lattice, knots, pinned, count = _lipschitz_paths(cls, eps)
+    if count > NET_SIZE_CAP:
+        raise _oversized(eps)
     levels = lattice.size
     # depth-first over (knot, level) with an explicit stack, pushed in
     # reverse so members come out in lexicographic order of their paths

@@ -27,10 +27,6 @@ Solver strategy, in order:
     the m x n cells.  One cell per row and column, not two, keeps each
     restricted LP small: HiGHS time grows with the support, and on the
     tent decay solves the extra rounds cost less than the larger LPs did.
-    With the block pricing below, the twelve solves n = 1..12, one at a
-    time on a 2-core host, went from 0.57-0.84 s to 0.50-0.65 s against
-    the 1024-point grid and from 5.2-7.0 s to 3.1-3.8 s against 4096
-    points, every cost bit for bit unchanged.
 
 Neither route builds the m x n cost matrix.  Both price the cells one
 block of rows of about `_BLOCK_CELLS` cells at a time, in one reused

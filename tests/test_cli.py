@@ -170,7 +170,9 @@ def test_cli_rejects_non_integer_int_fields(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n_list", 5), ("eps_list", 0.1), ("anchor", 1), ("anchor", [0.5]), ("anchor", [[0.5], 0.5])],
+    [("n_list", 5), ("eps_list", 0.1), ("anchor", 1), ("anchor", [0.5]), ("anchor", [[0.5], 0.5]),
+     ("anchor", ["0.5", "0.5"]), ("anchor", [True, 0.5]), ("anchor", [0.5, math.nan]),
+     ("anchor", {"x": 0.5, "y": 0.5})],
 )
 def test_cli_rejects_malformed_list_fields(tmp_path, capsys, field, value):
     config = write_config(tmp_path, "c.json", {"kind": "concentration", field: value})
@@ -428,6 +430,9 @@ CLASS_CASES = [
      "anchor must lie in [0, 1] x [y_lo, y_hi] = [0, 1] x [0.0, 1.0]"),
     ({"class_kind": "holder"},
      "class_kind must be one of constants, lipschitz, lipschitz_anchored"),
+    ({"anchor": [0.5, 0.5]}, "anchor must not be given for class_kind constants"),
+    ({"class_kind": "lipschitz", "lip_bound": 1.0, "anchor": [0.5, 0.5]},
+     "anchor must not be given for class_kind lipschitz"),
 ]
 
 
@@ -455,3 +460,69 @@ def test_cli_accepts_a_consistent_anchored_class(tmp_path):
         "anchor": [0.0, 1.0], "lemma_probes": 4,
     })
     assert main(["lemma-check", "--config", config, "--out", str(tmp_path / "r.csv")]) == 0
+
+
+TARGET_AND_OVERRIDE_CASES = [
+    ({"target_name": "constant", "target_params": {"c": math.inf}},
+     "every target_params value must be a finite number, got {'c': inf}"),
+    ({"target_name": "constant", "target_params": {"c": "0.3"}},
+     "every target_params value must be a finite number, got {'c': '0.3'}"),
+    ({"target_name": "constant", "target_params": {"c": True}},
+     "every target_params value must be a finite number, got {'c': True}"),
+    ({"target_name": "affine", "target_params": {"a": 2.0}},
+     "target_name 'affine' with target_params {'a': 2.0}: "
+     "Lipschitz bound must lie in [0, sqrt(3)), got 2.0"),
+    ({"target_name": "sine"},
+     "target_name 'sine' with target_params {}: unknown target function 'sine'"),
+    ({"eta_override": -1}, "eta_override must lie in (0, 1)"),
+    ({"eta_override": 1}, "eta_override must lie in (0, 1)"),
+    ({"c1_override": -3}, "c1_override must be positive"),
+    ({"m_override": 0.0}, "m_override must be positive"),
+    ({"M_override": -1}, "M_override must be positive"),
+    ({"m_override": 5, "M_override": 1}, "m_override must be at most M_override = 1"),
+]
+
+
+@pytest.mark.parametrize("subcommand", ["lemma-check", "bounds"])
+@pytest.mark.parametrize(
+    "payload, message",
+    TARGET_AND_OVERRIDE_CASES,
+    ids=[f"case{i}" for i in range(len(TARGET_AND_OVERRIDE_CASES))],
+)
+def test_cli_rejects_target_and_overrides_at_load_time(tmp_path, capsys, monkeypatch,
+                                                       subcommand, payload, message):
+    import chainlearn.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: calls.append(config))
+    config = write_config(tmp_path, "c.json", {"kind": "lemma", **payload})
+    assert main([subcommand, "--config", config]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+
+
+LIPSCHITZ_HALF = {"class_kind": "lipschitz", "lip_bound": 1.0, "net_radius": 0.5,
+                  "pi_grid": 256, "replications": 3, "n": 200}
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, bound_cells",
+    [
+        ("bounds", {"eps_list": [0.8]}, {(0, 3), (1, 3), (2, 3)}),
+        ("asem", {"opt_refinement": 1}, set()),
+        ("relative", {"eps_list": [0.2]}, {(0, 5)}),
+    ],
+)
+def test_cli_reports_lipschitz_covering_counts_past_the_member_cap(tmp_path, subcommand,
+                                                                   payload, bound_cells):
+    # the class covering numbers at eps/(4 L_bar) and eps/L_bar pass 10**7,
+    # the cap on enumerated members; only the 178-member net is enumerated
+    config = write_config(tmp_path, "c.json", {"kind": "lemma", **LIPSCHITZ_HALF, **payload})
+    out = tmp_path / "r.json"
+    assert main([subcommand, "--config", config, "--out", str(out), "--format", "json"]) == 0
+    report = json.loads(out.read_text())
+    for row, column in bound_cells:
+        assert math.isfinite(report["rows"][row][column])
+    if subcommand == "asem":
+        assert report["metadata"]["n1_covering"] > 10**7
+        assert report["metadata"]["net_size"] == 178

@@ -216,9 +216,9 @@ def test_relative_report_metadata():
 
 
 def test_relative_degenerate_class_error():
-    config = cfg(kind="relative", class_kind="lipschitz", lip_bound=1.0,
-                 net_radius=0.5, n=100, replications=2, pi_grid=128,
-                 m_override=0.0)
+    # the one member, h = 0.5, is the constant target: its true error is 0
+    config = cfg(kind="relative", target_name="constant", target_params={"c": 0.5},
+                 net_radius=1.0, n=100, replications=2, pi_grid=128)
     with pytest.raises(DegenerateClassError):
         run_relative_experiment(config)
 
@@ -553,12 +553,8 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
 
 # numeric fields with no range of their own: the seed is any integer, the
 # class range, Lipschitz bound and anchor are checked against each other by
-# the class, h against the class range for the Poisson check, and the
-# overrides against the certified constants when a run uses them
-UNBOUNDED = {
-    "master_seed", "y_lo", "y_hi", "lip_bound", "anchor", "poisson_h_const",
-    "eta_override", "c1_override", "m_override", "M_override",
-}
+# the class, and h against the class range for the Poisson check
+UNBOUNDED = {"master_seed", "y_lo", "y_hi", "lip_bound", "anchor", "poisson_h_const"}
 
 
 def test_every_numeric_field_has_a_range_or_is_listed_unbounded():
@@ -573,13 +569,10 @@ _POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 _VALID = st.fixed_dictionaries(
     {"kind": st.sampled_from(sorted(RUNNERS))},
     optional={
-        "target_name": st.sampled_from(["identity", "tent", "affine"]),
-        "target_params": st.dictionaries(st.sampled_from("abc"), st.floats(-2, 2), max_size=2),
         "x0_policy": st.sampled_from(["fixed", "uniform", "stationary"]),
         "x0": st.floats(0.0, 1.0),
         "y_lo": st.floats(-5.0, 0.0),
         "y_hi": st.floats(1.0, 5.0),
-        "anchor": st.none() | st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
         "net_radius": _POSITIVE,
         "master_seed": st.integers(-(2**70), 2**70),
         "replications": st.integers(1, 10**6),
@@ -590,7 +583,8 @@ _VALID = st.fixed_dictionaries(
         "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "alpha": _POSITIVE,
         "decay_n_max": st.integers(1, 12),
-        "eta_override": st.none() | st.floats(0.0, 1.0),
+        "eta_override": st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "c1_override": st.none() | _POSITIVE,
         "M_override": st.none() | _POSITIVE,
         "poisson_h_const": st.floats(0.0, 1.0),
         "truncation_tol": _POSITIVE,
@@ -613,7 +607,21 @@ _CLASS = st.one_of(
         {"class_kind": st.just("lipschitz_anchored"), "lip_bound": _LIP, "anchor": _ANCHOR}
     ),
 )
-_VALID = st.builds(lambda fields, cls: {**fields, **cls}, _VALID, _CLASS)
+# a target and the parameters it takes; an affine slope stays below sqrt(3)
+_TARGET = st.one_of(
+    st.fixed_dictionaries({}, optional={"target_name": st.sampled_from(["identity", "tent"])}),
+    st.fixed_dictionaries(
+        {"target_name": st.just("affine")},
+        optional={"target_params": st.fixed_dictionaries(
+            {}, optional={"a": st.floats(-1.7, 1.7), "b": st.floats(-2, 2)})},
+    ),
+    st.fixed_dictionaries(
+        {"target_name": st.just("constant")},
+        optional={"target_params": st.fixed_dictionaries({}, optional={"c": st.floats(-2, 2)})},
+    ),
+)
+_VALID = st.builds(lambda *parts: {k: v for p in parts for k, v in p.items()},
+                   _VALID, _CLASS, _TARGET)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

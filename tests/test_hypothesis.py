@@ -195,8 +195,8 @@ def test_covering_count_equals_net_size(cls, radii, monkeypatch):
 
 @pytest.mark.parametrize(
     "cls, eps",
-    [(LIP1, 0.02), (LIP1, 3e-3), (LIP1, 1e-320), (ANCHORED, 1e-3), (CONSTANTS, 1e-320)],
-    ids=["lipschitz", "lipschitz-lattice", "lipschitz-underflow", "anchored", "constants-inf"],
+    [(LIP1, 1e-320), (CONSTANTS, 1e-320)],
+    ids=["lipschitz-underflow", "constants-inf"],
 )
 def test_covering_count_raises_past_the_cap(cls, eps):
     with pytest.raises(NetExplosionError) as built:
@@ -206,20 +206,93 @@ def test_covering_count_raises_past_the_cap(cls, eps):
     assert str(counted.value) == str(built.value)
 
 
-@pytest.mark.parametrize("lip, eps", [(1e-4, 1e-5), (1e-6, 1e-7)])
+def log_walk_count(levels, knots, pinned=None):
+    """ln of the number of walks, from the spectrum of the tridiagonal
+    all-ones transfer matrix T: eigenvalues 1 + 2cos(theta_j) and sine
+    eigenvectors u_j, theta_j = j pi/(levels+1).  The count is 1'T^(knots-1)1,
+    or (1'T^p e_q)(e_q'T^(knots-1-p)1) through the pinned (p, q); each power is
+    scaled by the top eigenvalue's."""
+    theta = np.arange(1, levels + 1) * np.pi / (levels + 1)
+    lam = 1.0 + 2.0 * np.cos(theta)
+    norm = math.sqrt(2.0 / (levels + 1))
+    ones = norm * np.sin(levels * theta / 2) * np.sin((levels + 1) * theta / 2) / np.sin(theta / 2)
+
+    def log_form(left, power, right):
+        return power * math.log(lam[0]) + math.log(float(left * right @ (lam / lam[0]) ** power))
+
+    if pinned is None:
+        return log_form(ones, knots - 1, ones)
+    p, q = pinned
+    at_q = norm * np.sin((q + 1) * theta)
+    return log_form(ones, p, at_q) + log_form(at_q, knots - 1 - p, ones)
+
+
+def test_walk_count_reference_matches_enumeration():
+    for levels, knots, pinned in [(1, 4, None), (3, 5, None), (4, 6, (2, 0)), (5, 3, (0, 4))]:
+        walks = len(product_order_paths(range(levels), knots, pinned))
+        assert log_walk_count(levels, knots, pinned) == pytest.approx(math.log(walks), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cls, eps, levels, pinned",
+    [
+        (LIP1, 0.02, 100, None),
+        (LIP1, 3e-3, 667, None),
+        (HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1e-3), 1e-4, 20_000, None),
+        (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.3, 0.212)),
+         0.02, 100, (30, 21)),
+    ],
+    ids=["lipschitz", "lipschitz-lattice", "lipschitz-wide", "anchored"],
+)
+def test_covering_count_is_exact_past_the_member_cap(cls, eps, levels, pinned, monkeypatch):
+    # counting allocates one Python int per level, so only enumeration is capped
+    count = covering_count(cls, eps)
+    knots = math.ceil(2.0 * cls.lip_bound / eps - 1e-9) + 1
+    assert count > hy.NET_SIZE_CAP
+    assert math.log(count) == pytest.approx(log_walk_count(levels, knots, pinned), rel=1e-12)
+
+    def no_member(*args):
+        raise AssertionError("member made")
+
+    monkeypatch.setattr(hy, "Hypothesis", no_member)
+    with pytest.raises(NetExplosionError) as err:
+        build_epsilon_net(cls, eps)
+    assert str(err.value) == f"net for eps={eps} would have more than {hy.NET_SIZE_CAP} members"
+
+
+@pytest.mark.parametrize("lip, eps", [(1e-6, 1e-7)])
 def test_unanchored_net_past_the_cap_builds_no_lattice(lip, eps, monkeypatch):
-    # 21 knots, so the knot-count test alone lets these through; their
-    # 2e5 and 2e7 levels each start 2**20 paths or more
+    # 21 knots on about 2e7 levels: past the cap on counting, which bounds
+    # levels x knots before the lattice is built
     def no_lattice(*args):
         raise AssertionError("lattice built")
 
     monkeypatch.setattr(hy, "_lattice", no_lattice)
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=lip)
-    message = f"net for eps={eps} would have more than {hy.NET_SIZE_CAP} members"
     for fn in (covering_count, build_epsilon_net):
         with pytest.raises(NetExplosionError) as err:
             fn(cls, eps)
-        assert str(err.value) == message
+        assert str(err.value) == f"net for eps={eps} has too many lattice points to count"
+
+
+@pytest.mark.parametrize(
+    "cls, eps",
+    [
+        # 2 knots on 1e7 levels: only three walks through the anchor
+        (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1e-7, anchor=(0.0, 0.5)), 1.0),
+        # one level over 2e7 + 1 knots: one walk
+        (HypothesisClass("lipschitz", 0.5, 0.5, lip_bound=1.0), 1e-7),
+    ],
+    ids=["anchored-tall", "one-level-long"],
+)
+def test_lattice_past_the_counting_cap_is_not_built(cls, eps, monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("lattice built")
+
+    monkeypatch.setattr(hy, "_lattice", no_lattice)
+    for fn in (covering_count, build_epsilon_net):
+        with pytest.raises(NetExplosionError, match="too many lattice points to count"):
+            fn(cls, eps)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -227,19 +300,25 @@ def test_unanchored_net_past_the_cap_builds_no_lattice(lip, eps, monkeypatch):
     y_hi=st.floats(0.0, 2.0),
     lip=st.floats(0.05, 1.0),
     eps=st.floats(0.1, 1.0),
-    cap=st.integers(1, 10**6),
+    anchor=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    cap=st.integers(2000, 5000),
 )
-def test_early_rejection_agrees_with_the_count(y_hi, lip, eps, cap):
-    cls = HypothesisClass("lipschitz", 0.0, y_hi, lip_bound=lip)
+def test_covering_count_decides_the_member_cap(y_hi, lip, eps, anchor, cap):
+    # at most 21 knots on 81 levels: the cap on counting never binds here
+    if anchor is None:
+        cls = HypothesisClass("lipschitz", 0.0, y_hi, lip_bound=lip)
+    else:
+        cls = HypothesisClass("lipschitz_anchored", 0.0, y_hi, lip_bound=lip,
+                              anchor=(anchor[0], anchor[1] * y_hi))
+    count = covering_count(cls, eps)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hy, "NET_SIZE_CAP", 10**100)
-        total = covering_count(cls, eps)
         mp.setattr(hy, "NET_SIZE_CAP", cap)
-        if total > cap:
-            with pytest.raises(NetExplosionError):
-                covering_count(cls, eps)
+        assert covering_count(cls, eps) == count
+        if count > cap:
+            with pytest.raises(NetExplosionError, match=f"more than {cap} members"):
+                build_epsilon_net(cls, eps)
         else:
-            assert covering_count(cls, eps) == total
+            assert len(build_epsilon_net(cls, eps)) == count
 
 
 def test_constants_count_is_exact_past_the_cap():

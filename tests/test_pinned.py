@@ -5,7 +5,10 @@ fixed small input.  None of these outputs goes through BLAS (the one-atom
 measure makes the true error a product), so a moved bit anywhere in the
 bit draw, the recursion, the Poisson fold or the hat moments fails here.
 The identity contraction audit certifies every W1 solve, so its report
-goes through neither BLAS nor HiGHS and is pinned as CSV bytes.
+goes through neither BLAS nor HiGHS and is pinned as CSV bytes.  So are two
+`bounds` reports for Lipschitz classes whose covering counts pass the member
+cap: with both error-range overrides they build no net and no measure, and
+a moved count moves their uniform and relative bounds.
 """
 
 import hashlib
@@ -18,8 +21,14 @@ from chainlearn import chain as chain_module
 from chainlearn import rng
 from chainlearn.bounds import ModelConstants, poisson_estimate
 from chainlearn.chain import ContractiveChain, simulate_x_blocks
-from chainlearn.harness import ExperimentConfig, render_report, run_contraction_audit
-from chainlearn.hypothesis import HatMoments, Hypothesis
+from chainlearn.harness import (
+    ExperimentConfig,
+    build_class,
+    render_report,
+    run_bounds_calculator,
+    run_contraction_audit,
+)
+from chainlearn.hypothesis import NET_SIZE_CAP, HatMoments, Hypothesis, covering_count
 from chainlearn.loss import LossConstants
 from chainlearn.state_space import DiscreteMeasure, make_space, make_target
 
@@ -99,3 +108,24 @@ def test_identity_contraction_audit_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "aa3606bf83d9759d0ce58823b1cc9e7c882d51dcf79d1b35a11d7e5237b42d9c"
     )
+
+
+@pytest.mark.parametrize(
+    "cls, pin",
+    [
+        ({"class_kind": "lipschitz"},
+         "754b28175d9f33f67b2cfc69766dd8ce8dd8ea5ea489ca93aecb0934bf9e40e5"),
+        ({"class_kind": "lipschitz_anchored", "anchor": [0.5, 0.5]},
+         "e5b875df415b67765b2a24c56c1bbacc10a2c8ee93083a4b23fade732489518d"),
+    ],
+    ids=["lipschitz", "anchored"],
+)
+def test_lipschitz_bounds_report_is_pinned(cls, pin):
+    config = ExperimentConfig.from_dict({"kind": "bounds", "lip_bound": 1.0, **cls,
+                                         "eps_list": [0.8, 0.4], "m_override": 1 / 12,
+                                         "M_override": 1 / 3})
+    report = run_bounds_calculator(config)
+    # the count at the uniform bound's radius eps/(4 L_bar), for the larger eps
+    assert covering_count(build_class(config), 0.8 / (4 * report.metadata["L_bar"])) > NET_SIZE_CAP
+    text = render_report(report, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
