@@ -18,7 +18,7 @@ import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -417,6 +417,70 @@ def write_report(report: Report, path: str, fmt: str = "csv") -> None:
 
 # --- batched empirical statistics -------------------------------------------
 
+def _hat_moments_at(
+    blocks: Iterable[np.ndarray], target, knot_count: int, stops: tuple[int, ...]
+) -> Iterator[tuple[int, HatMoments]]:
+    """(n, moments of the first n states of every row) for each n of the
+    increasing `stops`, from one pass over the column blocks of states that
+    end at the last stop.
+
+    The blocks are folded as they come.  The moments at an n inside a block
+    are the running sum plus the moments of that block's first n - lo
+    columns (lo the states before the block).  Those columns are the same
+    floats, in the same layout, as the last block of a pass that ends at n,
+    since the simulator's block width does not depend on n, so each n's
+    moments are bit for bit those of its own pass.  An n at the end of a
+    block is the running sum.
+    """
+
+    def fold(moments: Optional[HatMoments], xs: np.ndarray) -> HatMoments:
+        part = HatMoments.from_samples(xs, target(xs), knot_count)
+        return part if moments is None else moments + part
+
+    moments, done, next_stop = None, 0, 0
+    for xs in blocks:
+        end = done + xs.shape[1]
+        while stops[next_stop] < end:
+            yield stops[next_stop], fold(moments, xs[:, : stops[next_stop] - done])
+            next_stop += 1
+        moments, done = fold(moments, xs), end
+        if stops[next_stop] == end:
+            yield end, moments
+            next_stop += 1
+
+
+def _batch_empirical_at(
+    net: HypothesisNet,
+    chain: ContractiveChain,
+    config: ExperimentConfig,
+    n_values: tuple[int, ...],
+    pi_hat,
+) -> list[np.ndarray]:
+    """Empirical error of every member for every replication at each n of
+    `n_values`, in their order, shape (members, replications); matches
+    `empirical_error` on the first n states of each trajectory.
+
+    Each block of replications is simulated once, to the largest n, and
+    folded into the hat-basis moments as it is drawn (`_hat_moments_at`),
+    so the work is that of the largest n, not of the sum of them.  A block
+    of replications holds at most `BUDGET // knot_count` of them, so memory
+    does not grow with n, and many knots do not make the moments grow with
+    the replications.
+    """
+    target = chain.space.target
+    stream = rng.derive(config.master_seed, rng.TRAJECTORY)
+    rep_block = max(1, BUDGET // net.knot_count)
+    reps_all = np.arange(config.replications, dtype=np.uint64)
+    stops = tuple(sorted(set(n_values)))
+    out = {n: np.empty((len(net), config.replications)) for n in stops}
+    for lo in range(0, config.replications, rep_block):
+        reps = reps_all[lo : lo + rep_block]
+        blocks = simulate_x_blocks(initial_xs(config, pi_hat, reps), stops[-1], stream, reps)
+        for n, moments in _hat_moments_at(blocks, target, net.knot_count, stops):
+            out[n][:, lo : lo + reps.size] = net.mean_squared_errors(moments)
+    return [out[n] for n in n_values]
+
+
 def _batch_empirical(
     net: HypothesisNet,
     chain: ContractiveChain,
@@ -424,27 +488,8 @@ def _batch_empirical(
     n: int,
     pi_hat,
 ) -> np.ndarray:
-    """Empirical error of every member for every replication, shape
-    (members, replications); matches `empirical_error` on each trajectory.
-
-    Each block of states from `simulate_x_blocks` is folded into the
-    hat-basis moments as it is drawn, and a block of replications holds at
-    most `BUDGET // knot_count` of them, so memory does not grow with n,
-    and many knots do not make the moments grow with the replications.
-    """
-    target = chain.space.target
-    stream = rng.derive(config.master_seed, rng.TRAJECTORY)
-    rep_block = max(1, BUDGET // net.knot_count)
-    reps_all = np.arange(config.replications, dtype=np.uint64)
-    out = np.empty((len(net), config.replications))
-    for lo in range(0, config.replications, rep_block):
-        reps = reps_all[lo : lo + rep_block]
-        moments = None
-        for xs in simulate_x_blocks(initial_xs(config, pi_hat, reps), n, stream, reps):
-            part = HatMoments.from_samples(xs, target(xs), net.knot_count)
-            moments = part if moments is None else moments + part
-        out[:, lo : lo + reps.size] = net.mean_squared_errors(moments)
-    return out
+    """`_batch_empirical_at` at the one n."""
+    return _batch_empirical_at(net, chain, config, (n,), pi_hat)[0]
 
 
 def _grid(config: ExperimentConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -473,8 +518,9 @@ def _exceedance_report(
     trials = config.replications
     rows: list[tuple] = []
     low_rows: list[int] = []
-    for n in n_values:
-        devs = deviation(_batch_empirical(model.net, model.chain, config, n, model.pi_hat))
+    empirical = _batch_empirical_at(model.net, model.chain, config, n_values, model.pi_hat)
+    for n, emp in zip(n_values, empirical):
+        devs = deviation(emp)
         for eps in eps_values:
             exceed = int((devs > eps).sum())
             value, valid = bound(eps, n)

@@ -253,21 +253,25 @@ def _constants_count(cls: HypothesisClass, eps: float) -> int:
 
 
 def _lattice(cls: HypothesisClass, step: float) -> np.ndarray:
-    vals = []
-    k = 0
-    while cls.y_lo + (k + 0.5) * step <= cls.y_hi + 1e-12:
-        vals.append(cls.y_lo + (k + 0.5) * step)
-        k += 1
-    if not vals:
-        vals = [0.5 * (cls.y_lo + cls.y_hi)]
-    return np.asarray(vals)
+    """The levels y_lo + (k + 1/2) step that are at most y_hi (up to 1e-12),
+    or the midpoint of the range when there are none.  The levels grow with
+    k, so they are the passing prefix of an array long enough to hold them
+    all, with room for the rounding of sums as large as y_lo and y_hi."""
+    slack = 1e-12 + 2.0 * math.ulp(abs(cls.y_lo) + abs(cls.y_hi) + 1.0)
+    vals = cls.y_lo + (np.arange(int((cls.width + slack) / step) + 2) + 0.5) * step
+    vals = vals[: np.searchsorted(vals, cls.y_hi + 1e-12, side="right")]
+    return vals if vals.size else np.asarray([0.5 * (cls.y_lo + cls.y_hi)])
 
 
 def _path_count(levels: int, knots: int, pinned: Optional[tuple[int, int]]) -> int:
     """Walks over the knots with steps in {-1, 0, 1} on `levels` levels, swept
     knot by knot in Python ints.  The walks through a pinned (p, q) join one
     over p + 1 knots ending at q to one over the other knots starting at q,
-    and as many walks start at q as end there."""
+    and as many walks start at q as end there.  On one or two levels every
+    sequence of levels is a walk, so there are levels^knots of them, or
+    levels^(knots - 1) through a pinned level."""
+    if levels <= 2:
+        return levels ** (knots - (pinned is not None))
     p, q = pinned or (knots - 1, 0)
     ways = np.ones(levels, dtype=object)  # walks over the knots so far, by their last level
     at_q = [ways[q]]

@@ -551,6 +551,75 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
     assert np.abs(got - ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "class_kind, lip, radius", [("constants", 0.0, 0.2), ("lipschitz", 1.0, 0.6)]
+)
+def test_one_pass_fold_matches_a_fold_per_n(monkeypatch, class_kind, lip, radius):
+    import chainlearn.chain as chain_module
+    import chainlearn.harness as harness
+    from chainlearn.chain import invariant_measure
+    from chainlearn.hypothesis import build_epsilon_net
+
+    config = cfg(kind="concentration", replications=7, class_kind=class_kind, lip_bound=lip,
+                 net_radius=radius, x0_policy="uniform", master_seed=53)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), radius)
+    pi_hat = invariant_measure(chain, 128)
+    # replication blocks of 3, 3 and 1, step blocks of 8: n = 1, 5 inside
+    # the first block, 8 and 16 on block ends, 13 and 21 inside later blocks,
+    # unsorted and 21 twice
+    monkeypatch.setattr(harness, "BUDGET", 3 * net.knot_count)
+    monkeypatch.setattr(chain_module, "BUDGET", 3 * 8)
+    monkeypatch.setattr(chain_module, "STEP_BLOCK", 8)
+    n_values = (21, 1, 13, 5, 16, 21, 8)
+    per_n = [harness._batch_empirical(net, chain, config, n, pi_hat) for n in n_values]
+
+    calls = []
+    simulate = harness.simulate_x_blocks
+
+    def spy(x0, n, stream, lanes):
+        calls.append((lanes.size, n))
+        return simulate(x0, n, stream, lanes)
+
+    monkeypatch.setattr(harness, "simulate_x_blocks", spy)
+    got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+    assert calls == [(3, 21), (3, 21), (1, 21)]
+    assert len(got) == len(n_values)
+    for n, one_pass, alone in zip(n_values, got, per_n):
+        assert np.array_equal(one_pass, alone), n
+
+
+def test_exceedance_rows_follow_n_list_from_one_pass(monkeypatch):
+    import chainlearn.harness as harness
+    from chainlearn.chain import invariant_measure
+    from chainlearn.hypothesis import build_epsilon_net
+    from chainlearn.learner import true_errors
+
+    config = cfg(kind="concentration", n_list=[300, 40, 300, 512], eps_list=[0.0005, 0.05],
+                 **AFFINE)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    pi_hat = invariant_measure(chain, config.pi_grid)
+    true = true_errors(net, pi_hat)
+    expected = []
+    for n in config.n_list:
+        emp = harness._batch_empirical(net, chain, config, n, pi_hat)
+        devs = np.abs(emp - true[:, None]).max(axis=0)
+        expected += [(n, eps, 10, int((devs > eps).sum())) for eps in config.eps_list]
+
+    calls = []
+    simulate = harness.simulate_x_blocks
+
+    def spy(x0, n, stream, lanes):
+        calls.append(n)
+        return simulate(x0, n, stream, lanes)
+
+    monkeypatch.setattr(harness, "simulate_x_blocks", spy)
+    report = run_concentration_experiment(config)
+    assert calls == [512]
+    assert [r[:4] for r in report.rows] == expected
+
+
 # numeric fields with no range of their own: the seed is any integer, the
 # class range, Lipschitz bound and anchor are checked against each other by
 # the class, and h against the class range for the Poisson check

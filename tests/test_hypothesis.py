@@ -227,6 +227,56 @@ def log_walk_count(levels, knots, pinned=None):
     return log_form(ones, p, at_q) + log_form(at_q, knots - 1 - p, ones)
 
 
+def swept_walk_count(levels, knots, pinned=None):
+    """Walks counted knot by knot, by their last level, kept to level q at
+    knot p when pinned at (p, q)."""
+    ways = [1] * levels
+    for k in range(knots):
+        if k:
+            ways = [sum(ways[max(0, j - 1) : j + 2]) for j in range(levels)]
+        if pinned is not None and k == pinned[0]:
+            ways = [w if j == pinned[1] else 0 for j, w in enumerate(ways)]
+    return sum(ways)
+
+
+def test_path_count_matches_the_sweep():
+    # one and two levels take the closed form levels^knots, three and four the sweep
+    for levels in (1, 2, 3, 4):
+        for knots in range(1, 30):
+            assert hy._path_count(levels, knots, None) == swept_walk_count(levels, knots)
+            for p in range(knots):
+                for q in range(levels):
+                    pinned = (p, q)
+                    assert hy._path_count(levels, knots, pinned) == swept_walk_count(
+                        levels, knots, pinned
+                    ), (levels, knots, pinned)
+
+
+def test_one_level_count_over_a_million_knots():
+    # 1e6 + 1 knots on one level, and on two levels when the range holds two
+    for y_hi, count in ((0.5, 1), (0.5 + 2e-6, 2**1_000_001)):
+        cls = HypothesisClass("lipschitz", 0.5, y_hi, lip_bound=1.0)
+        assert covering_count(cls, 2e-6) == count
+
+
+def test_lattice_matches_the_level_loop():
+    def loop(y_lo, y_hi, step):
+        vals, k = [], 0
+        while y_lo + (k + 0.5) * step <= y_hi + 1e-12:
+            vals.append(y_lo + (k + 0.5) * step)
+            k += 1
+        return np.asarray(vals or [0.5 * (y_lo + y_hi)])
+
+    gen = np.random.default_rng(3)
+    for _ in range(2000):
+        y_lo = float(gen.choice([0.0, gen.uniform(-10, 10), gen.uniform(-1e3, 1e3)]))
+        width = float(gen.choice([0.0, 1e-13, gen.uniform(0, 1), gen.uniform(0, 100)]))
+        step = float(gen.choice([gen.uniform(1e-3, 1), gen.uniform(1e-2, 10),
+                                 (width or 1.0) / gen.integers(1, 50)]))
+        cls = HypothesisClass("lipschitz", y_lo, y_lo + width, lip_bound=1.0)
+        assert np.array_equal(hy._lattice(cls, step), loop(cls.y_lo, cls.y_hi, step))
+
+
 def test_walk_count_reference_matches_enumeration():
     for levels, knots, pinned in [(1, 4, None), (3, 5, None), (4, 6, (2, 0)), (5, 3, (0, 4))]:
         walks = len(product_order_paths(range(levels), knots, pinned))

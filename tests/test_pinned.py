@@ -3,7 +3,8 @@
 Each simulator pin is the sha256 of little-endian float64 outputs at a
 fixed small input.  None of these outputs goes through BLAS (the one-atom
 measure makes the true error a product), so a moved bit anywhere in the
-bit draw, the recursion, the Poisson fold or the hat moments fails here.
+bit draw, the recursion, the Poisson fold, the hat moments or their
+snapshots at each n of one pass fails here.
 The identity contraction audit certifies every W1 solve, so its report
 goes through neither BLAS nor HiGHS and is pinned as CSV bytes.  So are two
 `bounds` reports for Lipschitz classes whose covering counts pass the member
@@ -23,7 +24,9 @@ from chainlearn.bounds import ModelConstants, poisson_estimate
 from chainlearn.chain import ContractiveChain, simulate_x_blocks
 from chainlearn.harness import (
     ExperimentConfig,
+    _hat_moments_at,
     build_class,
+    initial_xs,
     render_report,
     run_bounds_calculator,
     run_contraction_audit,
@@ -99,6 +102,26 @@ def test_hat_moments_fold_is_pinned(knots):
         5: "ed06fb43b34e0733217748d0b14b6e1f5c6bdada0a4c324c444e3896dec1c55e",
     }
     assert digest(total.gram_diag, total.gram_off, total.cross, total.square) == pins[knots]
+
+
+@pytest.mark.parametrize("knots", [1, 5])
+def test_hat_moments_at_each_n_are_pinned(knots):
+    # one pass to n = 1000 in blocks of 512 states: n = 1 and 300 inside the
+    # first block, 512 at its end, 1000 inside the second; the pins are those
+    # of a fold to each n on its own
+    config = ExperimentConfig(kind="concentration", target_name="tent", x0_policy="uniform",
+                              replications=300, master_seed=13)
+    lanes = np.arange(300, dtype=np.uint64)
+    stream = rng.derive(13, rng.TRAJECTORY)
+    blocks = simulate_x_blocks(initial_xs(config, None, lanes), 1000, stream, lanes)
+    snapshots = list(_hat_moments_at(blocks, TENT, knots, (1, 300, 512, 1000)))
+    assert [n for n, _ in snapshots] == [m.count for _, m in snapshots] == [1, 300, 512, 1000]
+    pins = {
+        1: "9ff41b9d43536595f169c9ba135e9c5ce098d7098fa2933da4fbdd0f61634612",
+        5: "e6d7648cc51d16431f826c6ce3d0fa05beb89968be300ec30c9d8ff8da8ea37a",
+    }
+    moments = [(m.gram_diag, m.gram_off, m.cross, m.square) for _, m in snapshots]
+    assert digest(*(a for m in moments for a in m)) == pins[knots]
 
 
 def test_identity_contraction_audit_is_pinned():
