@@ -18,9 +18,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import rng, transport
+from . import rng
 from .state_space import (
     DiscreteMeasure,
+    SizeError,
     SpaceDescriptor,
     StatePoint,
     TargetFunction,
@@ -38,7 +39,6 @@ __all__ = [
     "invariant_measure",
     "arc_length_measure",
     "kernel_pushforward",
-    "invariant_candidates_audit",
     "lemma_atom_check",
 ]
 
@@ -161,7 +161,7 @@ def one_step_w1(chain: ContractiveChain, x1, x2) -> np.ndarray:
 def n_step_kernel(chain: ContractiveChain, z: StatePoint, n: int) -> DiscreteMeasure:
     """Exact n-step kernel: 2^n atoms of weight 2^-n at x-values (x+j)/2^n."""
     if not 1 <= n <= MAX_KERNEL_STEPS:
-        raise transport.SizeError(
+        raise SizeError(
             f"n={n} outside 1..{MAX_KERNEL_STEPS} (kernel has 2^n atoms)"
         )
     count = 1 << n
@@ -201,20 +201,6 @@ def kernel_pushforward(chain: ContractiveChain, measure: DiscreteMeasure) -> Dis
     xs = np.concatenate([measure.xs / 2.0, (measure.xs + 1.0) / 2.0])
     w = np.concatenate([measure.weights / 2.0, measure.weights / 2.0])
     return DiscreteMeasure.on_graph(chain.space.target, xs, w).merged()
-
-
-def invariant_candidates_audit(chain: ContractiveChain, grid_size: int) -> dict[str, float]:
-    """One-step invariance defect of both invariant-measure candidates: the
-    W1 distance between each and its one-step pushforward, solved as one
-    batch."""
-    candidates = {
-        "uniform_pushforward": invariant_measure(chain, grid_size),
-        "arc_length": arc_length_measure(chain, grid_size),
-    }
-    costs = transport.wasserstein1_exact_batch(
-        [(m, kernel_pushforward(chain, m)) for m in candidates.values()]
-    )
-    return dict(zip(candidates, costs))
 
 
 @dataclass(frozen=True)

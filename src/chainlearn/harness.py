@@ -27,8 +27,9 @@ from . import rng, transport
 from .chain import (
     BUDGET,
     ContractiveChain,
-    invariant_candidates_audit,
+    arc_length_measure,
     invariant_measure,
+    kernel_pushforward,
     lemma_atom_check,
     n_step_kernel,
     simulate_x_blocks,
@@ -138,7 +139,9 @@ class ExperimentConfig:
     alpha: float = _positive(1.0)
     pair_count: int = _at_least(1, 10_000)
     decay_n_max: int = _ranged(12, lambda v: 1 <= v <= 12, "lie in 1..12")
-    decay_grid: int = _at_least(2, 4096)
+    decay_grid: int = _ranged(
+        4096, lambda v: 2 <= v <= transport.ATOM_CAP, f"lie in 2..{transport.ATOM_CAP}"
+    )
     opt_refinement: int = _at_least(1, 8)
     eta_override: Optional[float] = _ranged(None, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
     c1_override: Optional[float] = _positive(None)
@@ -194,6 +197,9 @@ class ExperimentConfig:
                 f"poisson_h_const must lie in the class range [y_lo, y_hi] = "
                 f"[{self.y_lo}, {self.y_hi}]"
             )
+        # the scaling slopes are least-squares lines through (ln 1/eps, ln n)
+        if self.kind == "scaling" and len(set(self.eps_list)) == 1:
+            raise ConfigError("eps_list must hold at least two distinct values for kind scaling")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
@@ -557,23 +563,24 @@ def run_contraction_audit(config: ExperimentConfig) -> Report:
     z0 = graph_point(config.x0, target)
     chord = math.sqrt(1.0 + target.lip**2)
     decay_tol = chord / config.decay_grid
+    steps = range(1, config.decay_n_max + 1)
+    # the invariance defects of the two invariant-measure candidates: the
+    # uniform pushforward must be invariant up to discretization, normalized
+    # arc length only when |f'| is constant
+    defect_grid = min(config.decay_grid, 128)
+    candidates = (invariant_measure(chain, defect_grid), arc_length_measure(chain, defect_grid))
+    pairs = [(n_step_kernel(chain, z0, n), pi_hat) for n in steps]
+    pairs += [(m, kernel_pushforward(chain, m)) for m in candidates]
+    *decay, pushforward_defect, arc_length_defect = transport.wasserstein1_exact_batch(pairs)
     rows: list[tuple] = []
     decay_violations = 0
-    steps = range(1, config.decay_n_max + 1)
-    pairs = ((n_step_kernel(chain, z0, n), pi_hat) for n in steps)
-    for n, w1 in zip(steps, transport.wasserstein1_exact_batch(pairs)):
+    for n, w1 in zip(steps, decay):
         bound = c1 * math.exp(-c2 * n)
         ok = w1 <= bound + decay_tol + 1e-9
         decay_violations += not ok
         rows.append(("decay", float(n), 0.0, 0.0, w1, bound, ok))
     for x1, x2, d, w1, ratio in audit.rows:
         rows.append(("pair", x1, x2, d, w1, ratio, ratio <= ratio_bound + 1e-9))
-
-    # invariance defects of the two invariant-measure candidates: the uniform
-    # pushforward must be invariant up to discretization, normalized arc
-    # length only when |f'| is constant
-    defect_grid = min(config.decay_grid, 128)
-    defects = invariant_candidates_audit(chain, defect_grid)
 
     meta = _base_metadata(config)
     meta.update(
@@ -587,8 +594,8 @@ def run_contraction_audit(config: ExperimentConfig) -> Report:
             "worst_x2": audit.worst_pair[1].x,
             "decay_tolerance": decay_tol,
             "invariance_defect_grid": defect_grid,
-            "invariance_defect_pushforward": defects["uniform_pushforward"],
-            "invariance_defect_arc_length": defects["arc_length"],
+            "invariance_defect_pushforward": pushforward_defect,
+            "invariance_defect_arc_length": arc_length_defect,
             "violations": int(decay_violations + (audit.sup_ratio > ratio_bound + 1e-9)),
         }
     )

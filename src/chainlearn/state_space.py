@@ -180,6 +180,10 @@ def verify_target_lipschitz(target: TargetFunction, pair_count: int, seed: int =
     return float((lhs - rhs).max())
 
 
+class SizeError(ValueError):
+    """A measure exceeds the solver's atom cap."""
+
+
 class DiscreteMeasure:
     """Finitely supported probability measure on the curve, atoms sorted by x."""
 

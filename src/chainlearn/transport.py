@@ -63,24 +63,26 @@ operations, so every cost is the same float whichever form computed it.
 Both routes price cells with `_reduced_cost`, each against its own
 tolerance.
 
-Every returned plan is feasible and attains the returned cost; the test
-suite cross-checks the solver against exhaustive vertex-coupling
-minimization on small instances and against the Kantorovich-Rubinstein
-dual lower bound.
+A plan is three arrays (rows, cols, masses), mass masses[k] on cell
+(rows[k], cols[k]).  Every returned plan is feasible and attains the
+returned cost; the test suite cross-checks the solver against exhaustive
+vertex-coupling minimization on small instances and against the
+Kantorovich-Rubinstein dual lower bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from . import rng
+from .chain import one_step_w1
 from .parallel import for_each
 from .state_space import (
     DiscreteMeasure,
+    SizeError,
     StatePoint,
     chord_distances,
     graph_point,
@@ -91,10 +93,6 @@ ATOM_CAP = 4096          # per measure, after duplicate merging
 _DUAL_TOL = 1e-11
 _LP_TOL = 1e-10  # HiGHS feasibility tolerances and the restricted LP's pricing check
 _BLOCK_CELLS = 1 << 16  # cells per row block of the dual checks
-
-
-class SizeError(ValueError):
-    """A measure exceeds the solver's atom cap."""
 
 
 @dataclass(frozen=True)
@@ -108,16 +106,6 @@ def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, rows, cols) -> np.ndarray:
     return paired_chord_distances(mu.xs[rows], mu.ys[rows], nu.xs[cols], nu.ys[cols])
 
 
-def _column(entries, k: int, dtype) -> np.ndarray:
-    """Item k of every entry (i, j, mass), in their order."""
-    return np.fromiter(map(itemgetter(k), entries), dtype, len(entries))
-
-
-def _support_costs(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> np.ndarray:
-    """c_ij on the cells (i, j, mass) of `entries`, in their order."""
-    return _costs(mu, nu, _column(entries, 0, np.intp), _column(entries, 1, np.intp))
-
-
 def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c_ij - u_i - v_j, written over `cost` (rows matching u, columns
     matching v): the duals u, v are feasible where it is nonnegative."""
@@ -126,24 +114,31 @@ def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
-    """Quantile coupling entries, with zero-mass tie links keeping the
-    support a connected staircase tree (a degenerate transportation basis)."""
+def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantile coupling as a plan (rows, cols, masses): mass masses[k]
+    on cell (rows[k], cols[k]), with zero-mass tie links keeping the support
+    a connected staircase tree (a degenerate transportation basis)."""
     a, b = a.tolist(), b.tolist()
     m, n = len(a), len(b)
-    entries: list[tuple[int, int, float]] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    masses: list[float] = []
     i = j = 0
     ra, rb = a[0], b[0]
     while i < m and j < n:
         mass = rb if rb < ra else ra  # min(ra, rb) without the call
-        entries.append((i, j, mass))
+        rows.append(i)
+        cols.append(j)
+        masses.append(mass)
         ra -= mass
         rb -= mass
         a_done = ra <= 1e-18
         b_done = rb <= 1e-18
         if a_done and b_done:
             if i + 1 < m and j + 1 < n:
-                entries.append((i + 1, j, 0.0))
+                rows.append(i + 1)
+                cols.append(j)
+                masses.append(0.0)
             i += 1
             j += 1
             if i < m:
@@ -158,14 +153,13 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, float]]:
             j += 1
             if j < n:
                 rb = b[j]
-    return entries
+    return np.array(rows, np.intp), np.array(cols, np.intp), np.array(masses)
 
 
-def _plan_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, entries) -> float:
-    """Sum of mass * c_ij over the entries, added one at a time in their
-    order (`cumsum` adds sequentially)."""
-    masses = _column(entries, 2, float)
-    return float(np.cumsum(masses * _support_costs(mu, nu, entries))[-1])
+def _plan_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, rows, cols, masses) -> float:
+    """Sum of masses[k] * c_ij over the cells (rows[k], cols[k]) of a plan,
+    added one at a time in their order (`cumsum` adds sequentially)."""
+    return float(np.cumsum(masses * _costs(mu, nu, rows, cols))[-1])
 
 
 def _reduced_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, u: np.ndarray, v: np.ndarray):
@@ -182,18 +176,16 @@ def _reduced_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, u: np.ndarray, v: 
         yield lo, _reduced_cost(block, u[lo:hi], v)
 
 
-def _certified_monotone(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, stairs=None
-) -> list[tuple[int, int, float]] | None:
-    """The staircase plan if the dual check certifies it optimal (route 1).
-    `stairs` is `_staircase` of the weights, built here if not given."""
-    if stairs is None:
-        stairs = _staircase(mu.weights, nu.weights)
+def _certified_monotone(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
+    """The positive-mass cells (rows, cols, masses) of the staircase plan
+    `stairs` of the weights if the dual check certifies it optimal (route
+    1), else None."""
+    rows, cols, masses = stairs
     m, n = len(mu), len(nu)
     u: list[float | None] = [None] * m
     v: list[float | None] = [None] * n
     u[0] = 0.0
-    for (i, j, _), c in zip(stairs, _support_costs(mu, nu, stairs).tolist()):
+    for i, j, c in zip(rows.tolist(), cols.tolist(), _costs(mu, nu, rows, cols).tolist()):
         if v[j] is None and u[i] is not None:
             v[j] = c - u[i]
         elif u[i] is None and v[j] is not None:
@@ -203,7 +195,8 @@ def _certified_monotone(
     for _, block in _reduced_blocks(mu, nu, np.array(u), np.array(v)):
         if not block.min() >= -_DUAL_TOL:  # NaN rejects too
             return None
-    return [entry for entry in stairs if entry[2] > 0.0]
+    keep = masses > 0.0
+    return rows[keep], cols[keep], masses[keep]
 
 
 def _cheapest_cells(
@@ -252,18 +245,16 @@ def linprog(*args, **kwargs):
     return optimize.linprog(*args, **kwargs)
 
 
-def _transportation_lp(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, stairs
-) -> list[tuple[int, int, float]]:
-    """HiGHS on a support grown until the duals price out every cell
-    (route 2), starting from the cheapest cells and the staircase
-    `stairs`."""
+def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
+    """The plan (rows, cols, masses) of HiGHS on a support grown until the
+    duals price out every cell (route 2), starting from the cheapest cells
+    and the cells of the staircase plan `stairs`."""
     from scipy.sparse import csr_matrix
 
     m, n = len(mu), len(nu)
     cells = np.union1d(
         _cheapest_cells(mu, nu, np.zeros(m), np.zeros(n), np.empty(0, np.intp), np.inf),
-        [i * n + j for i, j, _ in stairs],
+        stairs[0] * n + stairs[1],
     )
     while True:
         # variable k carries the mass on cell (rows[k], cols[k]): it enters
@@ -295,10 +286,7 @@ def _transportation_lp(
             break
         cells = np.union1d(cells, grow)
     keep = res.x > 1e-15
-    return [
-        (int(i), int(j), float(mass))
-        for i, j, mass in zip(rows[keep], cols[keep], res.x[keep])
-    ]
+    return rows[keep], cols[keep], res.x[keep]
 
 
 def _checked(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -316,12 +304,13 @@ def _checked(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[DiscreteMeasure,
     return mu, nu
 
 
-def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple[int, int, float]]:
-    """Entries of an optimal plan of a checked pair: the staircase if the
-    certificate accepts it (route 1), route 2's plan otherwise."""
+def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """An optimal plan (rows, cols, masses) of a checked pair: the
+    staircase if the certificate accepts it (route 1), route 2's plan
+    otherwise."""
     stairs = _staircase(mu.weights, nu.weights)
-    entries = _certified_monotone(mu, nu, stairs)
-    return _transportation_lp(mu, nu, stairs) if entries is None else entries
+    plan = _certified_monotone(mu, nu, stairs)
+    return _transportation_lp(mu, nu, stairs) if plan is None else plan
 
 
 def wasserstein1_exact(
@@ -329,9 +318,9 @@ def wasserstein1_exact(
 ) -> tuple[float, TransportPlan]:
     """Optimal transport cost between mu and nu under the Euclidean metric."""
     mu, nu = _checked(mu, nu)
-    entries = _optimal_plan(mu, nu)
-    total = _plan_cost(mu, nu, entries)
-    return total, TransportPlan(tuple(entries), total)
+    rows, cols, masses = _optimal_plan(mu, nu)
+    total = _plan_cost(mu, nu, rows, cols, masses)
+    return total, TransportPlan(tuple(zip(rows.tolist(), cols.tolist(), masses.tolist())), total)
 
 
 def wasserstein1_exact_batch(pairs) -> list[float]:
@@ -355,20 +344,20 @@ def wasserstein1_exact_batch(pairs) -> list[float]:
     for i, first in enumerate(order):
         mu, nu = checked[first]
         stairs = _staircase(mu.weights, nu.weights)
-        entries = _certified_monotone(mu, nu, stairs)
-        if entries is None:
+        plan = _certified_monotone(mu, nu, stairs)
+        if plan is None:
             break
-        costs[first] = _plan_cost(mu, nu, entries)
+        costs[first] = _plan_cost(mu, nu, *plan)
     else:
         return costs
 
     def solve(k: int) -> None:
         mu, nu = checked[k]
         if k == first:  # its certificate rejected above
-            entries = _transportation_lp(mu, nu, stairs)
+            plan = _transportation_lp(mu, nu, stairs)
         else:
-            entries = _optimal_plan(mu, nu)
-        costs[k] = _plan_cost(mu, nu, entries)
+            plan = _optimal_plan(mu, nu)
+        costs[k] = _plan_cost(mu, nu, *plan)
 
     for_each(solve, order[i:])
     return costs
@@ -381,7 +370,7 @@ def wasserstein1_monotone_upper(mu: DiscreteMeasure, nu: DiscreteMeasure) -> flo
     whenever the chord metric is order-compatible (affine targets).
     """
     mu, nu = mu.merged(), nu.merged()
-    return _plan_cost(mu, nu, _staircase(mu.weights, nu.weights))
+    return _plan_cost(mu, nu, *_staircase(mu.weights, nu.weights))
 
 
 def kr_dual_lower(
@@ -433,8 +422,6 @@ class ContractionAudit:
 
 def contraction_audit(chain, pair_count: int, seed: int = 0) -> ContractionAudit:
     """Sampled sup of W1(P(z1,.), P(z2,.)) / rho(z1, z2) over state pairs."""
-    from .chain import one_step_w1  # local import to avoid a module cycle
-
     if pair_count < 1:
         raise ValueError("pair_count must be at least 1")
     target = chain.space.target

@@ -265,7 +265,8 @@ def test_cli_rejects_degenerate_lemma_grid(tmp_path, capsys, grid):
     "subcommand, payload",
     [
         ("scaling", {"kind": "scaling", "class_kind": "constants", "holder_d": 200}),
-        ("scaling", {"kind": "scaling", "class_kind": "constants", "eps_list": [1e-200]}),
+        ("scaling", {"kind": "scaling", "class_kind": "constants",
+                     "eps_list": [1e-200, 1e-201]}),
         ("asem", {"kind": "asem", "class_kind": "constants", "replications": 2, "n": 10,
                   "eps": 1e-200}),
         ("asem", {"kind": "asem", "replications": 2, "n": 10, "eps": 1e-320}),
@@ -353,7 +354,8 @@ RANGE_CASES = [
     ("poisson-check", "poisson_grid", 1, "poisson_grid must be at least 2"),
     ("concentration", "pi_grid", 1, "pi_grid must be at least 2"),
     ("audit-contraction", "diameter_grid", 1, "diameter_grid must be at least 2"),
-    ("audit-contraction", "decay_grid", 1, "decay_grid must be at least 2"),
+    ("audit-contraction", "decay_grid", 1, "decay_grid must lie in 2..4096"),
+    ("audit-contraction", "decay_grid", 4097, "decay_grid must lie in 2..4096"),
     ("poisson-check", "poisson_rollouts", 0, "poisson_rollouts must be at least 1"),
     ("audit-contraction", "pair_count", 0, "pair_count must be at least 1"),
     ("lemma-check", "lemma_probes", 0, "lemma_probes must be at least 1"),
@@ -388,6 +390,11 @@ def test_cli_rejects_each_range_at_load_time(
     "subcommand, payload, message",
     [
         ("scaling", {"kind": "scaling", "holder_c": -1}, "holder_c must be positive"),
+        # a slope fitted through one point
+        ("scaling", {"kind": "scaling", "eps_list": [0.5]},
+         "eps_list must hold at least two distinct values for kind scaling"),
+        ("scaling", {"kind": "scaling", "eps_list": [0.5, 0.5]},
+         "eps_list must hold at least two distinct values for kind scaling"),
         ("lemma-check", {"kind": "lemma", "lemma_tolerance": -1},
          "lemma_tolerance must be at least 0"),
         ("poisson-check", {"kind": "poisson", "poisson_h_const": 5},
@@ -396,7 +403,8 @@ def test_cli_rejects_each_range_at_load_time(
         ("poisson-check", {"kind": "concentration", "y_lo": 0.6, "y_hi": 0.9},
          "poisson_h_const must lie in the class range [y_lo, y_hi] = [0.6, 0.9]"),
     ],
-    ids=["scaling-holder-c", "lemma-tolerance", "poisson-h-outside-class",
+    ids=["scaling-holder-c", "scaling-one-eps", "scaling-one-distinct-eps",
+         "lemma-tolerance", "poisson-h-outside-class",
          "poisson-h-outside-class-after-kind-override"],
 )
 def test_cli_rejects_configs_without_a_meaningful_verdict(tmp_path, capsys, subcommand,

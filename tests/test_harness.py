@@ -29,6 +29,7 @@ from chainlearn.harness import (
 )
 from chainlearn.hypothesis import NetExplosionError
 from chainlearn.learner import DegenerateClassError
+from chainlearn.state_space import make_target
 
 
 def cfg(**kw):
@@ -118,10 +119,30 @@ def test_contraction_audit_reports_invariance_defects():
         flat.metadata["invariance_defect_pushforward"], rel=1e-6
     )
     curved = run_contraction_audit(cfg(**base, target_name="quadratic"))
-    assert (
-        curved.metadata["invariance_defect_arc_length"]
-        > 5 * curved.metadata["invariance_defect_pushforward"]
-    )
+    pushforward = curved.metadata["invariance_defect_pushforward"]
+    # the uniform pushforward is invariant up to discretization ...
+    assert pushforward <= math.sqrt(1 + make_target("quadratic").lip ** 2) / 128
+    # ... while normalized arc length is not invariant for curved targets
+    assert curved.metadata["invariance_defect_arc_length"] > 5 * pushforward
+
+
+@pytest.mark.parametrize("decay_n_max", [1, 12])
+def test_contraction_audit_solves_every_w1_in_one_batch(monkeypatch, decay_n_max):
+    # the decay pairs, then the two invariance-defect pairs, in one call
+    import chainlearn.transport as transport
+
+    calls = []
+    real = transport.wasserstein1_exact_batch
+
+    def spy(pairs):
+        calls.append([(len(mu), len(nu)) for mu, nu in pairs])
+        return real(pairs)
+
+    monkeypatch.setattr(transport, "wasserstein1_exact_batch", spy)
+    run_contraction_audit(cfg(kind="contraction", pair_count=10, decay_n_max=decay_n_max,
+                              decay_grid=256, master_seed=3))
+    decay = [(2**n, 256) for n in range(1, decay_n_max + 1)]
+    assert calls == [decay + [(128, 256), (128, 256)]]
 
 
 @pytest.mark.parametrize("target, pools", [("identity", []), ("tent", [2])])

@@ -41,3 +41,20 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_chain_module_loads_no_transport():
+    # transport imports chain's closed-form one-step W1, so chain must not
+    # import transport back; the package __init__ imports every module, so
+    # the package is stubbed to load chain alone
+    code = (
+        "import importlib, sys, types; "
+        "pkg = types.ModuleType('chainlearn'); "
+        f"pkg.__path__ = [{os.path.dirname(chainlearn.__file__)!r}]; "
+        "sys.modules['chainlearn'] = pkg; "
+        "importlib.import_module('chainlearn.chain'); "
+        "print(sorted(m for m in sys.modules if m.startswith('chainlearn.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['chainlearn.chain', 'chainlearn.rng', 'chainlearn.state_space']"

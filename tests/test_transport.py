@@ -23,6 +23,7 @@ from chainlearn import rng
 from chainlearn.chain import ContractiveChain, invariant_measure, lemma_atom_check, n_step_kernel
 from chainlearn.state_space import (
     DiscreteMeasure,
+    chord_distances,
     graph_point,
     make_space,
     make_target,
@@ -89,6 +90,24 @@ def random_measure(target, n_atoms, lane, seed=11, dyadic=False):
 def cost_matrix(mu, nu):
     diff = mu.points()[:, None, :] - nu.points()[None, :, :]
     return np.sqrt((diff**2).sum(-1))
+
+
+def plan_cells(plan):
+    """The cells (i, j, mass) of a solver plan (rows, cols, masses), as
+    Python numbers."""
+    return list(zip(*(a.tolist() for a in plan)))
+
+
+def same_plan(got, want):
+    """Plans (rows, cols, masses) equal array for array, dtypes included."""
+    return all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def certified(mu, nu):
+    """The certificate's plan of the staircase of mu and nu, or None."""
+    import chainlearn.transport as tr
+
+    return tr._certified_monotone(mu, nu, tr._staircase(mu.weights, nu.weights))
 
 
 def plan_marginals(plan, m, n):
@@ -217,9 +236,9 @@ def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
             mu = n_step_kernel(chain, graph_point(x0, TENT), n)
             a, b, cost = mu.weights, grid.weights, cost_matrix(mu, grid)
             results.clear()
-            entries = tr._transportation_lp(mu, grid, tr._staircase(a, b))
+            plan = tr._transportation_lp(mu, grid, tr._staircase(a, b))
             rounds.append(len(results))
-            total = sum(mass * cost[i, j] for i, j, mass in entries)
+            total = sum(mass * cost[i, j] for i, j, mass in plan_cells(plan))
             assert total == pytest.approx(dense_lp_cost(a, b, cost), rel=1e-12)
             duals = results[-1].eqlin.marginals
             u, v = duals[: len(a)], duals[len(a) :]
@@ -286,7 +305,7 @@ BLOCK_TARGETS = {
 @pytest.mark.parametrize("name", BLOCK_TARGETS)
 def test_certificate_blocks_leave_the_plan_unchanged(monkeypatch, name, cells):
     # one row per block, and 7003 cells (7 or 27 rows, with a short last
-    # block), give the default block's entries and cost bit for bit
+    # block), give the default block's plan and cost bit for bit
     import chainlearn.transport as tr
 
     target = BLOCK_TARGETS[name]
@@ -297,10 +316,10 @@ def test_certificate_blocks_leave_the_plan_unchanged(monkeypatch, name, cells):
         (invariant_measure(chain, 257), grid),
         (grid, invariant_measure(chain, 257)),
     ]
-    default = [(tr._certified_monotone(mu, nu), wasserstein1_exact(mu, nu)) for mu, nu in pairs]
+    default = [(certified(mu, nu), wasserstein1_exact(mu, nu)) for mu, nu in pairs]
     monkeypatch.setattr(tr, "_BLOCK_CELLS", cells)
-    for (mu, nu), (entries, (d, plan)) in zip(pairs, default):
-        assert entries is not None and tr._certified_monotone(mu, nu) == entries
+    for (mu, nu), (stair_plan, (d, plan)) in zip(pairs, default):
+        assert stair_plan is not None and same_plan(certified(mu, nu), stair_plan)
         d_block, plan_block = wasserstein1_exact(mu, nu)
         assert d_block.hex() == d.hex() and plan_block == plan
 
@@ -370,8 +389,8 @@ def test_lp_pricing_blocks_leave_the_plan_unchanged(monkeypatch, cells):
     default = [tr._transportation_lp(mu, nu, s) for (mu, nu), s in zip(pairs, stairs)]
     solved = [wasserstein1_exact(mu, nu) for mu, nu in pairs]
     monkeypatch.setattr(tr, "_BLOCK_CELLS", cells)
-    for (mu, nu), s, entries, (d, plan) in zip(pairs, stairs, default, solved):
-        assert tr._transportation_lp(mu, nu, s) == entries
+    for (mu, nu), s, lp_plan, (d, plan) in zip(pairs, stairs, default, solved):
+        assert same_plan(tr._transportation_lp(mu, nu, s), lp_plan)
         d_block, plan_block = wasserstein1_exact(mu, nu)
         assert d_block.hex() == d.hex() and plan_block == plan
 
@@ -543,7 +562,7 @@ def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
     left = np.arange(1, 31) / 80
     mu = DiscreteMeasure.on_graph(TENT, np.r_[left, [0.45, 0.46]], weights)
     nu = DiscreteMeasure.on_graph(TENT, np.r_[left + 1 / 160, [0.55, 0.56]], weights)
-    assert tr._certified_monotone(mu, nu) is None
+    assert certified(mu, nu) is None
     monkeypatch.setattr(tr, "_BLOCK_CELLS", 2 * len(nu))
     lows = []
     real = tr._reduced_cost
@@ -554,7 +573,7 @@ def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(tr, "_reduced_cost", spy)
-    assert tr._certified_monotone(mu, nu) is None
+    assert certified(mu, nu) is None
     assert len(lows) == len(mu) // 2
     assert min(lows[:-1]) >= -tr._DUAL_TOL > lows[-1]
     d, plan, used = solve_with_route(mu, nu)
@@ -563,26 +582,18 @@ def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
     assert d == pytest.approx(dense, rel=1e-12)
 
 
-def generator_cells(entries):
-    """Rows and columns of the entries as the solver once built them, one
-    generator per array."""
-    rows = np.fromiter((i for i, _, _ in entries), dtype=np.intp, count=len(entries))
-    cols = np.fromiter((j for _, j, _ in entries), dtype=np.intp, count=len(entries))
-    return rows, cols
-
-
-def looped_plan_cost(mu, nu, entries):
-    """Sum of mass * c_ij added one entry at a time in a Python loop."""
+def looped_plan_cost(mu, nu, rows, cols, masses):
+    """Sum of mass * c_ij added one cell at a time in a Python loop."""
     import chainlearn.transport as tr
 
     total = 0.0
-    for (_, _, mass), c in zip(entries, tr._costs(mu, nu, *generator_cells(entries)).tolist()):
+    for mass, c in zip(masses.tolist(), tr._costs(mu, nu, rows, cols).tolist()):
         total += mass * c
     return total
 
 
 def random_plans():
-    """Staircases, LP plans and random entry lists on random tent measures."""
+    """Staircases, LP plans and random plans on random tent measures."""
     import chainlearn.transport as tr
 
     s = rng.derive(23, rng.PROBE)
@@ -596,21 +607,20 @@ def random_plans():
         i = (rng.uniform_array(s, k, np.full(40, 3 * trial)) * len(mu)).astype(int)
         j = (rng.uniform_array(s, k, np.full(40, 3 * trial + 1)) * len(nu)).astype(int)
         mass = rng.uniform_array(s, k, np.full(40, 3 * trial + 2)) * 10.0 ** -(trial % 5)
-        yield mu, nu, list(zip(i.tolist(), j.tolist(), mass.tolist()))
+        yield mu, nu, (i.astype(np.intp), j.astype(np.intp), mass)
 
 
 def test_plan_cost_and_support_costs_equal_the_loops_bit_for_bit():
+    # the costs on a plan's cells are the dense cost matrix's floats there,
+    # and the plan cost is their mass-weighted sum added one cell at a time
     import chainlearn.transport as tr
 
-    for mu, nu, entries in random_plans():
-        rows, cols = generator_cells(entries)
-        want = tr._costs(mu, nu, rows, cols)
-        assert [c.hex() for c in tr._support_costs(mu, nu, entries).tolist()] == [
-            c.hex() for c in want.tolist()
-        ]
-        masses = tr._column(entries, 2, float)
-        assert [m.hex() for m in masses.tolist()] == [m.hex() for _, _, m in entries]
-        assert tr._plan_cost(mu, nu, entries).hex() == looped_plan_cost(mu, nu, entries).hex()
+    for mu, nu, (rows, cols, masses) in random_plans():
+        assert (rows.dtype, cols.dtype, masses.dtype) == (np.intp, np.intp, np.float64)
+        dense = chord_distances(mu.xs, mu.ys, nu.xs, nu.ys)
+        assert np.array_equal(tr._costs(mu, nu, rows, cols), dense[rows, cols])
+        want = looped_plan_cost(mu, nu, rows, cols, masses)
+        assert tr._plan_cost(mu, nu, rows, cols, masses).hex() == want.hex()
 
 
 def builtin_min_staircase(a, b):
@@ -657,7 +667,7 @@ def test_staircase_equals_the_builtin_min_loop():
                                       dyadic=True).weights)
     for a in weights:
         for b in weights:
-            got, want = tr._staircase(a, b), builtin_min_staircase(a, b)
+            got, want = plan_cells(tr._staircase(a, b)), builtin_min_staircase(a, b)
             assert [(i, j, m.hex()) for i, j, m in got] == [(i, j, m.hex()) for i, j, m in want]
 
 
@@ -738,7 +748,7 @@ def test_monotone_upper_is_the_dense_staircase_sum_bit_for_bit():
         nu = invariant_measure(chain, 200)
         cost = cost_matrix(mu, nu)
         want = 0.0
-        for i, j, mass in tr._staircase(mu.weights, nu.weights):
+        for i, j, mass in plan_cells(tr._staircase(mu.weights, nu.weights)):
             want += mass * cost[i, j]
         assert wasserstein1_monotone_upper(mu, nu).hex() == float(want).hex()
 
