@@ -274,6 +274,19 @@ def test_kernel_decay_to_invariant_measure():
         assert abs(d - expected) <= math.sqrt(2) / 512 + 1e-9
 
 
+def test_invariance_defect_pushforward_vs_arclength():
+    target = make_target("quadratic")
+    chain = ContractiveChain(make_space(target))
+    pushforward, arc = (
+        wasserstein1_exact(m, kernel_pushforward(chain, m))[0]
+        for m in (invariant_measure(chain, 128), arc_length_measure(chain, 128))
+    )
+    # the uniform pushforward is invariant up to discretization ...
+    assert pushforward <= math.sqrt(1 + target.lip**2) / 128
+    # ... while normalized arc length is not invariant for curved targets
+    assert arc > 5 * pushforward
+
+
 def test_arc_length_equals_pushforward_for_affine():
     chain = ContractiveChain(make_space(IDENTITY))
     arc = arc_length_measure(chain, 64)
