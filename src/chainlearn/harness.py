@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
@@ -371,7 +372,10 @@ class Report:
         # numpy scalars become plain Python values, which both formats render
         self.metadata = {k: _plain(v) for k, v in self.metadata.items()}
         self.columns = tuple(self.columns)
-        self.rows = [tuple(_plain(v) for v in r) for r in self.rows]
+        self.rows = list(map(tuple, self.rows))
+        kinds = set(map(type, itertools.chain.from_iterable(self.rows)))
+        if any(issubclass(kind, np.generic) for kind in kinds):
+            self.rows = [tuple(map(_plain, r)) for r in self.rows]
 
 
 def _plain(v: Any) -> Any:
@@ -399,8 +403,14 @@ def render_report(report: Report, fmt: str) -> str:
             buf.write(f"# {key}={_fmt_cell(report.metadata[key])}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        # the csv module writes floats with repr and the rest with str, as
+        # _fmt_cell does, so only columns holding other types (bool, None)
+        # go through it
+        cols = [
+            col if set(map(type, col)) <= {str, int, float} else list(map(_fmt_cell, col))
+            for col in zip(*report.rows, strict=True)
+        ]
+        writer.writerows(zip(*cols))
         return buf.getvalue()
     if fmt == "json":
         payload = {
@@ -461,10 +471,13 @@ def _batch_empirical_at(
     config: ExperimentConfig,
     n_values: tuple[int, ...],
     pi_hat,
+    score: Callable[[np.ndarray], np.ndarray] = lambda errors: errors,
 ) -> list[np.ndarray]:
-    """Empirical error of every member for every replication at each n of
-    `n_values`, in their order, shape (members, replications); matches
-    `empirical_error` on the first n states of each trajectory.
+    """`score` of the empirical errors at each n of `n_values`, in their
+    order.  The errors of a block of replications, shape (members,
+    replications), match `empirical_error` on the first n states of each
+    trajectory; `score` acts on them column by column, and only its result
+    is kept (the default keeps the errors).
 
     Each block of replications is simulated once, to the largest n, and
     folded into the hat-basis moments as it is drawn (`_hat_moments_at`),
@@ -478,12 +491,15 @@ def _batch_empirical_at(
     rep_block = max(1, BUDGET // net.knot_count)
     reps_all = np.arange(config.replications, dtype=np.uint64)
     stops = tuple(sorted(set(n_values)))
-    out = {n: np.empty((len(net), config.replications)) for n in stops}
+    out: dict[int, np.ndarray] = {}
     for lo in range(0, config.replications, rep_block):
         reps = reps_all[lo : lo + rep_block]
         blocks = simulate_x_blocks(initial_xs(config, pi_hat, reps), stops[-1], stream, reps)
         for n, moments in _hat_moments_at(blocks, target, net.knot_count, stops):
-            out[n][:, lo : lo + reps.size] = net.mean_squared_errors(moments)
+            scored = score(net.mean_squared_errors(moments))
+            if n not in out:
+                out[n] = np.empty(scored.shape[:-1] + (config.replications,))
+            out[n][..., lo : lo + reps.size] = scored
     return [out[n] for n in n_values]
 
 
@@ -515,18 +531,20 @@ def _exceedance_report(
     (replications) have a deviation above eps, next to the tail bound.
 
     `deviation` maps the (members, replications) empirical errors at one n
-    to one deviation per replication; `bound(eps, n)` gives the bound and
-    its validity flag.  `low_probability_rows` lists the rows whose bound
-    is below 1e-3, and `meta` adds to the metadata.
+    to one deviation per replication, column by column, since each block of
+    replications is reduced as it is scored; `bound(eps, n)` gives the
+    bound and its validity flag.  `low_probability_rows` lists the rows
+    whose bound is below 1e-3, and `meta` adds to the metadata.
     """
     config = model.config
     n_values, eps_values = _grid(config)
     trials = config.replications
     rows: list[tuple] = []
     low_rows: list[int] = []
-    empirical = _batch_empirical_at(model.net, model.chain, config, n_values, model.pi_hat)
-    for n, emp in zip(n_values, empirical):
-        devs = deviation(emp)
+    deviations = _batch_empirical_at(
+        model.net, model.chain, config, n_values, model.pi_hat, deviation
+    )
+    for n, devs in zip(n_values, deviations):
         for eps in eps_values:
             exceed = int((devs > eps).sum())
             value, valid = bound(eps, n)
@@ -579,8 +597,10 @@ def run_contraction_audit(config: ExperimentConfig) -> Report:
         ok = w1 <= bound + decay_tol + 1e-9
         decay_violations += not ok
         rows.append(("decay", float(n), 0.0, 0.0, w1, bound, ok))
-    for x1, x2, d, w1, ratio in audit.rows:
-        rows.append(("pair", x1, x2, d, w1, ratio, ratio <= ratio_bound + 1e-9))
+    rows += [
+        ("pair", x1, x2, d, w1, ratio, ratio <= ratio_bound + 1e-9)
+        for x1, x2, d, w1, ratio in audit.rows
+    ]
 
     meta = _base_metadata(config)
     meta.update(

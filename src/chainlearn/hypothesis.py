@@ -236,7 +236,10 @@ class HypothesisNet:
         """All members evaluated at xs, shape (len(net), len(xs))."""
         xs = np.asarray(xs, dtype=float)
         grid = np.linspace(0.0, 1.0, self.knot_count)
-        return np.stack([np.interp(xs, grid, h.knot_values) for h in self.members])
+        out = np.empty((len(self.members), xs.size))
+        for row, h in zip(out, self.members):
+            row[:] = np.interp(xs, grid, h.knot_values)
+        return out
 
 
 def _oversized(eps: float) -> NetExplosionError:

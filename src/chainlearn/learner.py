@@ -2,9 +2,13 @@
 
 `true_errors` and its derivatives evaluate every member pointwise on the
 atoms of the discretized invariant measure, so an exact fit scores exactly
-zero; empirical errors over simulated trajectories come from the hat-basis
-evaluator `HypothesisNet.mean_squared_errors`, with `empirical_error` as its
-pointwise oracle.
+zero.  Each member's weighted squared residuals are summed by numpy's
+pairwise reduction, in place and without BLAS, so a member's true error
+depends only on that member and the measure, not on the thread count or the
+rest of the net, and `true_error` of a member is its entry in `true_errors`
+bit for bit.  Empirical errors over simulated trajectories come from the
+hat-basis evaluator `HypothesisNet.mean_squared_errors`, with
+`empirical_error` as its pointwise oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ def true_error(h: Hypothesis, pi_hat: DiscreteMeasure) -> float:
 
 def true_errors(net: HypothesisNet, pi_hat: DiscreteMeasure) -> np.ndarray:
     vals = net.member_matrix(pi_hat.xs)
-    return ((vals - pi_hat.ys[None, :]) ** 2) @ pi_hat.weights
+    vals -= pi_hat.ys
+    vals *= vals
+    vals *= pi_hat.weights
+    return vals.sum(axis=1)
 
 
 def opt_pi(net: HypothesisNet, pi_hat: DiscreteMeasure, refinement: int = 8) -> float:

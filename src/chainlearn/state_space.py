@@ -217,7 +217,7 @@ class DiscreteMeasure:
         return np.stack([self.xs, self.ys], axis=1)
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+        return float((self.weights * values).sum())
 
     def merged(self, tol: float = 1e-15) -> "DiscreteMeasure":
         """Merge duplicate atoms (both coordinates within tol), summing weights.

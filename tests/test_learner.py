@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from chainlearn.state_space import make_space, make_target
 IDENTITY = make_target("identity")
 CHAIN = ContractiveChain(make_space(IDENTITY))
 CONSTANTS = HypothesisClass("constants", 0.0, 1.0)
+LIPSCHITZ = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
 PI_1000 = invariant_measure(CHAIN, 1000)
 PI_4096 = invariant_measure(CHAIN, 4096)
 
@@ -235,3 +239,47 @@ def test_median_uniform_deviation_nonincreasing_in_n():
         devs = np.abs(emp - true[:, None]).max(axis=0)
         medians.append(float(np.median(devs)))
     assert medians[0] >= medians[1] >= medians[2]
+
+
+# the suite's constants net (20 members) and the mc-lipschitz net (178)
+@pytest.mark.parametrize("cls, radius", [(CONSTANTS, 0.05), (LIPSCHITZ, 0.5)])
+def test_true_error_of_a_member_depends_only_on_it(cls, radius):
+    net = build_epsilon_net(cls, radius)
+    errs = true_errors(net, PI_4096)
+    alone = [true_errors(HypothesisNet((h,), radius, cls), PI_4096)[0] for h in net.members]
+    assert errs.tolist() == alone
+    assert errs.tolist() == [true_error(h, PI_4096) for h in net.members]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_true_errors_wake_no_blas_thread():
+    # a threaded BLAS product leaves its helper threads spinning through
+    # the single-threaded work that follows it, so CPU time would run at
+    # about twice the wall time; a fresh process, since an earlier test may
+    # have woken them
+    code = """
+import time
+import numpy as np
+from chainlearn.chain import ContractiveChain, invariant_measure
+from chainlearn.hypothesis import HypothesisClass, build_epsilon_net
+from chainlearn.learner import true_errors
+from chainlearn.state_space import make_space, make_target
+
+pi_hat = invariant_measure(ContractiveChain(make_space(make_target("identity"))), 4096)
+net = build_epsilon_net(HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0), 0.5)
+work = np.linspace(0.0, 1.0, 400_000)
+cpu, wall = time.process_time(), time.perf_counter()
+for _ in range(20):
+    true_errors(net, pi_hat)
+    np.sin(work).sum()  # about 5 ms on one thread
+print(len(net), (time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+    src = os.path.dirname(os.path.dirname(sys.modules["chainlearn"].__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    members, ratio = proc.stdout.split()
+    assert members == "178"
+    assert float(ratio) < 1.5

@@ -58,3 +58,30 @@ def test_chain_module_loads_no_transport():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['chainlearn.chain', 'chainlearn.rng', 'chainlearn.state_space']"
+
+
+def test_blas_products_stay_in_two_places():
+    # a threaded BLAS product wakes helper threads that spin through the
+    # rest of a pass and makes a result depend on the BLAS build; only the
+    # hat-basis scorer and the Kantorovich-Rubinstein oracle may use one
+    package = Path(chainlearn.__file__).parent
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        blas = (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        ) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dot", "matmul")
+        )
+        if blas:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {"hypothesis.HypothesisNet.mean_squared_errors", "transport.kr_dual_lower"}

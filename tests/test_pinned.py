@@ -1,10 +1,10 @@
 """Pinned bytes of the simulator, its two folds and the identity audit.
 
 Each simulator pin is the sha256 of little-endian float64 outputs at a
-fixed small input.  None of these outputs goes through BLAS (the one-atom
-measure makes the true error a product), so a moved bit anywhere in the
-bit draw, the recursion, the Poisson fold, the hat moments or their
-snapshots at each n of one pass fails here.
+fixed small input.  None of these outputs goes through BLAS (a true error
+is numpy's pairwise sum, one product on the one-atom measure), so a moved
+bit anywhere in the bit draw, the recursion, the Poisson fold, the hat
+moments or their snapshots at each n of one pass fails here.
 The identity contraction audit certifies every W1 solve, so its report
 goes through neither BLAS nor HiGHS and is pinned as CSV bytes.  So are two
 `bounds` reports for Lipschitz classes whose covering counts pass the member
