@@ -2,17 +2,41 @@
 
 Solver strategy, in order:
 
-1.  Quantile (x-monotone) coupling plus an optimality certificate.  The
-    staircase coupling is a basic feasible solution of the transportation
-    polytope; dual potentials u, v with u_i + v_j = c_ij on its support are
-    recovered by a single sweep.  If the reduced cost c_ij - u_i - v_j is
-    nonnegative everywhere (up to a tolerance), LP duality certifies the
-    coupling as optimal and the cost is exact.  This route covers
-    order-compatible ground costs (affine targets) in O(m n) time, which is
-    what the geometric-decay audit needs at 4096 atoms a side, and in
-    O(m + n) memory plus one block of about `_BLOCK_CELLS` cells: costs are
-    read on the staircase's m + n - 1 cells only, and the check prices
-    every cell of the m x n matrix one block of rows at a time.
+1.  Quantile (x-monotone) coupling plus an optimality certificate, in
+    two steps.  Both accept the staircase only if its cost is within
+    `_DUAL_TOL` (per unit of mass) of the optimum.
+
+    a.  The line bound, O(m + n) time and memory (`_near_one_line`).  Let
+        delta be the largest vertical distance of any atom of mu or nu
+        from the line through the leftmost and the rightmost of their
+        atoms.  Moving every atom vertically onto that line moves each
+        cell cost by at most 2 delta (triangle inequality).  On a
+        non-vertical line of slope s the moved atoms are
+        sqrt(1 + s^2) |x - x'| apart, a convex function of x - x', so the
+        x-monotone coupling, the staircase, is optimal for them
+        (Rachev & Rueschendorf 1998, vol. I, sec. 3.1; Villani 2003,
+        Thm 2.18).  Hence the staircase costs at most its moved cost plus
+        2 delta, at most the moved optimum plus 2 delta, at most W1 plus
+        4 delta.  The staircase is accepted when 4 delta is at most
+        `_DUAL_TOL` after allowing for the rounding of computing delta:
+        with unit roundoff r = 2^-53, the computed delta is within
+        3r (|s| w + max |y| + delta) of the exact distance to the line
+        the computed slope s defines (w is the x-width of the atoms), and
+        the check adds 4r times that sum.  This covers every affine
+        target (identity, constant, affine), where delta is 0 or a few
+        ulps, and never a vertical line.
+    b.  The block check (`_block_certified`), for every pair the line
+        bound leaves.  The staircase coupling is a basic feasible solution
+        of the transportation polytope; dual potentials u, v with
+        u_i + v_j = c_ij on its support are recovered by a single sweep.
+        If the reduced cost c_ij - u_i - v_j is at least -`_DUAL_TOL`
+        everywhere, LP duality certifies the coupling as optimal up to
+        that tolerance.  This takes O(m n) time and O(m + n) memory plus
+        one block of about `_BLOCK_CELLS` cells: costs are read on the
+        staircase's m + n - 1 cells only, and the check prices every cell
+        of the m x n matrix one block of rows at a time.  It accepts
+        curved targets whose cost is order-compatible on the atoms (the
+        quadratic) and some tent pairs.
 2.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
     everything else, on a restricted support: the staircase cells, which
     alone make it feasible, plus the cheapest cell of each row and each
@@ -28,10 +52,11 @@ Solver strategy, in order:
     restricted LP small: HiGHS time grows with the support, and on the
     tent decay solves the extra rounds cost less than the larger LPs did.
 
-Neither route builds the m x n cost matrix.  Both price the cells one
-block of rows of about `_BLOCK_CELLS` cells at a time, in one reused
-buffer (`_reduced_blocks`), and read the costs of single cells (the
-staircase, the LP objective, the plan cost) from the cells alone.
+Neither route builds the m x n cost matrix.  Past the line bound, both
+price the cells one block of rows of about `_BLOCK_CELLS` cells at a
+time, in one reused buffer (`_reduced_blocks`), and read the costs of
+single cells (the staircase, the LP objective, the plan cost) from the
+cells alone.
 Route 2 chooses each row's cell within its block and each column's cell
 across the blocks with `argmin`, so ties go to the lower index and the
 support does not depend on the block size.
@@ -176,10 +201,38 @@ def _reduced_blocks(mu: DiscreteMeasure, nu: DiscreteMeasure, u: np.ndarray, v: 
         yield lo, _reduced_cost(block, u[lo:hi], v)
 
 
+def _near_one_line(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """True if 4 delta, plus the rounding of computing delta, is at most
+    `_DUAL_TOL`, where delta is the largest vertical distance of an atom of
+    mu or nu from the line through the leftmost and the rightmost of them;
+    False if that line is vertical (route 1a of the module note)."""
+    xs = np.concatenate([mu.xs, nu.xs])
+    ys = np.concatenate([mu.ys, nu.ys])
+    lo, hi = xs.argmin(), xs.argmax()
+    width = xs[hi] - xs[lo]
+    if not width > 0.0:
+        return False
+    slope = (ys[hi] - ys[lo]) / width
+    delta = np.abs(ys - (ys[lo] + slope * (xs - xs[lo]))).max()
+    rounding = 2.0 * math.ulp(1.0) * (abs(slope) * width + np.abs(ys).max() + delta)
+    return bool(4.0 * (delta + rounding) <= _DUAL_TOL)  # NaN rejects too
+
+
 def _certified_monotone(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
     """The positive-mass cells (rows, cols, masses) of the staircase plan
-    `stairs` of the weights if the dual check certifies it optimal (route
-    1), else None."""
+    `stairs` of the weights if the line bound or, failing it, the block
+    check certifies it optimal (route 1), else None."""
+    if _near_one_line(mu, nu):
+        rows, cols, masses = stairs
+        keep = masses > 0.0
+        return rows[keep], cols[keep], masses[keep]
+    return _block_certified(mu, nu, stairs)
+
+
+def _block_certified(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
+    """The positive-mass cells (rows, cols, masses) of the staircase plan
+    `stairs` if its dual potentials price out every cell (route 1b), else
+    None."""
     rows, cols, masses = stairs
     m, n = len(mu), len(nu)
     u: list[float | None] = [None] * m
@@ -367,7 +420,9 @@ def wasserstein1_monotone_upper(mu: DiscreteMeasure, nu: DiscreteMeasure) -> flo
     """Cost of the increasing-x quantile coupling.
 
     A feasible coupling, hence always >= the exact distance; equal to it
-    whenever the chord metric is order-compatible (affine targets).
+    whenever the chord metric is order-compatible.  It is on every affine
+    target, which `_near_one_line` relies on: there the exact solvers
+    accept this coupling in O(m + n), pricing no cell off it.
     """
     mu, nu = mu.merged(), nu.merged()
     return _plan_cost(mu, nu, *_staircase(mu.weights, nu.weights))

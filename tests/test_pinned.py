@@ -5,11 +5,12 @@ fixed small input.  None of these outputs goes through BLAS (a true error
 is numpy's pairwise sum, one product on the one-atom measure), so a moved
 bit anywhere in the bit draw, the recursion, the Poisson fold, the hat
 moments or their snapshots at each n of one pass fails here.
-The identity contraction audit certifies every W1 solve, so its report
-goes through neither BLAS nor HiGHS and is pinned as CSV bytes.  So are two
-`bounds` reports for Lipschitz classes whose covering counts pass the member
-cap: with both error-range overrides they build no net and no measure, and
-a moved count moves their uniform and relative bounds.
+The identity and affine contraction audits certify every W1 solve by the
+line bound, so their reports go through neither BLAS nor HiGHS and are
+pinned as CSV bytes.  So are two `bounds` reports for Lipschitz classes
+whose covering counts pass the member cap: with both error-range overrides
+they build no net and no measure, and a moved count moves their uniform
+and relative bounds.
 """
 
 import hashlib
@@ -125,12 +126,18 @@ def test_hat_moments_at_each_n_are_pinned(knots):
 
 
 def test_identity_contraction_audit_is_pinned():
-    config = ExperimentConfig(kind="contraction", target_name="identity", pair_count=300,
-                              decay_n_max=9, decay_grid=512, master_seed=5)
-    text = render_report(run_contraction_audit(config), "csv")
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "aa3606bf83d9759d0ce58823b1cc9e7c882d51dcf79d1b35a11d7e5237b42d9c"
-    )
+    # the affine audit's invariance-defect pairs lie an ulp off their line,
+    # which the line bound's rounding allowance must absorb
+    pins = [
+        ("identity", {}, "aa3606bf83d9759d0ce58823b1cc9e7c882d51dcf79d1b35a11d7e5237b42d9c"),
+        ("affine", {"a": -0.7, "b": 0.9},
+         "01ca027df5b6f0e01ce067ce49feb365bfbfab9d384660eb55296939f5f4e5f8"),
+    ]
+    for name, params, pin in pins:
+        config = ExperimentConfig(kind="contraction", target_name=name, target_params=params,
+                                  pair_count=300, decay_n_max=9, decay_grid=512, master_seed=5)
+        text = render_report(run_contraction_audit(config), "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == pin
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from chainlearn import rng
-from chainlearn.chain import ContractiveChain, invariant_measure, lemma_atom_check, n_step_kernel
+from chainlearn.chain import (
+    ContractiveChain,
+    arc_length_measure,
+    invariant_measure,
+    kernel_pushforward,
+    lemma_atom_check,
+    n_step_kernel,
+)
 from chainlearn.state_space import (
     DiscreteMeasure,
     chord_distances,
@@ -39,6 +46,7 @@ from chainlearn.transport import (
 
 IDENTITY = make_target("identity")
 TENT = make_target("tent")
+QUADRATIC = make_target("quadratic")
 CHAIN = ContractiveChain(make_space(IDENTITY))
 
 
@@ -108,6 +116,16 @@ def certified(mu, nu):
     import chainlearn.transport as tr
 
     return tr._certified_monotone(mu, nu, tr._staircase(mu.weights, nu.weights))
+
+
+def spy_blocks(monkeypatch):
+    """The list that gets one entry per `_reduced_blocks` call."""
+    import chainlearn.transport as tr
+
+    calls = []
+    real = tr._reduced_blocks
+    monkeypatch.setattr(tr, "_reduced_blocks", lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
 def plan_marginals(plan, m, n):
@@ -262,42 +280,54 @@ def test_plan_is_feasible_and_attains_cost():
 
 
 def test_certified_route_memory(monkeypatch):
-    # route 1 builds no cost matrix: O(m + n) memory plus one row block
+    # route 1 builds no cost matrix: O(m + n) memory plus one row block; the
+    # identity pair is accepted by the line bound, the quadratic pair by the
+    # block check
     import chainlearn.transport as tr
 
     monkeypatch.setattr(tr, "_transportation_lp", None)  # the LP is not reached
-    mu = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 10)
-    nu = invariant_measure(CHAIN, 1024)
-    tracemalloc.start()
-    try:
-        wasserstein1_exact(mu, nu)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 1024 * 1024 * 8
+    blocks = spy_blocks(monkeypatch)
+    for target in (IDENTITY, QUADRATIC):
+        chain = ContractiveChain(make_space(target))
+        mu = n_step_kernel(chain, graph_point(0.3, target), 10)
+        nu = invariant_measure(chain, 1024)
+        tracemalloc.start()
+        try:
+            wasserstein1_exact(mu, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 1024 * 1024 * 8
+    assert blocks == [1]
 
 
 def test_certified_decay_solve_memory_at_the_atom_cap(monkeypatch):
     # the largest audit solve, 2^12 kernel atoms against the 4096-point grid,
-    # in a few MiB; the full cost matrix alone would take 128 MiB
+    # in a few MiB; the full cost matrix alone would take 128 MiB.  The
+    # identity pair is accepted by the line bound, the quadratic pair by the
+    # block check
     import chainlearn.transport as tr
 
     monkeypatch.setattr(tr, "_transportation_lp", None)  # the LP is not reached
-    mu = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 12)
-    nu = invariant_measure(CHAIN, 4096)
-    tracemalloc.start()
-    try:
-        wasserstein1_exact(mu, nu)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024 * 1024
+    blocks = spy_blocks(monkeypatch)
+    for target in (IDENTITY, QUADRATIC):
+        chain = ContractiveChain(make_space(target))
+        mu = n_step_kernel(chain, graph_point(0.3, target), 12)
+        nu = invariant_measure(chain, 4096)
+        tracemalloc.start()
+        try:
+            wasserstein1_exact(mu, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
+    assert blocks == [1]
 
 
 BLOCK_TARGETS = {
     "identity": IDENTITY,
     "affine": make_target("affine", a=-0.7, b=0.9),
-    "quadratic": make_target("quadratic"),
+    "quadratic": QUADRATIC,
 }
 
 
@@ -305,9 +335,13 @@ BLOCK_TARGETS = {
 @pytest.mark.parametrize("name", BLOCK_TARGETS)
 def test_certificate_blocks_leave_the_plan_unchanged(monkeypatch, name, cells):
     # one row per block, and 7003 cells (7 or 27 rows, with a short last
-    # block), give the default block's plan and cost bit for bit
+    # block), give the default block's plan and cost bit for bit; the line
+    # bound is switched off, so the identity and affine pairs reach the
+    # blocks too
     import chainlearn.transport as tr
 
+    monkeypatch.setattr(tr, "_near_one_line", lambda mu, nu: False)
+    blocks = spy_blocks(monkeypatch)
     target = BLOCK_TARGETS[name]
     chain = ContractiveChain(make_space(target))
     grid = invariant_measure(chain, 1000)
@@ -322,6 +356,121 @@ def test_certificate_blocks_leave_the_plan_unchanged(monkeypatch, name, cells):
         assert stair_plan is not None and same_plan(certified(mu, nu), stair_plan)
         d_block, plan_block = wasserstein1_exact(mu, nu)
         assert d_block.hex() == d.hex() and plan_block == plan
+    assert len(blocks) == 4 * len(pairs)
+
+
+LINE_TARGETS = {
+    "identity": IDENTITY,
+    "affine": BLOCK_TARGETS["affine"],
+    "constant": make_target("constant", c=0.3),
+}
+
+
+def audit_pairs(target):
+    """The W1 pairs of a contraction audit at decay grid 4096 and x0 = 0:
+    the kernels n = 1..12 against the grid, then the two 128-atom
+    invariant-measure candidates against their 256-atom pushforwards."""
+    chain = ContractiveChain(make_space(target))
+    grid = invariant_measure(chain, 4096)
+    pairs = [(n_step_kernel(chain, graph_point(0.0, target), n), grid) for n in range(1, 13)]
+    for m in (invariant_measure(chain, 128), arc_length_measure(chain, 128)):
+        pairs.append((m, kernel_pushforward(chain, m)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", LINE_TARGETS)
+def test_line_pairs_price_no_block(monkeypatch, name):
+    # the largest decay solve, 2^12 kernel atoms against the 4096-point grid,
+    # is certified by the line bound alone, and its cost is the quantile
+    # coupling's
+    import chainlearn.transport as tr
+
+    def unreachable(*args):
+        raise AssertionError("a block of cells was priced")
+
+    monkeypatch.setattr(tr, "_reduced_blocks", unreachable)
+    monkeypatch.setattr(tr, "_transportation_lp", None)
+    target = LINE_TARGETS[name]
+    chain = ContractiveChain(make_space(target))
+    mu = n_step_kernel(chain, graph_point(0.3, target), 12)
+    nu = invariant_measure(chain, 4096)
+    d, _ = wasserstein1_exact(mu, nu)
+    assert d.hex() == wasserstein1_monotone_upper(mu, nu).hex()
+
+
+@pytest.mark.parametrize("name", LINE_TARGETS)
+def test_line_bound_plan_is_the_block_check_plan(name):
+    # on every W1 pair of an audit at the atom cap, the line bound accepts
+    # and the block check, called directly, accepts the same plan
+    import chainlearn.transport as tr
+
+    for mu, nu in audit_pairs(LINE_TARGETS[name]):
+        stairs = tr._staircase(mu.weights, nu.weights)
+        assert tr._near_one_line(mu, nu)
+        line, blocks = tr._certified_monotone(mu, nu, stairs), tr._block_certified(mu, nu, stairs)
+        assert blocks is not None and same_plan(line, blocks)
+        assert tr._plan_cost(mu, nu, *line).hex() == tr._plan_cost(mu, nu, *blocks).hex()
+
+
+def lifted_identity_pair():
+    """A kernel against the identity grid, one grid atom lifted by 1e-9."""
+    mu = n_step_kernel(CHAIN, graph_point(0.3, IDENTITY), 5)
+    nu = invariant_measure(CHAIN, 100)
+    ys = nu.ys.copy()
+    ys[50] += 1e-9
+    return mu, DiscreteMeasure(nu.xs, ys, nu.weights)
+
+
+def curve_pair(target):
+    chain = ContractiveChain(make_space(target))
+    return n_step_kernel(chain, graph_point(0.3, target), 5), invariant_measure(chain, 100)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda: curve_pair(QUADRATIC), lambda: curve_pair(TENT), lifted_identity_pair],
+    ids=["quadratic", "tent", "lifted-identity"],
+)
+def test_pairs_off_the_line_reach_the_block_check(monkeypatch, pair):
+    import chainlearn.transport as tr
+
+    mu, nu = pair()
+    assert not tr._near_one_line(mu, nu)
+    blocks = spy_blocks(monkeypatch)
+    d, _ = wasserstein1_exact(mu, nu)
+    assert blocks
+    dense = dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu))
+    assert d == pytest.approx(dense, rel=1e-9)
+
+
+def lifted_measure(lane, size, delta):
+    """Identity atoms in two clusters of x-width 2 delta, each lifted by up
+    to delta: pairs of them are where the staircase can lose to a crossing
+    coupling."""
+    s = rng.derive(41, rng.PROBE)
+    k = np.arange(size)
+    xs = np.where(k % 2, 0.25, 0.75) + 2 * delta * rng.uniform_array(s, np.full(size, lane), k)
+    ys = xs + delta * (2 * rng.uniform_array(s, np.full(size, lane), 100 + k) - 1)
+    w = rng.uniform_array(s, np.full(size, lane), 200 + k) + 0.1
+    return DiscreteMeasure(xs, ys, w / w.sum())
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-3])
+def test_staircase_is_within_four_delta_of_optimal_near_a_line(delta):
+    # the lemma under the line bound: atoms within delta of one line leave
+    # the staircase at most 4 delta above the dense LP optimum (1e-9 allows
+    # for the LP's tolerances); it is strictly above on some pairs
+    import chainlearn.transport as tr
+
+    gaps = []
+    for trial in range(20):
+        mu = lifted_measure(trial, 2 + trial % 7, delta)
+        nu = lifted_measure(50 + trial, 2 + trial % 5, delta)
+        stairs = tr._staircase(mu.weights, nu.weights)
+        dense = dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu))
+        gaps.append(tr._plan_cost(mu, nu, *stairs) - dense)
+    assert max(gaps) <= 4 * delta + 1e-9
+    assert max(gaps) > 0.05 * delta
 
 
 def lp_route_pair():
