@@ -126,7 +126,11 @@ def _single_h_exponent(eps: float, n: int, consts: ModelConstants) -> tuple[floa
     omc = consts.one_minus_exp_neg_c2
     c1l = consts.C1 * consts.L
     coef = eps * n * omc / (2.0 * c1l)
-    return -((coef - 2.0) ** 2) / (2.0 * n), n >= 4.0 * c1l / (eps * omc)
+    try:
+        exponent = -((coef - 2.0) ** 2) / (2.0 * n)
+    except OverflowError:  # the square overflows: the same exponent, -inf only if it overflows
+        exponent = -(coef - 2.0) * ((coef - 2.0) / (2.0 * n))
+    return exponent, n >= 4.0 * c1l / (eps * omc)
 
 
 def single_h_tail_bound(eps: float, n: int, consts: ModelConstants) -> TailBound:
@@ -216,7 +220,10 @@ def n2_terms(
     c1l = consts.C1 * consts.L
     xi1, xi2 = xi_constants(m, M, consts)
     t1 = 2.0 * c1l / (eps * min(math.sqrt(m), 1.0) * omc)
-    t2 = (xi2 * eps + lncov + math.log(4.0 / delta)) / (xi1 * eps**2)
+    denom = xi1 * eps**2
+    t2 = (xi2 * eps + lncov + math.log(4.0 / delta)) / denom if denom > 0 else math.inf
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError(f"sample size n2 overflows at eps={eps!r}")
     return t1, t2
 
 
@@ -289,7 +296,10 @@ def relative_tail_bound(
     m, M = consts.require_mm()
     lncov = _ln_covering(covering_number, ln_covering)
     xi1, xi2 = xi_constants(m, M, consts)
-    log_value = math.log(4.0) + lncov - xi1 * eps**2 * n + xi2 * eps
+    try:
+        log_value = math.log(4.0) + lncov - xi1 * eps**2 * n + xi2 * eps
+    except OverflowError:  # eps**2 overflows: the same sum, -inf only if it overflows
+        log_value = math.log(4.0) + lncov - eps * (xi1 * eps * n - xi2)
     return TailBound(_exp(log_value), epsilon_prime_ok(eps, m, M))
 
 

@@ -214,7 +214,7 @@ class LemmaAtomReport:
 def _preimages(target: TargetFunction, y: float, grid: int) -> list[float]:
     xs = np.linspace(0.0, 1.0, grid + 1)
     vals = np.asarray(target(xs), dtype=float) - y
-    roots: list[float] = [float(x) for x, v in zip(xs, vals) if v == 0.0]
+    roots: list[float] = xs[vals == 0.0].tolist()
     sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
     for i in sign_change:
         lo, hi = xs[i], xs[i + 1]

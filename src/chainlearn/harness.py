@@ -79,6 +79,8 @@ _VALUE_CHECKS = {
         "a list of two finite numbers",
     ),
     "dict": (lambda v: isinstance(v, dict), "an object"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)), "a list"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)), "a list"),
 }
 _ENTRY_CHECKS = {
     "tuple[int, ...]": (_is_int, "an integer"),
@@ -139,7 +141,11 @@ class ExperimentConfig:
     delta: float = _ranged(0.05, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
     alpha: float = _positive(1.0)
     pair_count: int = _at_least(1, 10_000)
-    decay_n_max: int = _ranged(12, lambda v: 1 <= v <= 12, "lie in 1..12")
+    decay_n_max: int = _ranged(  # Pⁿ(z₀, ·) has 2ⁿ atoms, at most the solver's cap
+        12,
+        lambda v: 1 <= v <= transport.ATOM_CAP.bit_length() - 1,
+        f"lie in 1..{transport.ATOM_CAP.bit_length() - 1}",
+    )
     decay_grid: int = _ranged(
         4096, lambda v: 2 <= v <= transport.ATOM_CAP, f"lie in 2..{transport.ATOM_CAP}"
     )
@@ -167,6 +173,8 @@ class ExperimentConfig:
                 if not ok(value):
                     raise ConfigError(f"{f.name} must be {what}, got {value!r}")
             if f.type in _ENTRY_CHECKS:
+                value = tuple(value)  # a list, from JSON or from a caller, is kept as a tuple
+                object.__setattr__(self, f.name, value)
                 ok, what = _ENTRY_CHECKS[f.type]
                 if not all(ok(v) for v in value):
                     raise ConfigError(f"every {f.name} entry must be {what}, got {list(value)!r}")
@@ -211,11 +219,6 @@ class ExperimentConfig:
         if "kind" not in raw:
             raise ConfigError("config needs an experiment 'kind'")
         raw = dict(raw)
-        for key in ("n_list", "eps_list"):
-            if key in raw:
-                if not isinstance(raw[key], (list, tuple)):
-                    raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
-                raw[key] = tuple(raw[key])
         if isinstance(raw.get("anchor"), (list, tuple)):  # numbers as floats, for the digest
             raw["anchor"] = tuple(float(v) if _is_finite(v) else v for v in raw["anchor"])
         try:
@@ -239,9 +242,9 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

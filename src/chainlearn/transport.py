@@ -61,19 +61,15 @@ Route 2 chooses each row's cell within its block and each column's cell
 across the blocks with `argmin`, so ties go to the lower index and the
 support does not depend on the block size.
 
-`wasserstein1_exact_batch` solves many pairs, largest first, and returns
-their costs in order.  Instances the certificate accepts are solved on the
-calling thread.  From the first instance it rejects on, each instance left
-is one work item of `parallel.for_each` (the calling thread plus one
-helper thread per further usable CPU): the staircase, the certificate
-and, only if it rejects, route 2.  HiGHS releases the GIL, so the LPs
-overlap each other and the certificates.  Certificates alone are short
-numpy steps: spreading them over two threads saved no wall time on a
-2-vCPU host, and the helper's malloc arena kept up to 4 MiB more resident
-(glibc reallocs a block in the arena that owns it, so a small block freed
-across threads can pull a later large buffer into the helper's arena).
-Each solve is computed exactly as alone, so no cost depends on the
-thread.
+`wasserstein1_exact_batch` solves many pairs and returns their costs in
+order, each pair solved exactly as `wasserstein1_exact` solves it, so no
+cost depends on the thread.  The line bound tells in O(m + n), before any
+solve, which pairs route 1a takes.  Those take O(m + n) each and are
+solved on the calling thread, where a pool would only add its start-up.
+Every other pair may need an O(m n) block check or route 2, and is one
+work item of `parallel.for_each` (the calling thread plus one helper
+thread per further usable CPU), largest m n first, so block checks overlap
+each other and the LPs: numpy's pricing loops and HiGHS release the GIL.
 
 There is no assignment route.  The only uniform measures of equal size
 the experiments compare are pairs of one-step kernels, two atoms each, and
@@ -381,38 +377,27 @@ def wasserstein1_exact_batch(pairs) -> list[float]:
     in their order.
 
     Every pair is checked and merged on the calling thread before any solve
-    starts, so the first bad pair raises there.  The instances are then
-    solved largest (m * n) first, and only each plan's cost is kept.  The
-    calling thread solves them in turn while the certificate accepts; from
-    the first instance it rejects on, each instance left is one work item
-    of `parallel.for_each`: the staircase, the certificate and, only if it
-    rejects, the restricted LP.  Each solve is computed exactly as alone, so
-    no cost depends on the thread.
+    starts, so the first bad pair raises there.  Each pair is then solved
+    as `wasserstein1_exact` solves it, and only the cost is kept: first, on
+    the calling thread, the pairs the line bound accepts, then every other
+    pair as one work item of `parallel.for_each`, each group largest
+    (m * n) first.  No cost depends on the thread.
     """
     checked = [_checked(mu, nu) for mu, nu in pairs]
     costs = [0.0] * len(checked)
-    order = sorted(
-        range(len(checked)), key=lambda k: len(checked[k][0]) * len(checked[k][1]), reverse=True
-    )
-    for i, first in enumerate(order):
-        mu, nu = checked[first]
-        stairs = _staircase(mu.weights, nu.weights)
-        plan = _certified_monotone(mu, nu, stairs)
-        if plan is None:
-            break
-        costs[first] = _plan_cost(mu, nu, *plan)
-    else:
-        return costs
 
     def solve(k: int) -> None:
         mu, nu = checked[k]
-        if k == first:  # its certificate rejected above
-            plan = _transportation_lp(mu, nu, stairs)
-        else:
-            plan = _optimal_plan(mu, nu)
-        costs[k] = _plan_cost(mu, nu, *plan)
+        costs[k] = _plan_cost(mu, nu, *_optimal_plan(mu, nu))
 
-    for_each(solve, order[i:])
+    order = sorted(range(len(checked)), key=lambda k: -len(checked[k][0]) * len(checked[k][1]))
+    rest = []
+    for k in order:
+        if _near_one_line(*checked[k]):
+            solve(k)
+        else:
+            rest.append(k)
+    for_each(solve, rest)
     return costs
 
 

@@ -433,6 +433,20 @@ def test_sample_sizes_reject_bad_arguments(name, eps, delta, message):
         SAMPLE_SIZES[name](eps, delta)
 
 
+@pytest.mark.parametrize("name", TAIL_BOUNDS)
+def test_tail_bounds_saturate_at_zero_where_the_exponent_overflows(name):
+    # eps**2 overflows a float at eps = 1e300
+    assert TAIL_BOUNDS[name](1e300, 100).value == 0.0
+
+
+@pytest.mark.parametrize("name", [name for name in SAMPLE_SIZES if name[:2] in ("n1", "n2")])
+@pytest.mark.parametrize("eps", [1e-170, 1e-320], ids=["square-underflow", "inverse-overflow"])
+def test_sample_sizes_reject_an_overflowing_size(name, eps):
+    number = name[:2]
+    with pytest.raises(ValueError, match=f"^sample size {number} overflows at eps="):
+        SAMPLE_SIZES[name](eps, 0.05)
+
+
 def test_n3_rejects_nonpositive_alpha():
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError, match="^alpha must be positive$"):

@@ -77,6 +77,15 @@ def test_cli_malformed_json_exit_code(tmp_path, capsys):
     assert main(["asem", "--config", str(path)]) == 1
 
 
+def test_cli_non_utf8_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"kind": 1}')
+    assert main(["concentration", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert "codec can't decode" in err
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     assert main(["asem", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -534,3 +543,26 @@ def test_cli_reports_lipschitz_covering_counts_past_the_member_cap(tmp_path, sub
     if subcommand == "asem":
         assert report["metadata"]["n1_covering"] > 10**7
         assert report["metadata"]["net_size"] == 178
+
+
+@pytest.mark.parametrize(
+    "subcommand, column", [("concentration", "theoretical_bound"),
+                           ("relative", "theoretical_bound"), ("bounds", "bound")],
+)
+def test_cli_bound_of_an_overflowing_exponent_is_zero(tmp_path, capsys, subcommand, column):
+    # eps**2 overflows a float at eps = 1e300; the exponent saturates at -inf
+    config = write_config(tmp_path, "c.json", {"kind": subcommand, "eps_list": [1e300],
+                                               "n_list": [100], "replications": 2})
+    assert main([subcommand, "--config", config, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    at = report["columns"].index(column)
+    assert report["rows"] and all(row[at] == 0.0 for row in report["rows"])
+
+
+def test_cli_rejects_an_overflowing_n2(tmp_path, capsys):
+    config = write_config(tmp_path, "c.json", {"kind": "scaling", "alpha": 1e-300,
+                                               "eps_list": [0.1, 0.2]})
+    assert main(["scaling", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sample size n2 overflows at eps=")
+    assert err.count("\n") == 1

@@ -52,6 +52,34 @@ def test_config_rejects_bad_values():
         cfg(kind="contraction", decay_n_max=13)
 
 
+def test_decay_n_max_range_follows_the_atom_cap():
+    # P^n(z0, .) has 2^n atoms, so n stops where 2^n passes the solver's cap
+    import chainlearn.transport as tr
+
+    assert 2**12 == tr.ATOM_CAP
+    assert cfg(kind="contraction", decay_n_max=12).decay_n_max == 12
+    for bad in (0, 13):
+        with pytest.raises(ConfigError, match=r"^decay_n_max must lie in 1\.\.12$"):
+            cfg(kind="contraction", decay_n_max=bad)
+
+
+@pytest.mark.parametrize("field, value", [("n_list", [1000, 10000]), ("eps_list", [0.1])])
+def test_config_made_in_code_takes_a_list_for_a_tuple_field(field, value):
+    # a list passed to the class or to `dataclasses.replace` is kept as a
+    # tuple, as one read from JSON is, and its entries are checked
+    import dataclasses
+
+    made = ExperimentConfig(kind="bounds", **{field: value})
+    replaced = dataclasses.replace(ExperimentConfig(kind="bounds"), **{field: value})
+    for config in (made, replaced):
+        assert getattr(config, field) == tuple(value)
+        assert config.digest() == cfg(kind="bounds", **{field: value}).digest()
+    with pytest.raises(ConfigError, match=f"^every {field} entry must be"):
+        ExperimentConfig(kind="bounds", **{field: [*value, 0]})
+    with pytest.raises(ConfigError, match=f"^{field} must be a list, got 5$"):
+        dataclasses.replace(made, **{field: 5})
+
+
 def test_config_hash_stable_and_sensitive():
     a = cfg(kind="asem", n=100)
     b = cfg(kind="asem", n=100)

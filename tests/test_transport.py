@@ -611,9 +611,9 @@ def test_batch_equals_one_by_one_calls(monkeypatch, workers):
 
 
 def test_batch_starts_items_largest_first(monkeypatch):
-    # by m * n, and pairs of equal size in their input order (the batch has
-    # two 32 x 64 pairs); no pair here merges atoms, so each solve gets the
-    # measures it was given
+    # the pairs the line bound accepts first, then the others, each group by
+    # m * n; no pair here merges atoms, so each solve gets the measures it
+    # was given
     import chainlearn.parallel as parallel
     import chainlearn.transport as tr
 
@@ -622,11 +622,48 @@ def test_batch_starts_items_largest_first(monkeypatch):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
     tr.wasserstein1_exact_batch(pairs)
     sizes = [len(mu) * len(nu) for mu, nu in pairs]
-    assert sizes.count(32 * 64) == 2
-    order = sorted(range(len(pairs)), key=lambda k: (-sizes[k], k))
+    on_line = [tr._near_one_line(mu, nu) for mu, nu in pairs]
+    assert on_line.count(True) == 2
+    order = sorted(range(len(pairs)), key=lambda k: (not on_line[k], -sizes[k]))
     assert len(started) == len(pairs)
     assert all(a is pairs[k][0].weights and b is pairs[k][1].weights
                for (_, a, b), k in zip(started, order))
+
+
+def test_batch_solves_line_bound_pairs_on_the_caller_before_any_pool(monkeypatch):
+    # two usable CPUs and identity pairs among tent pairs, some of which the
+    # block check rejects, one of those larger than an identity pair: every
+    # pair the line bound accepts starts on the calling thread before the
+    # pool starts, and every cost is bit for bit that of the pair alone
+    import concurrent.futures
+
+    import chainlearn.parallel as parallel
+    import chainlearn.transport as tr
+
+    pairs = batch_pairs()
+    alone = [wasserstein1_exact(mu, nu)[0] for mu, nu in pairs]
+    line = [k for k, (mu, nu) in enumerate(pairs) if tr._near_one_line(mu, nu)]
+    rejected = [k for k, (mu, nu) in enumerate(pairs) if certified(mu, nu) is None]
+    assert len(line) == 2 and len(rejected) == 4
+    size = [len(mu) * len(nu) for mu, nu in pairs]
+    assert max(size[k] for k in rejected) > min(size[k] for k in line)
+    started = spy_solves(monkeypatch)
+    pool_starts = []  # the number of solves started when each pool starts
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Spy(real):
+        def __init__(self, *args, **kwargs):
+            pool_starts.append(len(started))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+    batch = tr.wasserstein1_exact_batch(pairs)
+    assert [d.hex() for d in batch] == [d.hex() for d in alone]
+    assert pool_starts == [len(line)]
+    caller = threading.current_thread().name
+    assert {name for name, _, _ in started[: len(line)]} == {caller}
+    assert {id(a) for _, a, _ in started[: len(line)]} == {id(pairs[k][0].weights) for k in line}
 
 
 @pytest.mark.parametrize(
