@@ -40,17 +40,23 @@ Solver strategy, in order:
 2.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
     everything else, on a restricted support: the staircase cells, which
     alone make it feasible, plus the cheapest cell of each row and each
-    column.  After each solve the duals u, v price every cell through the
-    same reduced cost, and the most negative cell with
-    c_ij - u_i - v_j < -tol of each row and each column joins the support
-    before the LP is solved again.  When no cell is left, the plan is
+    column, plus the most negative cell of each row and each column under
+    the staircase's duals, the ones route 1b computed (`_stair_duals`).
+    On the eight tent decay solves against the 1024-point grid, HiGHS
+    solved the support without those last cells in no simplex iteration:
+    the staircase was already optimal on it, so that solve only rebuilt
+    the staircase's duals, and pricing with them up front saves it.  After
+    each solve the duals u, v price every cell through the same reduced
+    cost, and the most negative cell with c_ij - u_i - v_j < -tol of each
+    row and each column joins the support before the LP is solved again.  When no cell is left, the plan is
     feasible and the duals are feasible for the full LP, the same duality
     certificate as in route 1, so the cost is exact.  Each round adds a
     cell, so the loop ends, at worst on the dense LP.  Optimal plans on a
     curve pair near neighbours, so the support stays a small fraction of
     the m x n cells.  One cell per row and column, not two, keeps each
     restricted LP small: HiGHS time grows with the support, and on the
-    tent decay solves the extra rounds cost less than the larger LPs did.
+    eight tent decay solves against the 1024-point grid two cells took 12
+    solves where one takes 15, but 1.6 times the CPU time.
 
 Neither route builds the m x n cost matrix.  Past the line bound, both
 price the cells one block of rows of about `_BLOCK_CELLS` cells at a
@@ -114,6 +120,20 @@ ATOM_CAP = 4096          # per measure, after duplicate merging
 _DUAL_TOL = 1e-11
 _LP_TOL = 1e-10  # HiGHS feasibility tolerances and the restricted LP's pricing check
 _BLOCK_CELLS = 1 << 16  # cells per row block of the dual checks
+# A staircase row or column is exhausted once its residual mass is at most
+# this.  Each step leaves one residual exactly 0.0; the other is exhausted
+# too only on a near-tie, whose leftover, far below the unit roundoff of the
+# unit total mass (1.1e-16), becomes a zero-mass tie link, not a cell.
+_STAIR_EXHAUSTED = 1e-18
+# Route 2 drops cells whose LP mass is at most this: basic cells at a
+# degenerate vertex carry 0 up to HiGHS's roundoff, and dropping one moves a
+# marginal by at most this, five orders of magnitude inside `_LP_TOL`.
+_LP_MASS_CUTOFF = 1e-15
+# Largest |sum of weights - 1| a measure may reach the solvers with.  A
+# measure built with the default check is within 1e-12 already; this
+# catches one built with `normalize_check=False` that is not a probability
+# measure, and leaves room for weights a caller rounded.
+_NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,8 +173,8 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         masses.append(mass)
         ra -= mass
         rb -= mass
-        a_done = ra <= 1e-18
-        b_done = rb <= 1e-18
+        a_done = ra <= _STAIR_EXHAUSTED
+        b_done = rb <= _STAIR_EXHAUSTED
         if a_done and b_done:
             if i + 1 < m and j + 1 < n:
                 rows.append(i + 1)
@@ -225,14 +245,14 @@ def _certified_monotone(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
     return _block_certified(mu, nu, stairs)
 
 
-def _block_certified(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
-    """The positive-mass cells (rows, cols, masses) of the staircase plan
-    `stairs` if its dual potentials price out every cell (route 1b), else
-    None."""
-    rows, cols, masses = stairs
-    m, n = len(mu), len(nu)
-    u: list[float | None] = [None] * m
-    v: list[float | None] = [None] * n
+def _stair_duals(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
+    """Dual potentials (u, v), u_0 = 0, with u_i + v_j = c_ij on every cell
+    of the staircase plan `stairs`, by one sweep along it: each cell shares
+    a row or a column with the one before.  None if the staircase misses a
+    row or a column."""
+    rows, cols, _ = stairs
+    u: list[float | None] = [None] * len(mu)
+    v: list[float | None] = [None] * len(nu)
     u[0] = 0.0
     for i, j, c in zip(rows.tolist(), cols.tolist(), _costs(mu, nu, rows, cols).tolist()):
         if v[j] is None and u[i] is not None:
@@ -241,9 +261,20 @@ def _block_certified(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
             u[i] = c - v[j]
     if None in u or None in v:
         return None
-    for _, block in _reduced_blocks(mu, nu, np.array(u), np.array(v)):
+    return np.array(u), np.array(v)
+
+
+def _block_certified(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
+    """The positive-mass cells (rows, cols, masses) of the staircase plan
+    `stairs` if its dual potentials price out every cell (route 1b), else
+    None."""
+    duals = _stair_duals(mu, nu, stairs)
+    if duals is None:
+        return None
+    for _, block in _reduced_blocks(mu, nu, *duals):
         if not block.min() >= -_DUAL_TOL:  # NaN rejects too
             return None
+    rows, cols, masses = stairs
     keep = masses > 0.0
     return rows[keep], cols[keep], masses[keep]
 
@@ -296,8 +327,9 @@ def linprog(*args, **kwargs):
 
 def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
     """The plan (rows, cols, masses) of HiGHS on a support grown until the
-    duals price out every cell (route 2), starting from the cheapest cells
-    and the cells of the staircase plan `stairs`."""
+    duals price out every cell (route 2), starting from the cells of the
+    staircase plan `stairs`, the cheapest cells, and the most negative cells
+    under the staircase's own duals."""
     from scipy.sparse import csr_matrix
 
     m, n = len(mu), len(nu)
@@ -305,6 +337,11 @@ def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
         _cheapest_cells(mu, nu, np.zeros(m), np.zeros(n), np.empty(0, np.intp), np.inf),
         stairs[0] * n + stairs[1],
     )
+    # the staircase is a basis of this support and is often optimal on it,
+    # so a first solve would only rebuild its duals: price with them instead
+    duals = _stair_duals(mu, nu, stairs)
+    if duals is not None:
+        cells = np.union1d(cells, _cheapest_cells(mu, nu, *duals, cells, -_LP_TOL))
     while True:
         # variable k carries the mass on cell (rows[k], cols[k]): it enters
         # row constraint rows[k] and column constraint m + cols[k]
@@ -334,14 +371,14 @@ def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
         if not grow.size:
             break
         cells = np.union1d(cells, grow)
-    keep = res.x > 1e-15
+    keep = res.x > _LP_MASS_CUTOFF
     return rows[keep], cols[keep], res.x[keep]
 
 
 def _checked(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """mu and nu merged, once both are normalized and within the atom cap."""
     for name, m in (("mu", mu), ("nu", nu)):
-        if abs(m.weights.sum() - 1.0) > 1e-9:
+        if abs(m.weights.sum() - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"{name} is not normalized: weights sum to {m.weights.sum()!r}")
     mu = mu.merged()
     nu = nu.merged()

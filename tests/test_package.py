@@ -85,3 +85,29 @@ def test_blas_products_stay_in_two_places():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert found == {"hypothesis.HypothesisNet.mean_squared_errors", "transport.kr_dual_lower"}
+
+
+def test_one_lp_solve_in_the_package():
+    # route 2 is the one LP path: only `transport._transportation_lp` calls
+    # the lazy `transport.linprog` wrapper, and only the wrapper reaches
+    # scipy's `linprog`, so no second LP route can appear beside the one
+    # seeded by the staircase duals
+    package = Path(chainlearn.__file__).parent
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if callee.split(".")[-1] == "linprog":
+                found.add((scope, callee))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {
+        ("transport._transportation_lp", "linprog"),
+        ("transport.linprog", "optimize.linprog"),
+    }

@@ -265,6 +265,37 @@ def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
     assert max(rounds) >= 2
 
 
+def test_lp_starts_from_the_staircase_duals(monkeypatch):
+    # the first support holds the most negative cells under the staircase's
+    # duals, so no solve only rebuilds them: the tent decay solves n = 1..8
+    # against the 1024-point grid take at most 15 HiGHS solves (23 when the
+    # LP started from zero duals), and each pair's last solve has duals that
+    # price out every cell of the full matrix
+    import chainlearn.transport as tr
+
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(linprog(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tr, "linprog", spy)
+    chain = ContractiveChain(make_space(TENT))
+    grid = invariant_measure(chain, 1024)
+    solves = []
+    for n in range(1, 9):
+        mu = n_step_kernel(chain, graph_point(0.0, TENT), n)
+        before = len(results)
+        wasserstein1_exact(mu, grid)
+        solves.append(len(results) - before)
+        mm, nn = mu.merged(), grid.merged()
+        duals = results[-1].eqlin.marginals
+        u, v = duals[: len(mm)], duals[len(mm) :]
+        assert (cost_matrix(mm, nn) - u[:, None] - v[None, :]).min() >= -tr._LP_TOL
+    assert min(solves) >= 1  # every pair reaches route 2
+    assert sum(solves) <= 15
+
+
 def test_plan_is_feasible_and_attains_cost():
     for trial in range(20):
         mu = random_measure(TENT, 1 + trial % 4, lane=trial, seed=5)
@@ -443,6 +474,72 @@ def test_pairs_off_the_line_reach_the_block_check(monkeypatch, pair):
     assert d == pytest.approx(dense, rel=1e-9)
 
 
+def tie_link_pair():
+    """Dyadic-weight tent measures whose staircase exhausts a row and a
+    column at once, so it holds a zero-mass tie link."""
+    return (
+        random_measure(TENT, 8, lane=0, dyadic=True).merged(),
+        random_measure(TENT, 9, lane=40, dyadic=True).merged(),
+    )
+
+
+def test_stair_duals_are_tight_on_the_staircase():
+    # the one sweep behind the block check and route 2's first support gives
+    # finite potentials whose sums are the costs on every staircase cell,
+    # the zero-mass tie links included
+    import chainlearn.transport as tr
+
+    pairs = [tie_link_pair()]
+    for trial in range(10):
+        mu = random_measure(TENT, 2 + 5 * trial, lane=trial)
+        nu = random_measure(TENT, 40 - 3 * trial, lane=60 + trial)
+        pairs.append((mu.merged(), nu.merged()))
+    for mu, nu in pairs:
+        stairs = tr._staircase(mu.weights, nu.weights)
+        u, v = tr._stair_duals(mu, nu, stairs)
+        assert u.shape == (len(mu),) and v.shape == (len(nu),)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+        rows, cols, _ = stairs
+        assert np.abs(u[rows] + v[cols] - cost_matrix(mu, nu)[rows, cols]).max() <= 1e-12
+    ties = tr._staircase(pairs[0][0].weights, pairs[0][1].weights)[2] == 0.0
+    assert ties.any()
+
+
+def test_lp_solves_a_pair_whose_staircase_misses_a_row():
+    # weights summing to 1 + 5e-11 (inside the normalization check) exhaust
+    # the columns one atom early: the staircase misses the last row, so it
+    # has no duals, and route 2 starts from the staircase and cheapest
+    # cells alone
+    import chainlearn.transport as tr
+
+    xs = np.array([0.1, 0.6, 0.9])
+    mu = DiscreteMeasure(xs, TENT(xs), [0.5, 0.5, 5e-11], normalize_check=False)
+    nu = DiscreteMeasure.on_graph(TENT, np.array([0.3, 0.7]), [0.5, 0.5])
+    assert tr._stair_duals(mu, nu, tr._staircase(mu.weights, nu.weights)) is None
+    d, _, used = solve_with_route(mu, nu)
+    assert used == "_transportation_lp"
+    assert d == pytest.approx(dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu)), rel=1e-9)
+
+
+def test_block_check_verdicts_rest_on_the_stair_duals():
+    # the block check accepts exactly where the sweep's duals price out the
+    # full matrix, with the same verdicts as before the sweep was shared:
+    # route 1b takes the quadratic and lifted-identity pairs and the later
+    # tent kernels, route 2 the rest
+    import chainlearn.transport as tr
+
+    pairs = [curve_pair(QUADRATIC), lifted_identity_pair(), curve_pair(TENT), lp_route_pair()]
+    verdicts = []
+    for mu, nu in pairs + lp_block_pairs():
+        mu, nu = mu.merged(), nu.merged()
+        stairs = tr._staircase(mu.weights, nu.weights)
+        u, v = tr._stair_duals(mu, nu, stairs)
+        accepted = tr._block_certified(mu, nu, stairs) is not None
+        assert accepted == ((cost_matrix(mu, nu) - u[:, None] - v[None, :]).min() >= -tr._DUAL_TOL)
+        verdicts.append(accepted)
+    assert verdicts == [True, True, False, False] + [False] * 4 + [True] * 10 + [False] * 6
+
+
 def lifted_measure(lane, size, delta):
     """Identity atoms in two clusters of x-width 2 delta, each lifted by up
     to delta: pairs of them are where the staircase can lose to a crossing
@@ -590,8 +687,8 @@ def spy_pools(monkeypatch):
 def test_batch_equals_one_by_one_calls(monkeypatch, workers):
     # every cost bit for bit as `wasserstein1_exact` gives it alone, whichever
     # thread solved it, also when threads switch as often as they can; the
-    # batch spreads from its fifth instance by size, the first the
-    # certificate rejects, and certified and LP instances follow it
+    # pairs the line bound accepts are solved on the calling thread first,
+    # then every other pair is one `for_each` item, largest m * n first
     import chainlearn.parallel as parallel
     import chainlearn.transport as tr
 
