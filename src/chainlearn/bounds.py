@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import rng
-from .chain import CHUNK, ContractiveChain, simulate_x_blocks
+from .chain import ContractiveChain, simulate_x_blocks
 from .hypothesis import Hypothesis
 from .learner import true_error
 from .loss import LossConstants
@@ -316,11 +316,31 @@ class PoissonEstimate:
 
 
 def truncation_for_tolerance(consts: ModelConstants, tol: float) -> int:
-    """Smallest N with C1 L e^(-C2 N) / (1 - e^(-C2)) <= tol."""
+    """Smallest N with C1 L e^(-C2 N) / (1 - e^(-C2)) <= tol, as
+    `ModelConstants.poisson_tail` computes it.
+
+    The closed form ceil((ln poisson_tail(0) - ln tol) / C2) can miss by
+    one where tol is within a rounding error of a tail, so N is stepped from
+    it until poisson_tail(N) <= tol < poisson_tail(N - 1) holds in floats.
+    It takes the difference of logs, as the ratio of the tail to a tiny tol
+    overflows.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ratio = consts.C1 * consts.L / (tol * consts.one_minus_exp_neg_c2)
-    return max(0, math.ceil(math.log(ratio) / consts.C2))
+    N = max(0, math.ceil((math.log(consts.poisson_tail(0)) - math.log(tol)) / consts.C2))
+    while consts.poisson_tail(N) > tol:
+        N += 1
+    while N > 0 and consts.poisson_tail(N - 1) <= tol:
+        N -= 1
+    return N
+
+
+# lanes in one chunk of Poisson rollouts, each chunk one `simulate_x_blocks`
+# call folded a step at a time; chunks are folded on parallel threads.  On
+# a 2-vCPU host chunks of 2^14 lanes took twice as long as the 2^16 here,
+# from GIL hand-offs between numpy calls too short to overlap, while 2^16
+# to 2^17 were fastest.
+CHUNK = 2**16
 
 
 def poisson_estimate(
@@ -339,16 +359,14 @@ def poisson_estimate(
 
     Rollout r from grid point i is the `simulate_x_blocks` trajectory of
     lane i * rollouts + r in the Poisson stream of `seed`.  The lanes are
-    cut into contiguous chunks of about `CHUNK` lane-steps, each its own
-    `simulate_x_blocks` call, folded by `parallel.for_each`: one worker
-    per CPU the process may use, the calling thread and a pool of the
-    others.  Keeping the caller busy leaves its chunks' memory in the main
-    heap, which later work reuses.  A chunk adds the squared losses of its
-    lanes into its own slice of the sums in step order,
-    ((0 + l_0) + l_1) + ..., so an estimate does not depend on the chunk,
-    the block width or the thread.  The losses are computed on the
-    transposed blocks, in the simulator's step-major memory, so each
-    step's losses are one contiguous row and every pass is a sweep.
+    cut into contiguous chunks of `CHUNK` lanes, each its own
+    `simulate_x_blocks` call in one-step blocks, folded by
+    `parallel.for_each`: one worker per CPU the process may use, the
+    calling thread and a pool of the others.  A chunk takes the squared
+    losses of one step's states at a time, a contiguous row of its lanes,
+    and adds them into its own slice of the sums in step order,
+    ((0 + l_0) + l_1) + ..., so an estimate does not depend on the chunk or
+    the thread, and no array of steps x lanes is held.
     Raises if the truncation's geometric tail exceeds the requested
     tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
@@ -368,20 +386,18 @@ def poisson_estimate(
     steps = truncation + 1
     sums = np.zeros((grid + 1) * rollouts)  # one loss sum per lane
     stream = rng.derive(seed, rng.POISSON)
-    size = max(1, CHUNK // steps)
 
     def fold(lo: int) -> None:
-        lanes = np.arange(lo, min(lo + size, sums.size))
+        lanes = np.arange(lo, min(lo + CHUNK, sums.size))
         out = sums[lo : lo + lanes.size]
-        for states in simulate_x_blocks(xs[lanes // rollouts], steps, stream, lanes):
-            rows = states.T  # the block's memory: one contiguous row per step
-            loss = h(rows)  # a new array, squared in place
-            loss -= target(rows)
+        for states in simulate_x_blocks(xs[lanes // rollouts], steps, stream, lanes, width=1):
+            row = states[:, 0]  # one step's states, contiguous
+            loss = h(row)  # a new array, squared in place
+            loss -= target(row)
             np.square(loss, out=loss)
-            for row in loss:
-                out += row
+            out += loss
 
-    for_each(fold, range(0, sums.size, size))
+    for_each(fold, range(0, sums.size, CHUNK))
     values = sums.reshape(grid + 1, rollouts).mean(axis=1) - steps * er
     mc_tol = 3.0 * consts.B * math.sqrt(max(truncation, 1) / rollouts)
     return PoissonEstimate(xs, values, truncation, rollouts, mc_tol, er)

@@ -48,9 +48,6 @@ STEP_BLOCK = 512
 # most cells (lanes x steps, or replications x knots of the moments the
 # callers fold blocks into) held per block
 BUDGET = 2**20
-# most lane-steps (lanes x steps) in one chunk of Poisson rollouts; chunks
-# are folded on parallel threads, and smaller ones lose to GIL contention
-CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,20 @@ class DyadicState:
         return DyadicState((bit,) + self.bits)
 
 
-def simulate_x_blocks(x0, n: int, stream: int, lanes) -> Iterator[np.ndarray]:
+def simulate_x_blocks(
+    x0, n: int, stream: int, lanes, *, width: int | None = None
+) -> Iterator[np.ndarray]:
     """The states x_0 .. x_{n-1} of one trajectory per lane, yielded as
     consecutive column blocks of shape lanes.shape + (width,).
 
     x_0 = x0 (broadcast against lanes) and x_k = (x_{k-1} + b)/2, where b
     is the bit at (lane, index k) of `stream`, so a lane's trajectory does
-    not depend on the other lanes or on the block width
+    not depend on the other lanes or on the block width, by default
     max(1, min(STEP_BLOCK, BUDGET // lanes)).  The lane keys are hashed once
-    per call and the branch bits drawn from them a block at a time
-    (`rng.keyed_bits`); only the recursion itself runs step by step.
+    per call (`rng.bit_keys`) and the branch bits drawn from them a block
+    at a time (`rng.keyed_bits`); only the recursion itself runs step by
+    step.  A block's words are drawn in the block's own memory, and its bits
+    and the draw's other words go into buffers reused across the call.
 
     A block lives in memory step-major: it is allocated (width, lanes) in
     C order, so each step writes one contiguous row, and it is yielded as
@@ -98,12 +99,16 @@ def simulate_x_blocks(x0, n: int, stream: int, lanes) -> Iterator[np.ndarray]:
     must not write into a block: the next block starts from a view of its
     last row, which saves a copy of the states of every lane.
     """
-    keys = rng.lane_keys(stream, lanes)
+    keys = rng.bit_keys(stream, lanes)
     del lanes  # the keys stand in for the lanes, which may be freed
     shape = keys.shape
     keys = keys.reshape(-1)
-    width = max(1, min(STEP_BLOCK, BUDGET // keys.size))
+    if width is None:
+        width = max(1, min(STEP_BLOCK, BUDGET // keys.size))
     x = np.broadcast_to(np.asarray(x0, dtype=float), shape).reshape(-1)
+    draws = min(width, max(n - 1, 0))  # the most bits one block draws
+    bits = np.empty((draws, keys.size), dtype=bool)
+    spare = np.empty((draws, keys.size), dtype=np.uint64)
     for lo in range(0, n, width):
         block = np.empty((min(width, n - lo), keys.size))
         first = int(lo == 0)  # the row of x_0, which takes no bit
@@ -111,8 +116,11 @@ def simulate_x_blocks(x0, n: int, stream: int, lanes) -> Iterator[np.ndarray]:
             block[0] = x
         steps = np.arange(lo + first, lo + len(block), dtype=np.uint64)
         if steps.size:  # the block holding only x_0 draws no bits
-            for row, bits in zip(block[first:], rng.keyed_bits(keys, steps)):
-                np.add(x, bits, out=row)
+            k = steps.size
+            words = block[first:].view(np.uint64)
+            rng.keyed_bits(keys, steps, bits[:k], (words, spare[:k]))
+            for row, b in zip(block[first:], bits[:k]):
+                np.add(x, b, out=row)
                 row *= 0.5  # the same float as / 2.0, sooner
                 x = row
         yield np.moveaxis(block.reshape((len(block),) + shape), 0, -1)

@@ -8,8 +8,12 @@ counter; lanes are decorrelated by large odd multipliers.
 
 A branch bit is the top bit of a word.  The finalizer's last step,
 x ^= x >> 31, leaves bit 63 as it was, so `keyed_bits` stops one step
-early and compares against 2^63: the same bits for two fewer passes over
-the words.
+early and compares against 2^63.  Its first step is linear over GF(2): with
+L(v) = v ^ (v >> 30), the word at (lane key k, index i) starts from
+L(k ^ c) = L(k) ^ L(c) for c = i * _INDEX_MUL.  So `bit_keys` applies L to
+the lane keys once, and a draw from them costs one xor with the per-index
+L(c), the multiply, the middle xor-shift, the second multiply and the
+comparison: the same bits for six passes over the words instead of eight.
 """
 
 from __future__ import annotations
@@ -53,22 +57,21 @@ def uniform(seed: int, lane: int, index: int) -> float:
 # and unsigned arithmetic wraps mod 2^64, matching the scalar versions bit
 # for bit.  The key of a lane is fixed and only the index moves along its
 # stream, so a caller drawing many indices per lane hashes the keys once
-# with `lane_keys` and draws from them with `keyed_words`, or with
-# `keyed_bits` when it needs only the branch bits.
+# with `lane_keys` and draws from them with `keyed_words`, or hashes them
+# with `bit_keys` and draws with `keyed_bits` when it needs only the branch
+# bits.
 
-def _mix_top_np(x: np.ndarray) -> np.ndarray:
-    """All of `_mix` but its last xor-shift, which keeps the top bit, in
-    place; callers pass temporaries."""
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    return x
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_TOP = np.uint64(1 << 63)
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
     """Mix a uint64 array in place and return it; callers pass temporaries."""
-    x = _mix_top_np(x)
+    x ^= x >> np.uint64(30)
+    x *= _M1
+    x ^= x >> np.uint64(27)
+    x *= _M2
     x ^= x >> np.uint64(31)
     return x
 
@@ -85,13 +88,36 @@ def keyed_words(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return _mix_np(keys ^ (indices * np.uint64(_INDEX_MUL)))
 
 
-def keyed_bits(keys: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def bit_keys(seed: int, lanes: np.ndarray) -> np.ndarray:
+    """The keys `keyed_bits` draws from: each lane's `lane_keys` key k with
+    the mixer's first xor-shift applied, k ^ (k >> 30)."""
+    keys = lane_keys(seed, lanes)
+    return keys ^ (keys >> np.uint64(30))
+
+
+def keyed_bits(
+    keys: np.ndarray,
+    indices: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """The top bits of `keyed_words` as booleans, step-major: entry
-    [i..., l...] is bit 63 of the word at indices[i...] of the stream with
-    key keys[l...], so the shape is indices.shape + keys.shape."""
+    [i..., l...] is bit 63 of the word at indices[i...] of the stream whose
+    `bit_keys` key is keys[l...], so the shape is indices.shape + keys.shape.
+
+    The bits go into `out` (bool) when given, and the words on their way
+    into the two uint64 arrays of `work`, each of the result's shape, so a
+    caller drawing block after block allocates nothing the size of a block
+    per draw."""
     indices = np.asarray(indices, dtype=np.uint64)
-    x = (indices * np.uint64(_INDEX_MUL)).reshape(indices.shape + (1,) * np.ndim(keys))
-    return _mix_top_np(x ^ keys) >= np.uint64(1 << 63)
+    c = indices * np.uint64(_INDEX_MUL)
+    c = (c ^ (c >> np.uint64(30))).reshape(indices.shape + (1,) * np.ndim(keys))
+    words, spare = (None, None) if work is None else work
+    x = np.bitwise_xor(c, keys, out=words)
+    x *= _M1
+    x ^= np.right_shift(x, np.uint64(27), out=spare)
+    x *= _M2
+    return np.greater_equal(x, _TOP, out=out)
 
 
 def uniform_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:

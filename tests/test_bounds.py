@@ -498,6 +498,29 @@ def test_truncation_sizing():
     assert c.C1 * c.L * math.exp(-c.C2 * (N - 1)) / omc > 1e-3
 
 
+@pytest.mark.parametrize("L", [2.0, 4.0])  # the CLI's default model, and the one above
+def test_truncation_meets_every_tolerance_at_a_tail(L):
+    # tolerances equal to a computed tail and its two neighbouring floats:
+    # the closed form lands one short of or past the smallest truncation
+    # for many of them, and the estimator then refuses a valid tolerance
+    c = consts_for(1 - SQ2 / 2, SQ2, L)
+    for n in range(200):
+        tail = c.poisson_tail(n)
+        for tol in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, math.inf)):
+            N = truncation_for_tolerance(c, tol)
+            assert c.poisson_tail(N) <= tol, (n, tol)
+            assert N == 0 or tol < c.poisson_tail(N - 1), (n, tol)
+    # a subnormal tolerance, whose ratio to the whole tail overflows
+    for tol in (1e-320, 5e-324):
+        N = truncation_for_tolerance(c, tol)
+        assert c.poisson_tail(N) <= tol < c.poisson_tail(N - 1)
+    ident = ContractiveChain(make_space(make_target("identity")))
+    tol = c.poisson_tail(9)
+    assert truncation_for_tolerance(c, tol) == 9
+    poisson_estimate(Hypothesis((0.5,)), ident, invariant_measure(ident, 64), c, grid=2,
+                     truncation=9, rollouts=1, truncation_tol=tol)
+
+
 def test_poisson_tail_is_the_truncation_tail():
     c = consts_for(1 - SQ2 / 2, SQ2, 4.0)
     N = truncation_for_tolerance(c, 1e-3)
@@ -620,7 +643,8 @@ def test_poisson_lane_sums_run_in_step_order():
 
 # lanes per chunk: 1, 4 (less than a grid row and not dividing the
 # rollouts), 9 (more than a row, dividing neither the rollouts nor the lane
-# count), more than all 30 lanes, and as many as the default chunk holds
+# count), more than all 30 lanes, and the default chunk; the budget, which
+# sets the default block width, must not reach the one-step Poisson blocks
 @pytest.mark.parametrize("lanes", [1, 4, 9, 10**5, None])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("budget", [4, None])
@@ -629,7 +653,7 @@ def test_poisson_estimate_independent_of_chunks_workers_and_blocks(
 ):
     want = fold_estimate().values
     if lanes is not None:
-        monkeypatch.setattr(bounds_module, "CHUNK", lanes * (FOLD_N + 1))
+        monkeypatch.setattr(bounds_module, "CHUNK", lanes)
     if budget is not None:
         monkeypatch.setattr(chain_module, "BUDGET", budget)
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
@@ -640,7 +664,7 @@ def test_poisson_fold_with_more_workers_than_cores_and_fast_switching(monkeypatc
     # one lane per chunk, eight workers taking chunks from one iterator: a
     # chunk folded twice or skipped would change its lane's sum
     want = fold_estimate().values
-    monkeypatch.setattr(bounds_module, "CHUNK", FOLD_N + 1)
+    monkeypatch.setattr(bounds_module, "CHUNK", 1)
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(8)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -651,18 +675,41 @@ def test_poisson_fold_with_more_workers_than_cores_and_fast_switching(monkeypatc
         sys.setswitchinterval(interval)
 
 
+def test_poisson_folds_one_step_blocks_of_whole_chunks(monkeypatch):
+    # each chunk is one simulator call in one-step blocks, so the fold holds
+    # no steps x lanes array
+    monkeypatch.setattr(bounds_module, "CHUNK", 7)
+    calls, shapes = [], []
+    simulate = bounds_module.simulate_x_blocks
+
+    def spy(x0, n, stream, lanes, **kwargs):
+        calls.append((np.size(lanes), n, kwargs))
+        for block in simulate(x0, n, stream, lanes, **kwargs):
+            shapes.append(block.shape)
+            yield block
+
+    monkeypatch.setattr(bounds_module, "simulate_x_blocks", spy)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    fold_estimate()
+    lanes = FOLD_ROLLOUTS * (FOLD_GRID + 1)
+    assert calls == [(7, FOLD_N + 1, {"width": 1})] * (lanes // 7) + [
+        (lanes % 7, FOLD_N + 1, {"width": 1})
+    ]
+    assert set(shapes) == {(7, 1), (lanes % 7, 1)}
+
+
 def test_poisson_chunk_error_reaches_caller_and_no_thread_outlives_the_call(monkeypatch):
-    monkeypatch.setattr(bounds_module, "CHUNK", FOLD_N + 1)  # one lane per chunk
+    monkeypatch.setattr(bounds_module, "CHUNK", 1)  # one lane per chunk
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     error = RuntimeError("chunk failed")
     lock, calls = threading.Lock(), []
 
     def failing(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:  # a block of rollout states, not the true error's atoms
+        if x.size == 1:  # one step of a one-lane chunk, not the true error's atoms
             with lock:
                 calls.append(None)
-                if len(calls) == 7:
+                if len(calls) == 7 * (FOLD_N + 1):  # the last step of a seventh chunk
                     raise error
         return FOLD_H(x)
 
@@ -671,7 +718,8 @@ def test_poisson_chunk_error_reaches_caller_and_no_thread_outlives_the_call(monk
         fold_estimate(failing)
     assert excinfo.value is error
     assert threading.active_count() == before
-    assert len(calls) < FOLD_ROLLOUTS * (FOLD_GRID + 1)  # the remaining chunks were skipped
+    # the remaining chunks were skipped
+    assert len(calls) < FOLD_ROLLOUTS * (FOLD_GRID + 1) * (FOLD_N + 1)
 
 
 def test_model_constants_validation():

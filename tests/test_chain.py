@@ -141,18 +141,19 @@ def test_blocks_are_lane_major_views_of_step_major_memory(monkeypatch, lanes, bu
 def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
     from chainlearn import chain
 
-    key_calls, drawn = [], []
-    lane_keys, keyed_bits = rng.lane_keys, rng.keyed_bits
+    key_calls, drawn, buffers = [], [], set()
+    bit_keys, keyed_bits = rng.bit_keys, rng.keyed_bits
 
     def keys_spy(seed, lanes):
         key_calls.append(np.size(lanes))
-        return lane_keys(seed, lanes)
+        return bit_keys(seed, lanes)
 
-    def bits_spy(keys, indices):
+    def bits_spy(keys, indices, out, work):
         drawn.append(np.asarray(indices).tolist())
-        return keyed_bits(keys, indices)
+        buffers.add((out.__array_interface__["data"][0], work[1].__array_interface__["data"][0]))
+        return keyed_bits(keys, indices, out, work)
 
-    monkeypatch.setattr(rng, "lane_keys", keys_spy)
+    monkeypatch.setattr(rng, "bit_keys", keys_spy)
     monkeypatch.setattr(rng, "keyed_bits", bits_spy)
     stream = rng.derive(3, rng.TRAJECTORY)
     lanes = np.arange(5)
@@ -161,6 +162,7 @@ def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
     xs = np.concatenate(list(simulate_x_blocks(0.0, 4, stream, lanes)), axis=-1)
     assert key_calls == [5]
     assert drawn == [[1], [2], [3]]
+    assert len(buffers) == 1  # every draw reuses the call's buffers
     for lane in range(5):
         assert xs[lane].tolist() == _scalar_trajectory(0.0, 4, stream, lane)
 
@@ -168,6 +170,18 @@ def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
     drawn.clear()
     list(simulate_x_blocks(0.0, 1, stream, lanes))
     assert key_calls == [5] and drawn == []
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 40])
+def test_width_keyword_sets_the_blocks_not_the_states(width):
+    n = 11
+    lanes = np.arange(6) * 5
+    stream = rng.derive(41, rng.TRAJECTORY)
+    blocks = list(simulate_x_blocks(0.5, n, stream, lanes, width=width))
+    assert [b.shape[-1] for b in blocks] == [min(width, n - lo) for lo in range(0, n, width)]
+    xs = np.concatenate(blocks, axis=-1)
+    for row, lane in enumerate(lanes):
+        assert xs[row].tolist() == _scalar_trajectory(0.5, n, stream, int(lane))
 
 
 def test_float_trajectory_follows_exact_dyadic_states():

@@ -113,6 +113,31 @@ def test_cli_json_format(tmp_path):
     assert payload["metadata"]["passed"] is True
 
 
+def test_cli_poisson_accepts_a_tolerance_equal_to_a_tail(tmp_path, capsys):
+    # the closed form gives truncation 9 for this tolerance, but the default
+    # model's tail at 9 computes one ulp above it, so 10 is the smallest
+    # truncation that meets it
+    config = write_config(
+        tmp_path, "c.json", {"kind": "poisson", "truncation_tol": 0.4267766952966372}
+    )
+    out = tmp_path / "poisson.json"
+    assert main(["poisson-check", "--config", config, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads(out.read_text())["metadata"]
+    assert meta["truncation"] == 10
+
+
+def test_cli_poisson_accepts_a_subnormal_tolerance(tmp_path, capsys):
+    # the tail's ratio to this tolerance overflows a float
+    payload = {"kind": "poisson", "truncation_tol": 1e-320, "poisson_grid": 2,
+               "poisson_rollouts": 1}
+    config = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "poisson.json"
+    assert main(["poisson-check", "--config", config, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["metadata"]["truncation"] > 2000
+
+
 def test_cli_kind_follows_subcommand(tmp_path):
     # the subcommand wins over the config's kind tag
     config = write_config(tmp_path, "c.json", {**BASE, "kind": "lemma"})

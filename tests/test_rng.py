@@ -34,16 +34,27 @@ def test_vector_words_match_scalar_word_bit_for_bit(seed, lanes, indices):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     seed=WORDS,
-    lanes=st.lists(WORDS, min_size=1, max_size=6),
+    lanes=st.lists(st.one_of(WORDS, st.integers(2**64 - 4, 2**64 - 1)), min_size=1, max_size=6),
     indices=st.lists(st.one_of(st.just(0), WORDS), min_size=1, max_size=6),
 )
 def test_top_bit_draw_matches_words_and_scalar_bit(seed, lanes, indices):
-    keys = rng.lane_keys(seed, np.array(lanes, dtype=np.uint64))
+    lane_arr = np.array(lanes, dtype=np.uint64)
     idx = np.array(indices, dtype=np.uint64)
+    lane_copy, idx_copy = lane_arr.copy(), idx.copy()
+    keys = rng.bit_keys(seed, lane_arr)
     key_copy = keys.copy()
     bits = rng.keyed_bits(keys, idx)
     assert bits.dtype == np.bool_ and bits.shape == (idx.size, keys.size)  # step-major
-    words = rng.keyed_words(keys[None, :], idx[:, None])
+    # the lane keys with the mixer's first xor-shift hoisted out of every draw
+    words = rng.keyed_words(rng.lane_keys(seed, lane_arr)[None, :], idx[:, None])
     assert np.array_equal(bits, words >> np.uint64(63))
     assert bits.tolist() == [[bool(rng.bit(seed, a, i)) for a in lanes] for i in indices]
+    # the same bits drawn into caller buffers, which are returned filled
+    out = np.empty(bits.shape, dtype=bool)
+    work = (np.empty(bits.shape, dtype=np.uint64), np.empty(bits.shape, dtype=np.uint64))
+    assert rng.keyed_bits(keys, idx, out, work) is out
+    assert np.array_equal(out, bits)
+    # neither call writes into its inputs
     assert np.array_equal(keys, key_copy)
+    assert np.array_equal(lane_arr, lane_copy)
+    assert np.array_equal(idx, idx_copy)
