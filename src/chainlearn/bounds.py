@@ -366,7 +366,9 @@ def poisson_estimate(
     losses of one step's states at a time, a contiguous row of its lanes,
     and adds them into its own slice of the sums in step order,
     ((0 + l_0) + l_1) + ..., so an estimate does not depend on the chunk or
-    the thread, and no array of steps x lanes is held.
+    the thread, and no array of steps x lanes is held.  A one-knot
+    `Hypothesis` c is scored as (f(x) - c)^2, the same floats as the
+    general (h(x) - f(x))^2 with no interpolation per step.
     Raises if the truncation's geometric tail exceeds the requested
     tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
@@ -386,14 +388,19 @@ def poisson_estimate(
     steps = truncation + 1
     sums = np.zeros((grid + 1) * rollouts)  # one loss sum per lane
     stream = rng.derive(seed, rng.POISSON)
+    # negating a difference is exact, so (f - c)^2 is the float (c - f)^2
+    c = float(h.knot_values[0]) if isinstance(h, Hypothesis) and h.knot_count == 1 else None
 
     def fold(lo: int) -> None:
         lanes = np.arange(lo, min(lo + CHUNK, sums.size))
         out = sums[lo : lo + lanes.size]
         for states in simulate_x_blocks(xs[lanes // rollouts], steps, stream, lanes, width=1):
             row = states[:, 0]  # one step's states, contiguous
-            loss = h(row)  # a new array, squared in place
-            loss -= target(row)
+            if c is None:
+                loss = h(row)  # a new array, squared in place
+                loss -= target(row)
+            else:
+                loss = np.subtract(target(row), c)  # new even if target returns row
             np.square(loss, out=loss)
             out += loss
 

@@ -89,8 +89,10 @@ def simulate_x_blocks(
     max(1, min(STEP_BLOCK, BUDGET // lanes)).  The lane keys are hashed once
     per call (`rng.bit_keys`) and the branch bits drawn from them a block
     at a time (`rng.keyed_bits`); only the recursion itself runs step by
-    step.  A block's words are drawn in the block's own memory, and its bits
-    and the draw's other words go into buffers reused across the call.
+    step.  A block's words are drawn, and its bits written as the floats 1.0
+    and 0.0, in the block's own memory, each step's states are then added
+    to its bits in place, and the draw's other words go into one buffer
+    reused across the call.
 
     A block lives in memory step-major: it is allocated (width, lanes) in
     C order, so each step writes one contiguous row, and it is yielded as
@@ -107,7 +109,6 @@ def simulate_x_blocks(
         width = max(1, min(STEP_BLOCK, BUDGET // keys.size))
     x = np.broadcast_to(np.asarray(x0, dtype=float), shape).reshape(-1)
     draws = min(width, max(n - 1, 0))  # the most bits one block draws
-    bits = np.empty((draws, keys.size), dtype=bool)
     spare = np.empty((draws, keys.size), dtype=np.uint64)
     for lo in range(0, n, width):
         block = np.empty((min(width, n - lo), keys.size))
@@ -116,11 +117,10 @@ def simulate_x_blocks(
             block[0] = x
         steps = np.arange(lo + first, lo + len(block), dtype=np.uint64)
         if steps.size:  # the block holding only x_0 draws no bits
-            k = steps.size
             words = block[first:].view(np.uint64)
-            rng.keyed_bits(keys, steps, bits[:k], (words, spare[:k]))
-            for row, b in zip(block[first:], bits[:k]):
-                np.add(x, b, out=row)
+            rng.keyed_bits(keys, steps, (words, spare[: steps.size]))
+            for row in block[first:]:  # row holds its step's bit b as a float
+                row += x  # b + x, the float x + b
                 row *= 0.5  # the same float as / 2.0, sooner
                 x = row
         yield np.moveaxis(block.reshape((len(block),) + shape), 0, -1)

@@ -3,9 +3,11 @@
 `for_each` calls a function on every item of a sequence.  The calling
 thread and one helper thread per further usable CPU take items from one
 shared iterator until it is empty, so the caller never idles while helpers
-work.  numpy loops and the HiGHS solver release the GIL, so such items
-overlap.  The result of an item must not depend on the thread that ran it;
-callers write each item's result into its own slot.
+work.  numpy loops release the GIL, so items spent in them overlap; the
+HiGHS solver behind scipy's `linprog` holds it, so an LP solve overlaps
+only other threads' numpy loops.  The result of an item must not depend
+on the thread that ran it; callers write each item's result into its own
+slot.
 """
 
 from __future__ import annotations

@@ -8,12 +8,15 @@ counter; lanes are decorrelated by large odd multipliers.
 
 A branch bit is the top bit of a word.  The finalizer's last step,
 x ^= x >> 31, leaves bit 63 as it was, so `keyed_bits` stops one step
-early and compares against 2^63.  Its first step is linear over GF(2): with
+early and shifts it down.  Its first step is linear over GF(2): with
 L(v) = v ^ (v >> 30), the word at (lane key k, index i) starts from
 L(k ^ c) = L(k) ^ L(c) for c = i * _INDEX_MUL.  So `bit_keys` applies L to
 the lane keys once, and a draw from them costs one xor with the per-index
 L(c), the multiply, the middle xor-shift, the second multiply and the
-comparison: the same bits for six passes over the words instead of eight.
+shift: the same bits for six passes over the words instead of eight.  The
+bit b, 0 or 1, times the bit pattern of the float 1.0 is the bit pattern
+of the float b, so one more multiply hands the caller floats in the
+words' own memory, ready to be added to float states.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def uniform(seed: int, lane: int, index: int) -> float:
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_TOP = np.uint64(1 << 63)
+_ONE = np.uint64(0x3FF0000000000000)  # the bit pattern of the float 1.0
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
@@ -98,17 +101,18 @@ def bit_keys(seed: int, lanes: np.ndarray) -> np.ndarray:
 def keyed_bits(
     keys: np.ndarray,
     indices: np.ndarray,
-    out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The top bits of `keyed_words` as booleans, step-major: entry
-    [i..., l...] is bit 63 of the word at indices[i...] of the stream whose
-    `bit_keys` key is keys[l...], so the shape is indices.shape + keys.shape.
+    """The top bits of `keyed_words` as the floats 1.0 and 0.0, step-major:
+    entry [i..., l...] is bit 63 of the word at indices[i...] of the stream
+    whose `bit_keys` key is keys[l...], so the shape is indices.shape +
+    keys.shape.
 
-    The bits go into `out` (bool) when given, and the words on their way
-    into the two uint64 arrays of `work`, each of the result's shape, so a
-    caller drawing block after block allocates nothing the size of a block
-    per draw."""
+    The words are drawn, and the floats written, into the first uint64
+    array of `work` and the draw's other words into the second, each of
+    the result's shape, so a caller drawing block after block allocates
+    nothing the size of a block per draw.  The result is a float64 view of
+    the first array, or of a new one without `work`."""
     indices = np.asarray(indices, dtype=np.uint64)
     c = indices * np.uint64(_INDEX_MUL)
     c = (c ^ (c >> np.uint64(30))).reshape(indices.shape + (1,) * np.ndim(keys))
@@ -117,7 +121,9 @@ def keyed_bits(
     x *= _M1
     x ^= np.right_shift(x, np.uint64(27), out=spare)
     x *= _M2
-    return np.greater_equal(x, _TOP, out=out)
+    x >>= np.uint64(63)
+    x *= _ONE
+    return x.view(np.float64)
 
 
 def uniform_array(seed: int, lanes: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -75,7 +75,11 @@ solved on the calling thread, where a pool would only add its start-up.
 Every other pair may need an O(m n) block check or route 2, and is one
 work item of `parallel.for_each` (the calling thread plus one helper
 thread per further usable CPU), largest m n first, so block checks overlap
-each other and the LPs: numpy's pricing loops and HiGHS release the GIL.
+each other and the LPs: numpy's pricing loops release the GIL.  scipy's
+HiGHS solve holds it (scipy 1.17.1: two 60 x 60 transportation LPs on
+two threads took as long as one after the other, CPU time equal to wall),
+so an LP overlaps only another thread's numpy pricing or block checks,
+never another LP.
 
 There is no assignment route.  The only uniform measures of equal size
 the experiments compare are pairs of one-step kernels, two atoms each, and

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from chainlearn import bounds as bounds_module
 from chainlearn import chain as chain_module
+from chainlearn import hypothesis as hypothesis_module
 from chainlearn import parallel
 from chainlearn import rng
 from chainlearn.bounds import (
@@ -658,6 +659,42 @@ def test_poisson_estimate_independent_of_chunks_workers_and_blocks(
         monkeypatch.setattr(chain_module, "BUDGET", budget)
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
     assert np.array_equal(fold_estimate().values, want)
+
+
+# the tent minus 0.25 is negative, zero (at the grid points 0.25 and 0.75)
+# and positive along the fold
+CONST_H = Hypothesis((0.25,))
+
+
+@pytest.mark.parametrize("lanes", [1, 9, None])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_poisson_constant_fold_is_the_general_fold_without_interp(monkeypatch, lanes, workers):
+    # a one-knot Hypothesis takes the (f - c)^2 path, which must give the
+    # floats of the general path, reached here through a plain callable
+    want = fold_estimate(lambda x: CONST_H(x)).values
+    if lanes is not None:
+        monkeypatch.setattr(bounds_module, "CHUNK", lanes)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    folding, interp = [], hypothesis_module.np.interp
+    simulate = bounds_module.simulate_x_blocks
+
+    def spy(*args, **kwargs):
+        folding.append(None)
+        try:
+            yield from simulate(*args, **kwargs)
+        finally:
+            folding.pop()
+
+    def no_interp_in_the_fold(*args, **kwargs):
+        if folding:
+            raise AssertionError("np.interp ran in the constant fold")
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "simulate_x_blocks", spy)
+    monkeypatch.setattr(hypothesis_module.np, "interp", no_interp_in_the_fold)
+    assert np.array_equal(fold_estimate(CONST_H).values, want)
+    with pytest.raises(AssertionError, match="constant fold"):  # the general path interpolates
+        fold_estimate(lambda x: CONST_H(x))
 
 
 def test_poisson_fold_with_more_workers_than_cores_and_fast_switching(monkeypatch):

@@ -141,17 +141,20 @@ def test_blocks_are_lane_major_views_of_step_major_memory(monkeypatch, lanes, bu
 def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
     from chainlearn import chain
 
-    key_calls, drawn, buffers = [], [], set()
+    key_calls, drawn, buffers, floats = [], [], set(), []
     bit_keys, keyed_bits = rng.bit_keys, rng.keyed_bits
 
     def keys_spy(seed, lanes):
         key_calls.append(np.size(lanes))
         return bit_keys(seed, lanes)
 
-    def bits_spy(keys, indices, out, work):
+    def bits_spy(keys, indices, work):
         drawn.append(np.asarray(indices).tolist())
-        buffers.add((out.__array_interface__["data"][0], work[1].__array_interface__["data"][0]))
-        return keyed_bits(keys, indices, out, work)
+        buffers.add(work[1].__array_interface__["data"][0])
+        floats.append(keyed_bits(keys, indices, work))
+        f, w = floats[-1], work[0]  # the bits, as floats, in the words' memory
+        assert (f.ctypes.data, f.shape, f.strides) == (w.ctypes.data, w.shape, w.strides)
+        return floats[-1]
 
     monkeypatch.setattr(rng, "bit_keys", keys_spy)
     monkeypatch.setattr(rng, "keyed_bits", bits_spy)
@@ -159,10 +162,13 @@ def test_lane_keys_hashed_once_and_x0_block_draws_no_bits(monkeypatch):
     lanes = np.arange(5)
 
     monkeypatch.setattr(chain, "BUDGET", 4)  # one step per block
-    xs = np.concatenate(list(simulate_x_blocks(0.0, 4, stream, lanes)), axis=-1)
+    blocks = list(simulate_x_blocks(0.0, 4, stream, lanes))
+    xs = np.concatenate(blocks, axis=-1)
     assert key_calls == [5]
     assert drawn == [[1], [2], [3]]
-    assert len(buffers) == 1  # every draw reuses the call's buffers
+    assert len(buffers) == 1  # every draw reuses the call's one spare buffer
+    # each draw's floats were written in its block's own memory
+    assert [np.shares_memory(f, b) for f, b in zip(floats, blocks[1:])] == [True] * 3
     for lane in range(5):
         assert xs[lane].tolist() == _scalar_trajectory(0.0, 4, stream, lane)
 

@@ -115,11 +115,11 @@ def test_one_lp_solve_in_the_package():
 
 def test_one_bit_stream_and_one_recursion_in_the_package():
     # the splitmix multipliers live only in `rng`; the bit-level draws are
-    # made by the one float simulator (`chain.simulate_x_blocks`) and the
-    # exact dyadic oracle, so `bounds` and `harness` reach branch bits only
-    # through the simulator; and the step's halving, x_k = (x_{k-1} + b)/2
-    # computed in place, appears only in the simulator, so no fused copy of
-    # it can sit beside a fold
+    # made by the one float simulator (`chain.simulate_x_blocks`, one call
+    # site each) and the exact dyadic oracle, so `bounds` and `harness`
+    # reach branch bits only through the simulator; and the step's halving,
+    # x_k = (x_{k-1} + b)/2 computed in place, appears only in the
+    # simulator, so no fused copy of it can sit beside a fold
     package = Path(chainlearn.__file__).parent
     mixer = {
         chainlearn.rng._LANE_MUL,
@@ -129,7 +129,7 @@ def test_one_bit_stream_and_one_recursion_in_the_package():
         0x94D049BB133111EB,
     }
     bit_level = {"bit", "word", "bit_keys", "keyed_bits", "lane_keys", "keyed_words"}
-    constants, draws, halvings = set(), set(), set()
+    constants, draws, halvings = set(), [], set()
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
@@ -139,7 +139,7 @@ def test_one_bit_stream_and_one_recursion_in_the_package():
         if isinstance(node, ast.Call) and scope.partition(".")[0] != "rng":
             callee = ast.unparse(node.func)
             if callee.split(".")[-1] in bit_level:
-                draws.add((scope, callee))
+                draws.append((scope, callee))
         if (
             isinstance(node, ast.AugAssign)
             and isinstance(node.value, ast.Constant)
@@ -155,9 +155,9 @@ def test_one_bit_stream_and_one_recursion_in_the_package():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert constants == {"rng"}
-    assert draws == {
+    assert sorted(draws) == [
         ("chain.simulate_x_blocks", "rng.bit_keys"),
         ("chain.simulate_x_blocks", "rng.keyed_bits"),
         ("chain.trajectory_exact", "rng.bit"),
-    }
+    ]
     assert halvings == {"chain.simulate_x_blocks"}

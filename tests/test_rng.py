@@ -44,16 +44,19 @@ def test_top_bit_draw_matches_words_and_scalar_bit(seed, lanes, indices):
     keys = rng.bit_keys(seed, lane_arr)
     key_copy = keys.copy()
     bits = rng.keyed_bits(keys, idx)
-    assert bits.dtype == np.bool_ and bits.shape == (idx.size, keys.size)  # step-major
+    assert bits.dtype == np.float64 and bits.shape == (idx.size, keys.size)  # step-major
     # the lane keys with the mixer's first xor-shift hoisted out of every draw
     words = rng.keyed_words(rng.lane_keys(seed, lane_arr)[None, :], idx[:, None])
     assert np.array_equal(bits, words >> np.uint64(63))
-    assert bits.tolist() == [[bool(rng.bit(seed, a, i)) for a in lanes] for i in indices]
-    # the same bits drawn into caller buffers, which are returned filled
-    out = np.empty(bits.shape, dtype=bool)
+    assert bits.tolist() == [[float(rng.bit(seed, a, i)) for a in lanes] for i in indices]
+    # exactly the floats 1.0 and +0.0, bit pattern by bit pattern
+    patterns = np.where(words >> np.uint64(63), np.float64(1.0).view(np.uint64), np.uint64(0))
+    assert np.array_equal(bits.view(np.uint64), patterns)
+    # the same floats drawn into the first caller buffer and returned as its view
     work = (np.empty(bits.shape, dtype=np.uint64), np.empty(bits.shape, dtype=np.uint64))
-    assert rng.keyed_bits(keys, idx, out, work) is out
-    assert np.array_equal(out, bits)
+    drawn = rng.keyed_bits(keys, idx, work)
+    assert drawn.dtype == np.float64 and drawn.base is work[0]
+    assert np.array_equal(drawn.view(np.uint64), patterns)
     # neither call writes into its inputs
     assert np.array_equal(keys, key_copy)
     assert np.array_equal(lane_arr, lane_copy)
