@@ -32,6 +32,7 @@ __all__ = [
     "ContractiveChain",
     "DyadicState",
     "DiscreteMeasure",
+    "block_width",
     "simulate_x_blocks",
     "trajectory_exact",
     "one_step_w1",
@@ -77,6 +78,13 @@ class DyadicState:
         return DyadicState((bit,) + self.bits)
 
 
+def block_width(lanes: int) -> int:
+    """The steps in each block of `simulate_x_blocks` over `lanes` lanes
+    when no width is given: max(1, min(STEP_BLOCK, BUDGET // lanes)), both
+    constants read at call time."""
+    return max(1, min(STEP_BLOCK, BUDGET // lanes))
+
+
 def simulate_x_blocks(
     x0, n: int, stream: int, lanes, *, width: int | None = None
 ) -> Iterator[np.ndarray]:
@@ -86,7 +94,7 @@ def simulate_x_blocks(
     x_0 = x0 (broadcast against lanes) and x_k = (x_{k-1} + b)/2, where b
     is the bit at (lane, index k) of `stream`, so a lane's trajectory does
     not depend on the other lanes or on the block width, by default
-    max(1, min(STEP_BLOCK, BUDGET // lanes)).  The lane keys are hashed once
+    `block_width(lanes)`.  The lane keys are hashed once
     per call (`rng.bit_keys`) and the branch bits drawn from them a block
     at a time (`rng.keyed_bits`); only the recursion itself runs step by
     step.  A block's words are drawn, and its bits written as the floats 1.0
@@ -106,7 +114,7 @@ def simulate_x_blocks(
     shape = keys.shape
     keys = keys.reshape(-1)
     if width is None:
-        width = max(1, min(STEP_BLOCK, BUDGET // keys.size))
+        width = block_width(keys.size)
     x = np.broadcast_to(np.asarray(x0, dtype=float), shape).reshape(-1)
     draws = min(width, max(n - 1, 0))  # the most bits one block draws
     spare = np.empty((draws, keys.size), dtype=np.uint64)

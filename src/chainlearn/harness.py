@@ -24,11 +24,12 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from . import bounds as bd
-from . import rng, transport
+from . import parallel, rng, transport
 from .chain import (
     BUDGET,
     ContractiveChain,
     arc_length_measure,
+    block_width,
     invariant_measure,
     kernel_pushforward,
     lemma_atom_check,
@@ -130,7 +131,9 @@ class ExperimentConfig:
     lip_bound: float = 0.0
     anchor: Optional[tuple[float, float]] = None
     net_radius: float = _positive(0.05)
-    master_seed: int = 1
+    master_seed: int = _ranged(  # the streams mask a seed to 64 bits (`rng`)
+        1, lambda v: 0 <= v < 2**64, f"lie in 0..{2**64 - 1}"
+    )
     replications: int = _at_least(1, 100)
     pi_grid: int = _at_least(2, 4096)
     diameter_grid: int = _at_least(2, 1024)
@@ -488,6 +491,23 @@ def _batch_empirical_at(
     of replications holds at most `BUDGET // knot_count` of them, so memory
     does not grow with n, and many knots do not make the moments grow with
     the replications.
+
+    For a net of several knots, a block is cut into
+    min(`parallel.usable_cpus()`, replications in the block) contiguous
+    parts, each its own `simulate_x_blocks` call over its lanes at the
+    width the whole block gets (`block_width`), and folded, one
+    `parallel.for_each` item per part, into its moments at the next G n
+    values, G being the most n whose moments for the whole block fit in
+    `BUDGET` cells (about 3 x knots cells per replication and n; at least
+    1).  At each n the parts' moments are stacked in replication order and
+    the block is scored at once, so the scorer sees the arrays of an
+    undivided block; a row's moments depend only on its own states and the
+    block width, so they are the same floats.  A part of L lanes holds one
+    block of its states (L x width cells), the few temporaries of that size
+    its moments are built with, and its moments at up to G n values.  A
+    one-knot net keeps one part: its moments are a running sum, so its fold
+    is the simulator's per-step loop of short numpy calls, which a split
+    would walk once per part.
     """
     target = chain.space.target
     stream = rng.derive(config.master_seed, rng.TRAJECTORY)
@@ -497,12 +517,33 @@ def _batch_empirical_at(
     out: dict[int, np.ndarray] = {}
     for lo in range(0, config.replications, rep_block):
         reps = reps_all[lo : lo + rep_block]
-        blocks = simulate_x_blocks(initial_xs(config, pi_hat, reps), stops[-1], stream, reps)
-        for n, moments in _hat_moments_at(blocks, target, net.knot_count, stops):
-            scored = score(net.mean_squared_errors(moments))
-            if n not in out:
-                out[n] = np.empty(scored.shape[:-1] + (config.replications,))
-            out[n][..., lo : lo + reps.size] = scored
+        parts = 1 if net.knot_count == 1 else min(parallel.usable_cpus(), reps.size)
+        cuts = [reps.size * i // parts for i in range(parts + 1)]
+        width = block_width(reps.size)
+        folds = [
+            _hat_moments_at(
+                simulate_x_blocks(
+                    initial_xs(config, pi_hat, lanes), stops[-1], stream, lanes, width=width
+                ),
+                target,
+                net.knot_count,
+                stops,
+            )
+            for lanes in (reps[a:b] for a, b in zip(cuts, cuts[1:]))
+        ]
+        group = max(1, BUDGET // (3 * net.knot_count * reps.size))
+        for first in range(0, len(stops), group):
+            held: list[list[tuple[int, HatMoments]]] = [[]] * parts
+
+            def fold(i: int) -> None:
+                held[i] = list(itertools.islice(folds[i], group))
+
+            parallel.for_each(fold, range(parts))
+            for k, n in enumerate(stops[first : first + group]):
+                scored = score(net.mean_squared_errors(HatMoments.stacked([h[k][1] for h in held])))
+                if n not in out:
+                    out[n] = np.empty(scored.shape[:-1] + (config.replications,))
+                out[n][..., lo : lo + reps.size] = scored
     return [out[n] for n in n_values]
 
 

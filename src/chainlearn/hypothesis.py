@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, get_args
+from typing import Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -178,6 +178,24 @@ class HatMoments:
             per_cell(u * t),
             on_knots(per_cell(u * ys), per_cell(t * ys)),
             square,
+        )
+
+    @classmethod
+    def stacked(cls, parts: Sequence[HatMoments]) -> HatMoments:
+        """The rows of `parts`, in order, as one set of moments; the parts
+        share a knot grid and a sample count."""
+        if len(parts) == 1:
+            return parts[0]
+        first = parts[0]
+        if any((p.knot_count, p.count) != (first.knot_count, first.count) for p in parts):
+            raise ValueError("stacked moments must share a knot grid and a sample count")
+        return cls(
+            first.knot_count,
+            first.count,
+            *(
+                np.concatenate([getattr(p, name) for p in parts])
+                for name in ("gram_diag", "gram_off", "cross", "square")
+            ),
         )
 
     def __add__(self, other: HatMoments) -> HatMoments:

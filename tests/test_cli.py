@@ -65,6 +65,34 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+SEED_RANGE = "config error: master_seed must lie in 0..18446744073709551615\n"
+SMALL_ASEM = {"kind": "asem", "n": 50, "replications": 2, "net_radius": 0.25, "pi_grid": 64}
+
+
+# the streams mask a seed to 64 bits, so 2**64 would replay seed 0 and -1
+# seed 2**64 - 1 under another name
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_cli_rejects_seeds_outside_64_bits_from_config_and_flag(tmp_path, capsys, seed):
+    config = write_config(tmp_path, "c.json", {**SMALL_ASEM, "master_seed": seed})
+    assert main(["asem", "--config", config]) == 1
+    assert capsys.readouterr().err == SEED_RANGE
+    config = write_config(tmp_path, "ok.json", SMALL_ASEM)
+    assert main(["asem", "--config", config, "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err == SEED_RANGE
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_cli_accepts_the_ends_of_the_seed_range(tmp_path, capsys, seed):
+    config = write_config(tmp_path, "c.json", {**SMALL_ASEM, "master_seed": seed})
+    out1, out2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
+    assert main(["asem", "--config", config, "--out", str(out1)]) == 0
+    config = write_config(tmp_path, "ok.json", SMALL_ASEM)
+    assert main(["asem", "--config", config, "--seed", str(seed), "--out", str(out2)]) == 0
+    assert capsys.readouterr().err == ""
+    assert f"# seed={seed}\n" in out1.read_text()
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, "c.json", {"kind": "asem", "bogus_key": 1})
     assert main(["asem", "--config", config]) == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlearn import bounds as bd
+from chainlearn import parallel
 from chainlearn.harness import (
     RUNNERS,
     ConfigError,
@@ -179,8 +181,6 @@ def test_contraction_audit_pools_only_its_lp_solves(monkeypatch, target, pools):
     # tent the decay LPs share one pool of helpers, and the report does not
     # depend on the number of workers
     import concurrent.futures
-
-    import chainlearn.parallel as parallel
 
     started = []
     real = concurrent.futures.ThreadPoolExecutor
@@ -541,6 +541,33 @@ def test_batch_empirical_memory_does_not_grow_with_n():
         assert peak <= bound, (n, peak)
 
 
+def test_batch_empirical_memory_does_not_grow_with_the_count_of_n(monkeypatch):
+    import tracemalloc
+
+    from chainlearn.chain import invariant_measure
+    from chainlearn.harness import _batch_empirical_at
+    from chainlearn.hypothesis import build_epsilon_net
+
+    # one member over 2001 knots: the moments of 300 replications at one n
+    # take 3 x 2001 x 300 cells, past BUDGET, so the parts of the block hold
+    # them one n at a time (holding all four n took 2.4 times the peak)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    config = cfg(kind="concentration", replications=300, class_kind="lipschitz",
+                 lip_bound=1.0, y_lo=0.5, y_hi=0.5, net_radius=1e-3, master_seed=3)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    pi_hat = invariant_measure(chain, 128)
+    peaks = []
+    for n_values in ((40,), (10, 20, 30, 40)):
+        tracemalloc.start()
+        try:
+            _batch_empirical_at(net, chain, config, n_values, pi_hat)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.15 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("bad", [{"n": 0}, {"n": -3}, {"n_list": [100, 0]}])
 def test_config_rejects_nonpositive_sample_sizes(bad):
     with pytest.raises(ConfigError, match="at least 1"):
@@ -586,18 +613,24 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
     pi_hat = invariant_measure(chain, 128)
     ref = harness._batch_empirical(net, chain, config, 300, pi_hat)
 
-    blocks = []
+    calls = []
     simulate = harness.simulate_x_blocks
 
-    def spy(x0, n, stream, lanes):
-        blocks.append(lanes.size)
-        return simulate(x0, n, stream, lanes)
+    def spy(x0, n, stream, lanes, *, width):
+        calls.append((int(lanes[0]), lanes.size, width))
+        return simulate(x0, n, stream, lanes, width=width)
 
     monkeypatch.setattr(harness, "simulate_x_blocks", spy)
     monkeypatch.setattr(harness, "BUDGET", 3 * 2001 + 5)
-    got = harness._batch_empirical(net, chain, config, 300, pi_hat)
-    assert blocks == [3, 3, 1]
-    assert np.abs(got - ref).max() <= 1e-12
+    # one part per block on one CPU; two parts of a three-replication block
+    # on two, each at the whole block's width
+    for cpus, want in ((1, [(0, 3, 512), (3, 3, 512), (6, 1, 512)]),
+                       (2, [(0, 1, 512), (1, 2, 512), (3, 1, 512), (4, 2, 512), (6, 1, 512)])):
+        calls.clear()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+        got = harness._batch_empirical(net, chain, config, 300, pi_hat)
+        assert sorted(calls) == want
+        assert np.abs(got - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -626,13 +659,20 @@ def test_one_pass_fold_matches_a_fold_per_n(monkeypatch, class_kind, lip, radius
     calls = []
     simulate = harness.simulate_x_blocks
 
-    def spy(x0, n, stream, lanes):
-        calls.append((lanes.size, n))
-        return simulate(x0, n, stream, lanes)
+    def spy(x0, n, stream, lanes, *, width):
+        calls.append((int(lanes[0]), lanes.size, n, width))
+        return simulate(x0, n, stream, lanes, width=width)
 
     monkeypatch.setattr(harness, "simulate_x_blocks", spy)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
-    assert calls == [(3, 21), (3, 21), (1, 21)]
+    # one call per block for the one-knot net, one per part of a block
+    # otherwise, all to the largest n at the width of 3 replications
+    if net.knot_count == 1:
+        assert calls == [(0, 3, 21, 8), (3, 3, 21, 8), (6, 1, 21, 8)]
+    else:
+        assert sorted(calls) == [(0, 1, 21, 8), (1, 2, 21, 8), (3, 1, 21, 8), (4, 2, 21, 8),
+                                 (6, 1, 21, 8)]
     assert len(got) == len(n_values)
     for n, one_pass, alone in zip(n_values, got, per_n):
         assert np.array_equal(one_pass, alone), n
@@ -659,20 +699,122 @@ def test_exceedance_rows_follow_n_list_from_one_pass(monkeypatch):
     calls = []
     simulate = harness.simulate_x_blocks
 
-    def spy(x0, n, stream, lanes):
-        calls.append(n)
-        return simulate(x0, n, stream, lanes)
+    def spy(x0, n, stream, lanes, *, width):
+        calls.append((n, width))
+        return simulate(x0, n, stream, lanes, width=width)
 
     monkeypatch.setattr(harness, "simulate_x_blocks", spy)
     report = run_concentration_experiment(config)
-    assert calls == [512]
+    assert calls == [(512, 512)]  # a one-knot net: one call, whatever the CPU count
     assert [r[:4] for r in report.rows] == expected
 
 
-# numeric fields with no range of their own: the seed is any integer, the
-# class range, Lipschitz bound and anchor are checked against each other by
-# the class, and h against the class range for the Poisson check
-UNBOUNDED = {"master_seed", "y_lo", "y_hi", "lip_bound", "anchor", "poisson_h_const"}
+# a block of 7, 3, 2 or 1 lanes gets 3, 8, 12 or 16 steps, so a part
+# simulated at its own default width would show in the calls
+SPLIT_WIDTHS = {7: 3, 3: 8, 2: 12, 1: 16}
+
+
+@pytest.mark.parametrize(
+    "class_kind, lip, radius, knots",
+    [("constants", 0.0, 0.2, 1), ("lipschitz", 0.2, 0.5, 2), ("lipschitz", 1.0, 0.6, 5)],
+)
+@pytest.mark.parametrize("replications", [1, 2, 7])
+# harness cells per knot: blocks of 3 replications, each folded one n at a
+# time; one block of 7 folded three n at a time; the default, one block
+# folded to every n at once
+@pytest.mark.parametrize("budget", [3, 63, None])
+def test_split_blocks_give_the_same_errors_on_any_cpu_count(
+    monkeypatch, class_kind, lip, radius, knots, replications, budget
+):
+    import chainlearn.chain as chain_module
+    import chainlearn.harness as harness
+    from chainlearn.chain import invariant_measure
+    from chainlearn.hypothesis import build_epsilon_net
+
+    config = cfg(kind="concentration", replications=replications, class_kind=class_kind,
+                 lip_bound=lip, net_radius=radius, x0_policy="uniform", master_seed=59)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), radius)
+    assert net.knot_count == knots
+    pi_hat = invariant_measure(chain, 128)
+    rep_block = 3 if budget == 3 else replications
+    if budget is not None:
+        monkeypatch.setattr(harness, "BUDGET", budget * knots)
+    monkeypatch.setattr(chain_module, "BUDGET", 24)
+    monkeypatch.setattr(chain_module, "STEP_BLOCK", 16)
+    # n = 8, 16 and 24 end blocks of 8 steps, 12 and 24 blocks of 12, 16 a
+    # block of 16, and 12, 21 and 24 blocks of 3; the others fall inside
+    n_values = (21, 1, 8, 5, 16, 13, 12, 24)
+
+    calls = []
+    simulate = harness.simulate_x_blocks
+
+    def spy(x0, n, stream, lanes, *, width):
+        calls.append((int(lanes[0]), lanes.size, n, width))
+        return simulate(x0, n, stream, lanes, width=width)
+
+    monkeypatch.setattr(harness, "simulate_x_blocks", spy)
+    got = {}
+    for cpus in (1, 2, 3, 5):
+        calls.clear()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+        got[cpus] = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+        calls.sort()
+        for lo in range(0, replications, rep_block):
+            size = min(rep_block, replications - lo)
+            block = [c for c in calls if lo <= c[0] < lo + size]
+            # one call per block for a one-knot net, else one per CPU while
+            # each has a replication; contiguous parts within one of each
+            # other's size, each to the largest n at the whole block's width
+            assert len(block) == (1 if knots == 1 else min(cpus, size))
+            assert [c[0] for c in block] == list(itertools.accumulate(
+                [lo] + [c[1] for c in block[:-1]]))
+            assert sum(c[1] for c in block) == size
+            assert max(c[1] for c in block) - min(c[1] for c in block) <= 1
+            assert {c[2:] for c in block} == {(24, SPLIT_WIDTHS[size])}
+        assert len(calls) == sum(
+            1 if knots == 1 else min(cpus, rep_block, replications - lo)
+            for lo in range(0, replications, rep_block)
+        )
+    for cpus in (2, 3, 5):
+        for n, split, whole in zip(n_values, got[cpus], got[1]):
+            assert np.array_equal(split, whole), (cpus, n)
+
+
+def test_split_fold_with_more_workers_than_cores_and_fast_switching(monkeypatch):
+    import sys
+
+    import chainlearn.harness as harness
+    from chainlearn.chain import invariant_measure
+    from chainlearn.hypothesis import build_epsilon_net
+
+    # seven one-replication parts on eight workers, advanced one n at a time
+    # (blocks of 7 under a harness budget of 7 x 5 cells): a part folded
+    # twice, skipped or stacked out of order would change its column
+    config = cfg(kind="concentration", replications=7, class_kind="lipschitz", lip_bound=1.0,
+                 net_radius=0.6, x0_policy="uniform", master_seed=61)
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), config.net_radius)
+    pi_hat = invariant_measure(chain, 128)
+    n_values = (50, 700, 1200)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    want = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(harness, "BUDGET", 7 * net.knot_count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+            assert all(map(np.array_equal, got, want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# numeric fields with no range of their own: the class range, Lipschitz
+# bound and anchor are checked against each other by the class, and h against
+# the class range for the Poisson check
+UNBOUNDED = {"y_lo", "y_hi", "lip_bound", "anchor", "poisson_h_const"}
 
 
 def test_every_numeric_field_has_a_range_or_is_listed_unbounded():
@@ -692,7 +834,7 @@ _VALID = st.fixed_dictionaries(
         "y_lo": st.floats(-5.0, 0.0),
         "y_hi": st.floats(1.0, 5.0),
         "net_radius": _POSITIVE,
-        "master_seed": st.integers(-(2**70), 2**70),
+        "master_seed": st.integers(0, 2**64 - 1),
         "replications": st.integers(1, 10**6),
         "pi_grid": st.integers(2, 10**6),
         "n_list": st.lists(st.integers(1, 10**9), max_size=4),
