@@ -23,7 +23,6 @@ from .chain import (
     trajectory_exact,
 )
 from .transport import (
-    TransportPlan,
     contraction_audit,
     kr_dual_lower,
     wasserstein1_exact,

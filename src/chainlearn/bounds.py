@@ -115,6 +115,14 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value < 700 else math.inf
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where that overflows: float ** raises where * gives inf."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 class TailBound(NamedTuple):
     value: float
     valid: bool
@@ -167,8 +175,8 @@ def n1_terms(
     omc = consts.one_minus_exp_neg_c2
     c1l = consts.C1 * consts.L
     t1 = 16.0 * c1l / (eps * omc)
-    denom = eps**2 * omc**2
-    t2 = 128.0 * c1l**2 * (lncov + math.log(1.0 / delta)) / denom if denom > 0 else math.inf
+    denom = _square(eps) * omc**2
+    t2 = 128.0 * _square(c1l) * (lncov + math.log(1.0 / delta)) / denom if denom > 0 else math.inf
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError(f"sample size n1 overflows at eps={eps!r}")
     return t1, t2
@@ -193,7 +201,7 @@ def xi_constants(m: float, M: float, consts: ModelConstants) -> tuple[float, flo
         raise ValueError("need 0 < m <= M")
     omc = consts.one_minus_exp_neg_c2
     c1l = consts.C1 * consts.L
-    xi1 = 49.0 * m**4 * omc**2 / (72.0 * M * (M + 6.0 * m) ** 2 * c1l**2)
+    xi1 = 49.0 * m**4 * omc**2 / (72.0 * M * _square(M + 6.0 * m) * _square(c1l))
     xi2 = 7.0 * m**2 * omc / (6.0 * math.sqrt(M) * (M + 6.0 * m) * c1l)
     return xi1, xi2
 
@@ -220,7 +228,7 @@ def n2_terms(
     c1l = consts.C1 * consts.L
     xi1, xi2 = xi_constants(m, M, consts)
     t1 = 2.0 * c1l / (eps * min(math.sqrt(m), 1.0) * omc)
-    denom = xi1 * eps**2
+    denom = xi1 * _square(eps)
     t2 = (xi2 * eps + lncov + math.log(4.0 / delta)) / denom if denom > 0 else math.inf
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError(f"sample size n2 overflows at eps={eps!r}")

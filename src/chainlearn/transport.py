@@ -1,6 +1,6 @@
 """Exact L1-Wasserstein distances between finitely supported measures.
 
-Solver strategy, in order:
+`_optimal_plan` solves one pair, building its staircase once, by:
 
 1.  Quantile (x-monotone) coupling plus an optimality certificate, in
     two steps.  Both accept the staircase only if its cost is within
@@ -25,10 +25,10 @@ Solver strategy, in order:
         the check adds 4r times that sum.  This covers every affine
         target (identity, constant, affine), where delta is 0 or a few
         ulps, and never a vertical line.
-    b.  The block check (`_block_certified`), for every pair the line
-        bound leaves.  The staircase coupling is a basic feasible solution
-        of the transportation polytope; dual potentials u, v with
-        u_i + v_j = c_ij on its support are recovered by a single sweep.
+    b.  The block check, for every pair the line bound leaves.  The
+        staircase coupling is a basic feasible solution of the
+        transportation polytope; dual potentials u, v with u_i + v_j = c_ij
+        on its support are recovered by a single sweep (`_stair_duals`).
         If the reduced cost c_ij - u_i - v_j is at least -`_DUAL_TOL`
         everywhere, LP duality certifies the coupling as optimal up to
         that tolerance.  This takes O(m n) time and O(m + n) memory plus
@@ -41,7 +41,7 @@ Solver strategy, in order:
     everything else, on a restricted support: the staircase cells, which
     alone make it feasible, plus the cheapest cell of each row and each
     column, plus the most negative cell of each row and each column under
-    the staircase's duals, the ones route 1b computed (`_stair_duals`).
+    the staircase's duals, from the one sweep that route 1b priced with.
     On the eight tent decay solves against the 1024-point grid, HiGHS
     solved the support without those last cells in no simplex iteration:
     the staircase was already optimal on it, so that solve only rebuilt
@@ -116,7 +116,6 @@ from .state_space import (
     SizeError,
     StatePoint,
     chord_distances,
-    graph_point,
     paired_chord_distances,
 )
 
@@ -138,12 +137,6 @@ _LP_MASS_CUTOFF = 1e-15
 # catches one built with `normalize_check=False` that is not a probability
 # measure, and leaves room for weights a caller rounded.
 _NORMALIZATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    entries: tuple[tuple[int, int, float], ...]
-    cost: float
 
 
 def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, rows, cols) -> np.ndarray:
@@ -238,17 +231,6 @@ def _near_one_line(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     return bool(4.0 * (delta + rounding) <= _DUAL_TOL)  # NaN rejects too
 
 
-def _certified_monotone(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
-    """The positive-mass cells (rows, cols, masses) of the staircase plan
-    `stairs` of the weights if the line bound or, failing it, the block
-    check certifies it optimal (route 1), else None."""
-    if _near_one_line(mu, nu):
-        rows, cols, masses = stairs
-        keep = masses > 0.0
-        return rows[keep], cols[keep], masses[keep]
-    return _block_certified(mu, nu, stairs)
-
-
 def _stair_duals(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
     """Dual potentials (u, v), u_0 = 0, with u_i + v_j = c_ij on every cell
     of the staircase plan `stairs`, by one sweep along it: each cell shares
@@ -266,21 +248,6 @@ def _stair_duals(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
     if None in u or None in v:
         return None
     return np.array(u), np.array(v)
-
-
-def _block_certified(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
-    """The positive-mass cells (rows, cols, masses) of the staircase plan
-    `stairs` if its dual potentials price out every cell (route 1b), else
-    None."""
-    duals = _stair_duals(mu, nu, stairs)
-    if duals is None:
-        return None
-    for _, block in _reduced_blocks(mu, nu, *duals):
-        if not block.min() >= -_DUAL_TOL:  # NaN rejects too
-            return None
-    rows, cols, masses = stairs
-    keep = masses > 0.0
-    return rows[keep], cols[keep], masses[keep]
 
 
 def _cheapest_cells(
@@ -329,11 +296,11 @@ def linprog(*args, **kwargs):
     return optimize.linprog(*args, **kwargs)
 
 
-def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
+def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs, duals):
     """The plan (rows, cols, masses) of HiGHS on a support grown until the
     duals price out every cell (route 2), starting from the cells of the
     staircase plan `stairs`, the cheapest cells, and the most negative cells
-    under the staircase's own duals."""
+    under the staircase's duals `duals` (`_stair_duals`), if not None."""
     from scipy.sparse import csr_matrix
 
     m, n = len(mu), len(nu)
@@ -343,7 +310,6 @@ def _transportation_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, stairs):
     )
     # the staircase is a basis of this support and is often optimal on it,
     # so a first solve would only rebuild its duals: price with them instead
-    duals = _stair_duals(mu, nu, stairs)
     if duals is not None:
         cells = np.union1d(cells, _cheapest_cells(mu, nu, *duals, cells, -_LP_TOL))
     while True:
@@ -394,23 +360,30 @@ def _checked(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[DiscreteMeasure,
     return mu, nu
 
 
-def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """An optimal plan (rows, cols, masses) of a checked pair: the
-    staircase if the certificate accepts it (route 1), route 2's plan
-    otherwise."""
+def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, on_line: bool):
+    """An optimal plan (rows, cols, masses) of a checked pair, given its
+    line-bound verdict `on_line`: the staircase's positive-mass cells if
+    route 1 certifies them, else route 2's plan from route 1b's duals."""
     stairs = _staircase(mu.weights, nu.weights)
-    plan = _certified_monotone(mu, nu, stairs)
-    return _transportation_lp(mu, nu, stairs) if plan is None else plan
+    if not on_line:
+        duals = _stair_duals(mu, nu, stairs)
+        if duals is None or any(  # NaN rejects too
+            not block.min() >= -_DUAL_TOL for _, block in _reduced_blocks(mu, nu, *duals)
+        ):
+            return _transportation_lp(mu, nu, stairs, duals)
+    rows, cols, masses = stairs
+    keep = masses > 0.0
+    return rows[keep], cols[keep], masses[keep]
 
 
 def wasserstein1_exact(
     mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[float, TransportPlan]:
-    """Optimal transport cost between mu and nu under the Euclidean metric."""
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Optimal transport cost between mu and nu under the Euclidean metric,
+    and an optimal plan (rows, cols, masses) of the merged measures."""
     mu, nu = _checked(mu, nu)
-    rows, cols, masses = _optimal_plan(mu, nu)
-    total = _plan_cost(mu, nu, rows, cols, masses)
-    return total, TransportPlan(tuple(zip(rows.tolist(), cols.tolist(), masses.tolist())), total)
+    plan = _optimal_plan(mu, nu, _near_one_line(mu, nu))
+    return _plan_cost(mu, nu, *plan), plan
 
 
 def wasserstein1_exact_batch(pairs) -> list[float]:
@@ -425,20 +398,18 @@ def wasserstein1_exact_batch(pairs) -> list[float]:
     (m * n) first.  No cost depends on the thread.
     """
     checked = [_checked(mu, nu) for mu, nu in pairs]
+    on_line = [_near_one_line(mu, nu) for mu, nu in checked]
     costs = [0.0] * len(checked)
 
     def solve(k: int) -> None:
         mu, nu = checked[k]
-        costs[k] = _plan_cost(mu, nu, *_optimal_plan(mu, nu))
+        costs[k] = _plan_cost(mu, nu, *_optimal_plan(mu, nu, on_line[k]))
 
     order = sorted(range(len(checked)), key=lambda k: -len(checked[k][0]) * len(checked[k][1]))
-    rest = []
     for k in order:
-        if _near_one_line(*checked[k]):
+        if on_line[k]:
             solve(k)
-        else:
-            rest.append(k)
-    for_each(solve, rest)
+    for_each(solve, [k for k in order if not on_line[k]])
     return costs
 
 
@@ -515,7 +486,7 @@ def contraction_audit(chain, pair_count: int, seed: int = 0) -> ContractionAudit
         while x2[i] == x1[i]:  # degenerate pair: resample deterministically
             x2[i] = rng.uniform(s, i, bump)
             bump += 1
-    y1, y2 = (_graph_ys(xs, target) for xs in (x1, x2))
+    y1, y2 = (np.asarray(target(xs), dtype=float) for xs in (x1, x2))
     w1 = one_step_w1(chain, x1, x2)
     d = np.fromiter(map(math.hypot, x1 - x2, y1 - y2), float, pair_count)
     ratio = w1 / d
@@ -523,11 +494,3 @@ def contraction_audit(chain, pair_count: int, seed: int = 0) -> ContractionAudit
     worst = (StatePoint(x1[k].item(), y1[k].item()), StatePoint(x2[k].item(), y2[k].item()))
     rows = zip(x1.tolist(), x2.tolist(), d.tolist(), w1.tolist(), ratio.tolist())
     return ContractionAudit(ratio[k].item(), worst, tuple(rows))
-
-
-def _graph_ys(xs: np.ndarray, target) -> np.ndarray:
-    """f(xs), with `graph_point`'s error for an x outside the domain."""
-    outside = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))
-    if outside.size:
-        graph_point(xs[outside[0]].item(), target)  # raises
-    return np.asarray(target(xs), dtype=float)

@@ -448,6 +448,29 @@ def test_sample_sizes_reject_an_overflowing_size(name, eps):
         SAMPLE_SIZES[name](eps, 0.05)
 
 
+@pytest.mark.parametrize("name", SAMPLE_SIZES)
+def test_sample_sizes_at_an_eps_whose_square_overflows(name):
+    # eps**2 overflows a float at eps = 1e300, where Python's float ** raises
+    # and * gives inf: the term it divides is 0, and every size is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # n2 flags this eps
+        size = SAMPLE_SIZES[name](1e300, 0.05)
+    if name in ("n1_terms", "n2_terms"):
+        assert size[1] == 0.0
+    assert math.ceil(max(np.atleast_1d(size))) == 1
+
+
+def test_squares_past_the_float_range_in_the_closed_forms():
+    # C1 L = 2e300: its square overflows in n1's numerator, which is the
+    # overflowing size n1, and in xi1's denominator, which sends xi1 to 0;
+    # so does (M + 6m)**2 at M = 1e300
+    big = consts_for(1 - SQ2 / 2, 1e300, 2.0, m=1 / 12, M=1 / 3)
+    with pytest.raises(ValueError, match="^sample size n1 overflows at eps="):
+        n1(0.1, 0.05, big, covering_number=4)
+    assert xi_constants(1 / 12, 1 / 3, big)[0] == 0.0
+    assert xi_constants(1e-300, 1e300, MM) == (0.0, 0.0)
+
+
 def test_n3_rejects_nonpositive_alpha():
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError, match="^alpha must be positive$"):

@@ -612,6 +612,31 @@ def test_cli_bound_of_an_overflowing_exponent_is_zero(tmp_path, capsys, subcomma
     assert report["rows"] and all(row[at] == 0.0 for row in report["rows"])
 
 
+@pytest.mark.parametrize(
+    "subcommand, payload, code",
+    [
+        ("asem", {"eps": 1e300}, 0),
+        ("asem", {"c1_override": 1e300}, 1),
+        ("scaling", {"eps_list": [1e300, 1e299]}, 0),
+        ("bounds", {"m_override": 1e-300, "M_override": 1e300}, 0),
+        ("relative", {"m_override": 1e-300, "M_override": 1e300}, 0),
+        ("scaling", {"m_override": 1e-300, "M_override": 1e300}, 1),
+    ],
+    ids=["asem-eps", "asem-c1", "scaling-eps", "bounds-m-M", "relative-m-M", "scaling-m-M"],
+)
+def test_cli_closed_forms_past_the_float_range(tmp_path, capsys, subcommand, payload, code):
+    # Python's float ** raises OverflowError where * gives inf; each of these
+    # exited 4 on a square in `bounds`.  An overflowing denominator sends its
+    # term to 0, an overflowing numerator makes the sample size overflow
+    config = write_config(tmp_path, "c.json", {"kind": subcommand, **payload})
+    assert main([subcommand, "--config", config]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: sample size n") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_cli_rejects_an_overflowing_n2(tmp_path, capsys):
     config = write_config(tmp_path, "c.json", {"kind": "scaling", "alpha": 1e-300,
                                                "eps_list": [0.1, 0.2]})

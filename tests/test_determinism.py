@@ -1,8 +1,9 @@
 """Reports are the same bytes on every run: the reduced-size benchmark configs
 (`bench/workloads.py`), rendered through `cli.main` at the benchmark's two
-seeds, hash to the values pinned here, and the two threaded folds (the
-multi-knot Monte Carlo fold of `mc-lipschitz` and the Poisson rollouts of
-`poisson-check`) give the same hashes in a process pinned to one CPU.
+seeds, hash to the values pinned here, and the three `parallel.for_each`
+callers (the W1 batch of the tent audit, the multi-knot Monte Carlo fold of
+`mc-lipschitz` and the Poisson rollouts of `poisson-check`) give the same
+hashes in a process pinned to one CPU.
 
 A change that alters reports on purpose updates `PINNED` and says so.
 """
@@ -107,8 +108,13 @@ PINNED = {
         0, "d6eac71961a4b61168b6aefd17c73e640ed7ddd8edd7b6aa6f751be3aadbff02"],
 }
 
-# the ops whose Monte Carlo folds run on `parallel.for_each`
-THREADED = ("mc-lipschitz/concentration.csv", "suite/poisson-check.json")
+# the ops whose work runs on `parallel.for_each`: the tent audit's W1 pairs
+# past the line bound, and the two Monte Carlo folds
+THREADED = (
+    "audit-tent/audit-contraction.csv",
+    "mc-lipschitz/concentration.csv",
+    "suite/poisson-check.json",
+)
 
 
 def test_reduced_bench_reports_hash_to_pinned_values(tmp_path, capsys):

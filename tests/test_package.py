@@ -87,11 +87,9 @@ def test_blas_products_stay_in_two_places():
     assert found == {"hypothesis.HypothesisNet.mean_squared_errors", "transport.kr_dual_lower"}
 
 
-def test_one_lp_solve_in_the_package():
-    # route 2 is the one LP path: only `transport._transportation_lp` calls
-    # the lazy `transport.linprog` wrapper, and only the wrapper reaches
-    # scipy's `linprog`, so no second LP route can appear beside the one
-    # seeded by the staircase duals
+def call_sites(names) -> set[tuple[str, str]]:
+    """(scope, callee) of every call in the package whose callee's last
+    dotted name is in `names`; the scope is module.function."""
     package = Path(chainlearn.__file__).parent
     found = set()
 
@@ -100,16 +98,36 @@ def test_one_lp_solve_in_the_package():
             scope = f"{scope}.{node.name}"
         if isinstance(node, ast.Call):
             callee = ast.unparse(node.func)
-            if callee.split(".")[-1] == "linprog":
+            if callee.split(".")[-1] in names:
                 found.add((scope, callee))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert found == {
+    return found
+
+
+def test_one_lp_solve_in_the_package():
+    # route 2 is the one LP path: only `transport._transportation_lp` calls
+    # the lazy `transport.linprog` wrapper, and only the wrapper reaches
+    # scipy's `linprog`, so no second LP route can appear beside the one
+    # seeded by the staircase duals
+    assert call_sites({"linprog"}) == {
         ("transport._transportation_lp", "linprog"),
         ("transport.linprog", "optimize.linprog"),
+    }
+
+
+def test_one_staircase_and_one_dual_sweep_per_solve():
+    # `_optimal_plan` is the one per-pair solve: only it sweeps the
+    # staircase duals, so one sweep serves both the block check and route
+    # 2's first pricing, and only it and the oracle
+    # `wasserstein1_monotone_upper` build a staircase
+    assert call_sites({"_staircase", "_stair_duals"}) == {
+        ("transport._optimal_plan", "_staircase"),
+        ("transport._optimal_plan", "_stair_duals"),
+        ("transport.wasserstein1_monotone_upper", "_staircase"),
     }
 
 

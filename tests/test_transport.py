@@ -6,7 +6,6 @@ pruning); the LP optimum is attained at a vertex, so the minimum over
 vertices is the exact distance.
 """
 
-import contextlib
 import math
 import sys
 import threading
@@ -111,11 +110,23 @@ def same_plan(got, want):
     return all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def certified(mu, nu):
-    """The certificate's plan of the staircase of mu and nu, or None."""
+def certified(mu, nu, on_line=None):
+    """Route 1's plan of mu and nu, or None where `_optimal_plan` hands the
+    pair to route 2; `on_line` stands in for the line bound's verdict."""
     import chainlearn.transport as tr
 
-    return tr._certified_monotone(mu, nu, tr._staircase(mu.weights, nu.weights))
+    if on_line is None:
+        on_line = tr._near_one_line(mu, nu)
+    with mock.patch.object(tr, "_transportation_lp", lambda *args: None):
+        return tr._optimal_plan(mu, nu, on_line)
+
+
+def lp_plan(mu, nu):
+    """Route 2's plan of mu and nu, started as `_optimal_plan` starts it."""
+    import chainlearn.transport as tr
+
+    stairs = tr._staircase(mu.weights, nu.weights)
+    return tr._transportation_lp(mu, nu, stairs, tr._stair_duals(mu, nu, stairs))
 
 
 def spy_blocks(monkeypatch):
@@ -131,7 +142,7 @@ def spy_blocks(monkeypatch):
 def plan_marginals(plan, m, n):
     row = np.zeros(m)
     col = np.zeros(n)
-    for i, j, mass in plan.entries:
+    for i, j, mass in plan_cells(plan):
         row[i] += mass
         col[j] += mass
     return row, col
@@ -254,7 +265,7 @@ def test_restricted_lp_on_tent_kernels_is_optimal(monkeypatch):
             mu = n_step_kernel(chain, graph_point(x0, TENT), n)
             a, b, cost = mu.weights, grid.weights, cost_matrix(mu, grid)
             results.clear()
-            plan = tr._transportation_lp(mu, grid, tr._staircase(a, b))
+            plan = lp_plan(mu, grid)
             rounds.append(len(results))
             total = sum(mass * cost[i, j] for i, j, mass in plan_cells(plan))
             assert total == pytest.approx(dense_lp_cost(a, b, cost), rel=1e-12)
@@ -306,7 +317,7 @@ def test_plan_is_feasible_and_attains_cost():
         assert np.abs(row - mm.weights).max() <= 1e-9
         assert np.abs(col - nn.weights).max() <= 1e-9
         cost = cost_matrix(mm, nn)
-        recomputed = sum(mass * cost[i, j] for i, j, mass in plan.entries)
+        recomputed = sum(mass * cost[i, j] for i, j, mass in plan_cells(plan))
         assert recomputed == pytest.approx(d, rel=1e-9, abs=1e-12)
 
 
@@ -386,7 +397,7 @@ def test_certificate_blocks_leave_the_plan_unchanged(monkeypatch, name, cells):
     for (mu, nu), (stair_plan, (d, plan)) in zip(pairs, default):
         assert stair_plan is not None and same_plan(certified(mu, nu), stair_plan)
         d_block, plan_block = wasserstein1_exact(mu, nu)
-        assert d_block.hex() == d.hex() and plan_block == plan
+        assert d_block.hex() == d.hex() and same_plan(plan_block, plan)
     assert len(blocks) == 4 * len(pairs)
 
 
@@ -397,12 +408,12 @@ LINE_TARGETS = {
 }
 
 
-def audit_pairs(target):
-    """The W1 pairs of a contraction audit at decay grid 4096 and x0 = 0:
-    the kernels n = 1..12 against the grid, then the two 128-atom
-    invariant-measure candidates against their 256-atom pushforwards."""
+def audit_pairs(target, decay_grid=4096):
+    """The W1 pairs of a contraction audit at x0 = 0: the kernels n = 1..12
+    against the decay grid, then the two 128-atom invariant-measure
+    candidates against their 256-atom pushforwards."""
     chain = ContractiveChain(make_space(target))
-    grid = invariant_measure(chain, 4096)
+    grid = invariant_measure(chain, decay_grid)
     pairs = [(n_step_kernel(chain, graph_point(0.0, target), n), grid) for n in range(1, 13)]
     for m in (invariant_measure(chain, 128), arc_length_measure(chain, 128)):
         pairs.append((m, kernel_pushforward(chain, m)))
@@ -436,9 +447,8 @@ def test_line_bound_plan_is_the_block_check_plan(name):
     import chainlearn.transport as tr
 
     for mu, nu in audit_pairs(LINE_TARGETS[name]):
-        stairs = tr._staircase(mu.weights, nu.weights)
         assert tr._near_one_line(mu, nu)
-        line, blocks = tr._certified_monotone(mu, nu, stairs), tr._block_certified(mu, nu, stairs)
+        line, blocks = certified(mu, nu), certified(mu, nu, on_line=False)
         assert blocks is not None and same_plan(line, blocks)
         assert tr._plan_cost(mu, nu, *line).hex() == tr._plan_cost(mu, nu, *blocks).hex()
 
@@ -517,7 +527,7 @@ def test_lp_solves_a_pair_whose_staircase_misses_a_row():
     nu = DiscreteMeasure.on_graph(TENT, np.array([0.3, 0.7]), [0.5, 0.5])
     assert tr._stair_duals(mu, nu, tr._staircase(mu.weights, nu.weights)) is None
     d, _, used = solve_with_route(mu, nu)
-    assert used == "_transportation_lp"
+    assert used == "lp"
     assert d == pytest.approx(dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu)), rel=1e-9)
 
 
@@ -534,7 +544,7 @@ def test_block_check_verdicts_rest_on_the_stair_duals():
         mu, nu = mu.merged(), nu.merged()
         stairs = tr._staircase(mu.weights, nu.weights)
         u, v = tr._stair_duals(mu, nu, stairs)
-        accepted = tr._block_certified(mu, nu, stairs) is not None
+        accepted = certified(mu, nu, on_line=False) is not None
         assert accepted == ((cost_matrix(mu, nu) - u[:, None] - v[None, :]).min() >= -tr._DUAL_TOL)
         verdicts.append(accepted)
     assert verdicts == [True, True, False, False] + [False] * 4 + [True] * 10 + [False] * 6
@@ -631,14 +641,13 @@ def test_lp_pricing_blocks_leave_the_plan_unchanged(monkeypatch, cells):
     import chainlearn.transport as tr
 
     pairs = lp_block_pairs()
-    stairs = [tr._staircase(mu.weights, nu.weights) for mu, nu in pairs]
-    default = [tr._transportation_lp(mu, nu, s) for (mu, nu), s in zip(pairs, stairs)]
+    default = [lp_plan(mu, nu) for mu, nu in pairs]
     solved = [wasserstein1_exact(mu, nu) for mu, nu in pairs]
     monkeypatch.setattr(tr, "_BLOCK_CELLS", cells)
-    for (mu, nu), s, lp_plan, (d, plan) in zip(pairs, stairs, default, solved):
-        assert same_plan(tr._transportation_lp(mu, nu, s), lp_plan)
+    for (mu, nu), route_2, (d, plan) in zip(pairs, default, solved):
+        assert same_plan(lp_plan(mu, nu), route_2)
         d_block, plan_block = wasserstein1_exact(mu, nu)
-        assert d_block.hex() == d.hex() and plan_block == plan
+        assert d_block.hex() == d.hex() and same_plan(plan_block, plan)
 
 
 def batch_pairs():
@@ -834,6 +843,41 @@ def test_batch_lp_error_in_a_worker_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_each_pair_fact_is_computed_once(monkeypatch):
+    # one line check and one staircase per pair, and at most one dual sweep,
+    # which serves both the block check and route 2's first pricing: over
+    # the batch pairs and the 14 pairs of the tent audit at decay grid 1024,
+    # whose 8 LP pairs once swept their duals twice
+    import chainlearn.transport as tr
+
+    calls = []
+
+    def spy(name):
+        real = getattr(tr, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(tr, name, counted)
+
+    for name in ("_near_one_line", "_staircase", "_stair_duals"):
+        spy(name)
+    tent_audit = audit_pairs(TENT, decay_grid=1024)
+    assert len(tent_audit) == 14
+    for pairs in (batch_pairs(), tent_audit):
+        calls.clear()
+        tr.wasserstein1_exact_batch(pairs)
+        assert calls.count("_near_one_line") == len(pairs)
+        assert calls.count("_staircase") == len(pairs)
+        assert calls.count("_stair_duals") <= len(pairs)
+    for mu, nu in batch_pairs():
+        calls.clear()
+        wasserstein1_exact(mu, nu)
+        assert calls.count("_near_one_line") == calls.count("_staircase") == 1
+        assert calls.count("_stair_duals") <= 1
+
+
 def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
     # 30 left-branch tent atoms, then a cross-branch pair, 32 x 32 cells: in
     # blocks of two rows, every block before the pair's prices out, and the
@@ -860,7 +904,7 @@ def test_certificate_catches_a_violation_in_the_last_rows(monkeypatch):
     assert len(lows) == len(mu) // 2
     assert min(lows[:-1]) >= -tr._DUAL_TOL > lows[-1]
     d, plan, used = solve_with_route(mu, nu)
-    assert used == "_transportation_lp"
+    assert used == "lp"
     dense = dense_lp_cost(mu.weights, nu.weights, cost_matrix(mu, nu))
     assert d == pytest.approx(dense, rel=1e-12)
 
@@ -885,7 +929,7 @@ def random_plans():
         nu = random_measure(TENT, 80 - 6 * trial, lane=50 + trial, seed=17).merged()
         stairs = tr._staircase(mu.weights, nu.weights)
         yield mu, nu, stairs
-        yield mu, nu, tr._transportation_lp(mu, nu, stairs)
+        yield mu, nu, lp_plan(mu, nu)
         k = np.arange(40)
         i = (rng.uniform_array(s, k, np.full(40, 3 * trial)) * len(mu)).astype(int)
         j = (rng.uniform_array(s, k, np.full(40, 3 * trial + 1)) * len(nu)).astype(int)
@@ -991,8 +1035,8 @@ def test_symmetry_and_triangle():
 def test_duplicate_atoms_merged():
     mu = DiscreteMeasure([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
     nu = DiscreteMeasure([0.25], [0.25], [1.0])
-    d, plan = wasserstein1_exact(mu, nu)
-    assert len(plan.entries) == 1
+    d, (rows, cols, masses) = wasserstein1_exact(mu, nu)
+    assert len(rows) == len(cols) == len(masses) == 1
     assert d == pytest.approx(math.hypot(0.25, 0.25), abs=1e-12)
 
 
@@ -1138,19 +1182,6 @@ def test_contraction_audit_arrays_equal_the_pair_loop_bit_for_bit(name):
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def test_contraction_audit_keeps_the_domain_error(monkeypatch):
-    real = rng.uniform_array
-
-    def outside(seed, lanes, indices):
-        out = real(seed, lanes, indices)
-        out[3] = 1.5
-        return out
-
-    monkeypatch.setattr(rng, "uniform_array", outside)
-    with pytest.raises(ValueError, match=r"x=1\.5 outside the domain \[0, 1\]"):
-        contraction_audit(CHAIN, pair_count=10, seed=1)
-
-
 def solver_audit_rows(chain, pair_count, seed):
     """Audit rows drawn pair by pair, each distance from the general solver."""
     target = chain.space.target
@@ -1218,30 +1249,29 @@ def test_audits_do_not_call_the_general_solver(monkeypatch):
     assert calls == []
 
 
-ROUTES = ("_certified_monotone", "_transportation_lp")
-
-
 def solve_with_route(mu, nu):
-    """wasserstein1_exact plus the name of the one solver that made the plan."""
+    """wasserstein1_exact plus the route that made the plan, told apart by
+    the line bound's verdict and the route 2 calls: "line" (route 1a),
+    "blocks" (route 1b) or "lp" (route 2)."""
     import chainlearn.transport as tr
 
-    used = []
+    verdicts, lp_calls = [], []
+    real_line, real_lp = tr._near_one_line, tr._transportation_lp
 
-    def spy(name, fn):
-        def wrapped(*args):
-            out = fn(*args)
-            if out is not None:
-                used.append(name)
-            return out
+    def line(*args):
+        verdicts.append(real_line(*args))
+        return verdicts[-1]
 
-        return wrapped
+    def lp(*args):
+        lp_calls.append(1)
+        return real_lp(*args)
 
-    with contextlib.ExitStack() as stack:
-        for name in ROUTES:
-            stack.enter_context(mock.patch.object(tr, name, spy(name, getattr(tr, name))))
-        d, plan = tr.wasserstein1_exact(mu, nu)
-    assert len(used) == 1
-    return d, plan, used[0]
+    with mock.patch.object(tr, "_near_one_line", line):
+        with mock.patch.object(tr, "_transportation_lp", lp):
+            d, plan = tr.wasserstein1_exact(mu, nu)
+    assert len(verdicts) == 1 and len(lp_calls) <= 1
+    assert not (verdicts[0] and lp_calls)  # the line bound's pairs reach no LP
+    return d, plan, "lp" if lp_calls else "line" if verdicts[0] else "blocks"
 
 
 # On the tent, atoms left and right of 1/2 with a = 1/2 - x and b = x' - 1/2
@@ -1287,20 +1317,22 @@ def identity_pair(draw):
 
 
 @pytest.mark.parametrize(
-    "pairs, route",
+    "pairs, routes",
     [
-        (uniform_square(), "_transportation_lp"),
-        (dyadic_unequal(), "_transportation_lp"),
-        (identity_pair(), "_certified_monotone"),
+        (uniform_square(), {"lp"}),
+        (dyadic_unequal(), {"lp"}),
+        # route 1: the line bound, or the block check where both measures
+        # are one atom at the same x, a vertical line
+        (identity_pair(), {"line", "blocks"}),
     ],
     ids=["uniform-square", "dyadic-unequal", "identity"],
 )
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
-def test_routes_are_pinned_and_exact(pairs, route, data):
+def test_routes_are_pinned_and_exact(pairs, routes, data):
     mu, nu = data.draw(pairs)
     d, plan, used = solve_with_route(mu, nu)
-    assert used == route
+    assert used in routes
     mm, nn = mu.merged(), nu.merged()
     assert abs(d - vertex_coupling_minimum(mm.weights, nn.weights, cost_matrix(mm, nn))) <= 1e-9
     row, col = plan_marginals(plan, len(mm), len(nn))
