@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -123,6 +123,18 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _regrouped_past_overflow(plain: Callable[[], float], regrouped: Callable[[], float]) -> float:
+    """`plain()`, or the same quotient as `regrouped()` where a power or a
+    product inside `plain` overflows (float ** raises, * gives inf or nan)
+    or its denominator underflows to 0.  Where the plain form stays finite,
+    its float is the value."""
+    try:
+        value = plain()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    return value if math.isfinite(value) else regrouped()
+
+
 class TailBound(NamedTuple):
     value: float
     valid: bool
@@ -201,8 +213,14 @@ def xi_constants(m: float, M: float, consts: ModelConstants) -> tuple[float, flo
         raise ValueError("need 0 < m <= M")
     omc = consts.one_minus_exp_neg_c2
     c1l = consts.C1 * consts.L
-    xi1 = 49.0 * m**4 * omc**2 / (72.0 * M * _square(M + 6.0 * m) * _square(c1l))
-    xi2 = 7.0 * m**2 * omc / (6.0 * math.sqrt(M) * (M + 6.0 * m) * c1l)
+    xi1 = _regrouped_past_overflow(
+        lambda: 49.0 * m**4 * omc**2 / (72.0 * M * _square(M + 6.0 * m) * _square(c1l)),
+        lambda: 49.0 / 72.0 * omc**2 * _square(m / (M + 6.0 * m)) * (m / M) * (m / c1l / c1l),
+    )
+    xi2 = _regrouped_past_overflow(
+        lambda: 7.0 * m**2 * omc / (6.0 * math.sqrt(M) * (M + 6.0 * m) * c1l),
+        lambda: 7.0 / 6.0 * omc * (m / (M + 6.0 * m)) * (m / math.sqrt(M)) / c1l,
+    )
     return xi1, xi2
 
 
@@ -210,7 +228,11 @@ def epsilon_prime_ok(eps: float, m: float, M: float) -> bool:
     """The substituted deviation level m^{3/2} eps / (M + 6m) must stay below
     2m/3 for the two-sided argument behind the relative bound; parameter
     choices beyond it are flagged, not rejected."""
-    return m**1.5 * eps / (M + 6.0 * m) < 2.0 * m / 3.0
+    level = _regrouped_past_overflow(
+        lambda: m**1.5 * eps / (M + 6.0 * m),
+        lambda: math.sqrt(m) * eps * (m / (M + 6.0 * m)),
+    )
+    return level < 2.0 * m / 3.0
 
 
 def n2_terms(

@@ -192,7 +192,7 @@ class ExperimentConfig:
                 f"every target_params value must be a finite number, got {self.target_params!r}"
             )
         try:  # the target, checked by making it
-            make_target(self.target_name, **self.target_params)
+            target = make_target(self.target_name, **self.target_params)
         except ValueError as exc:
             raise ConfigError(
                 f"target_name {self.target_name!r} with target_params {self.target_params}: {exc}"
@@ -200,7 +200,11 @@ class ExperimentConfig:
         if None not in (self.m_override, self.M_override) and self.m_override > self.M_override:
             raise ConfigError(f"m_override must be at most M_override = {self.M_override}")
         try:  # the class fields against each other, checked by the class
-            build_class(self)
+            cls = build_class(self)
+            # every kind but these two bounds the loss by constants of the
+            # class range and the target's range, such as B = D^2
+            if self.kind not in ("contraction", "lemma"):
+                loss_constants(cls, target)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # the Poisson check bounds h's loss with the class's loss constants
@@ -304,7 +308,7 @@ def model_constants(
                 f"diameter {c1}"
             )
         c1 = config.c1_override
-    losses = loss_constants(cls, chain.space)
+    losses = loss_constants(cls, chain.space.target)
     if losses.L_bar == 0.0:
         raise ConfigError(
             "the loss is identically zero (class range and target range are the "
@@ -495,56 +499,45 @@ def _batch_empirical_at(
     For a net of several knots, a block is cut into
     min(`parallel.usable_cpus()`, replications in the block) contiguous
     parts, each its own `simulate_x_blocks` call over its lanes at the
-    width the whole block gets (`block_width`), and folded, one
-    `parallel.for_each` item per part, into its moments at the next G n
-    values, G being the most n whose moments for the whole block fit in
-    `BUDGET` cells (about 3 x knots cells per replication and n; at least
-    1).  At each n the parts' moments are stacked in replication order and
-    the block is scored at once, so the scorer sees the arrays of an
-    undivided block; a row's moments depend only on its own states and the
-    block width, so they are the same floats.  A part of L lanes holds one
-    block of its states (L x width cells), the few temporaries of that size
-    its moments are built with, and its moments at up to G n values.  A
-    one-knot net keeps one part: its moments are a running sum, so its fold
-    is the simulator's per-step loop of short numpy calls, which a split
-    would walk once per part.
+    width the whole block gets (`block_width`).  Each part is one
+    `parallel.for_each` item that folds its lanes and scores them at each n
+    as its moments come, keeping only the scored result, and the parts'
+    results are joined in replication order.  A row's moments depend only
+    on its own states and the block width, and its errors only on its
+    moments (`HypothesisNet.mean_squared_errors`), so a part's columns are
+    the same floats as the undivided block's.  A part of L
+    lanes holds one block of its states (L x width cells), the few
+    temporaries of that size its moments are built with, and its moments
+    at one n.  A one-knot net keeps one part: its moments are a running
+    sum, so its fold is the simulator's per-step loop of short numpy calls,
+    which a split would walk once per part.
     """
     target = chain.space.target
     stream = rng.derive(config.master_seed, rng.TRAJECTORY)
     rep_block = max(1, BUDGET // net.knot_count)
     reps_all = np.arange(config.replications, dtype=np.uint64)
     stops = tuple(sorted(set(n_values)))
-    out: dict[int, np.ndarray] = {}
+    scored: list[list[np.ndarray]] = []  # per part, in replication order: one result per stop
     for lo in range(0, config.replications, rep_block):
         reps = reps_all[lo : lo + rep_block]
         parts = 1 if net.knot_count == 1 else min(parallel.usable_cpus(), reps.size)
         cuts = [reps.size * i // parts for i in range(parts + 1)]
         width = block_width(reps.size)
-        folds = [
-            _hat_moments_at(
-                simulate_x_blocks(
-                    initial_xs(config, pi_hat, lanes), stops[-1], stream, lanes, width=width
-                ),
-                target,
-                net.knot_count,
-                stops,
+        by_part: list[list[np.ndarray]] = [[] for _ in range(parts)]
+
+        def fold(i: int) -> None:
+            lanes = reps[cuts[i] : cuts[i + 1]]
+            blocks = simulate_x_blocks(
+                initial_xs(config, pi_hat, lanes), stops[-1], stream, lanes, width=width
             )
-            for lanes in (reps[a:b] for a, b in zip(cuts, cuts[1:]))
-        ]
-        group = max(1, BUDGET // (3 * net.knot_count * reps.size))
-        for first in range(0, len(stops), group):
-            held: list[list[tuple[int, HatMoments]]] = [[]] * parts
+            for _, moments in _hat_moments_at(blocks, target, net.knot_count, stops):
+                by_part[i].append(score(net.mean_squared_errors(moments)))
+                del moments  # not held while the next n is folded
 
-            def fold(i: int) -> None:
-                held[i] = list(itertools.islice(folds[i], group))
-
-            parallel.for_each(fold, range(parts))
-            for k, n in enumerate(stops[first : first + group]):
-                scored = score(net.mean_squared_errors(HatMoments.stacked([h[k][1] for h in held])))
-                if n not in out:
-                    out[n] = np.empty(scored.shape[:-1] + (config.replications,))
-                out[n][..., lo : lo + reps.size] = scored
-    return [out[n] for n in n_values]
+        parallel.for_each(fold, range(parts))
+        scored += by_part
+    by_stop = dict(zip(stops, (np.concatenate(s, axis=-1) for s in zip(*scored))))
+    return [by_stop[n] for n in n_values]
 
 
 def _batch_empirical(

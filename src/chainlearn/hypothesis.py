@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, get_args
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -180,24 +180,6 @@ class HatMoments:
             square,
         )
 
-    @classmethod
-    def stacked(cls, parts: Sequence[HatMoments]) -> HatMoments:
-        """The rows of `parts`, in order, as one set of moments; the parts
-        share a knot grid and a sample count."""
-        if len(parts) == 1:
-            return parts[0]
-        first = parts[0]
-        if any((p.knot_count, p.count) != (first.knot_count, first.count) for p in parts):
-            raise ValueError("stacked moments must share a knot grid and a sample count")
-        return cls(
-            first.knot_count,
-            first.count,
-            *(
-                np.concatenate([getattr(p, name) for p in parts])
-                for name in ("gram_diag", "gram_off", "cross", "square")
-            ),
-        )
-
     def __add__(self, other: HatMoments) -> HatMoments:
         if other.knot_count != self.knot_count:
             raise ValueError("moments of different knot grids do not add")
@@ -235,17 +217,29 @@ class HypothesisNet:
         Each member is h = sum_k v_k phi_k over the hat functions of its knot
         grid, so its mean squared error is v'Gv - 2v'b + c with the
         tridiagonal Gram matrix G, b_k = mean(phi_k y) and c = mean(y^2).
-        Clamped at 0 against the rounding residue of the expansion.
+        Each of the three forms is summed knot by knot in elementwise outer
+        products, with no BLAS, so a row's errors depend only on its own
+        moments, whatever rows the call is given.  Clamped at 0 against the
+        rounding residue of the expansion.
         """
         if moments.knot_count != self.knot_count:
             raise ValueError(
                 f"moments are for {moments.knot_count} knots, the net has {self.knot_count}"
             )
         v = np.array([h.knot_values for h in self.members])
+        shape = (len(v), moments.square.size)
+        term = np.empty(shape)
+
+        def form(weights: np.ndarray, sums: np.ndarray) -> np.ndarray:
+            out = np.zeros(shape)  # sum over k of weights[:, k] x sums[:, k]
+            for w, s in zip(weights.T, sums.T):
+                out += np.multiply.outer(w, s, out=term)
+            return out
+
         sums = (
-            (v * v) @ moments.gram_diag.T
-            + 2.0 * (v[:, :-1] * v[:, 1:]) @ moments.gram_off.T
-            - 2.0 * v @ moments.cross.T
+            form(v * v, moments.gram_diag)
+            + 2.0 * form(v[:, :-1] * v[:, 1:], moments.gram_off)
+            - 2.0 * form(v, moments.cross)
             + moments.square[None, :]
         )
         return np.maximum(sums / moments.count, 0.0)

@@ -27,7 +27,14 @@ import numpy as np
 
 from . import rng
 from .hypothesis import Hypothesis, HypothesisClass, class_metric, random_member
-from .state_space import SpaceDescriptor, StatePoint, graph_point, rho, target_range
+from .state_space import (
+    SpaceDescriptor,
+    StatePoint,
+    TargetFunction,
+    graph_point,
+    rho,
+    target_range,
+)
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,9 @@ def loss_composite(h: Hypothesis, z: StatePoint) -> float:
     return (float(h(z.x)) - z.y) ** 2
 
 
-def loss_constants(cls: HypothesisClass, space: SpaceDescriptor) -> LossConstants:
-    f_lo, f_hi = target_range(space.target)
+def loss_constants(cls: HypothesisClass, target: TargetFunction) -> LossConstants:
+    """The constants from the class range and the target's range alone."""
+    f_lo, f_hi = target_range(target)
     if not all(np.isfinite(v) for v in (cls.y_lo, cls.y_hi, f_lo, f_hi)):
         raise ValueError("class range and target range must be bounded")
     d = max(cls.y_hi - f_lo, f_hi - cls.y_lo)
@@ -92,8 +100,8 @@ def verify_a2(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    consts = constants if constants is not None else loss_constants(cls, space)
     target = space.target
+    consts = constants if constants is not None else loss_constants(cls, target)
 
     def slack(h1: Hypothesis, h2: Hypothesis, z1: StatePoint, z2: StatePoint) -> float:
         lhs = abs(loss_composite(h1, z1) - loss_composite(h2, z2))

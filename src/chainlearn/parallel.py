@@ -13,7 +13,7 @@ Three callers spread their work this way: `transport.wasserstein1_exact_batch`
 (one item per W1 pair past the line bound), `bounds.poisson_estimate` (one
 item per chunk of rollout lanes) and `harness._batch_empirical_at` (one
 item per part of a multi-knot replication block, cut into `usable_cpus()`
-parts at most).
+parts at most, each simulated, folded and scored by its item).
 """
 
 from __future__ import annotations

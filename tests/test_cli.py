@@ -644,3 +644,47 @@ def test_cli_rejects_an_overflowing_n2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: sample size n2 overflows at eps=")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", ["bounds", "relative", "scaling"])
+@pytest.mark.parametrize("value", [1e-300, 1e-200, 1e80, 1e160, 1e210, 1e300])
+def test_cli_error_range_overrides_past_the_float_range(tmp_path, capsys, subcommand, value):
+    # m**4, m**2 and m**1.5 overflow past about 1e77, 1e154 and 1e205, and
+    # the denominators underflow below about 1e-77; each exited 4
+    config = write_config(tmp_path, "c.json", {
+        "kind": subcommand, "m_override": value, "M_override": value,
+        "replications": 2, "n_list": [100],
+    })
+    code = main([subcommand, "--config", config])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+HUGE_AFFINE = {"target_name": "affine", "target_params": {"a": 1.0, "b": 1e300}}
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["concentration", "asem", "relative", "scaling", "bounds", "poisson-check"]
+)
+def test_cli_rejects_an_overflowing_loss_bound_at_load_time(tmp_path, capsys, monkeypatch,
+                                                             subcommand):
+    # the target's range puts B = D^2 past the float range; the true errors
+    # used to be scored first and warn of the overflow
+    import chainlearn.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: calls.append(config))
+    config = write_config(tmp_path, "c.json", {"kind": "lemma", **HUGE_AFFINE})
+    assert main([subcommand, "--config", config]) == 1
+    assert capsys.readouterr().err == "config error: B must be finite and nonnegative, got inf\n"
+    assert calls == []
+
+
+def test_cli_audit_reads_no_loss_bound(tmp_path, capsys):
+    config = write_config(tmp_path, "c.json", {**BASE, **HUGE_AFFINE})
+    assert main(["audit-contraction", "--config", config, "--out", str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,9 +1,12 @@
 """Reports are the same bytes on every run: the reduced-size benchmark configs
 (`bench/workloads.py`), rendered through `cli.main` at the benchmark's two
-seeds, hash to the values pinned here, and the three `parallel.for_each`
+seeds, hash to the values pinned here.  The three `parallel.for_each`
 callers (the W1 batch of the tent audit, the multi-knot Monte Carlo fold of
 `mc-lipschitz` and the Poisson rollouts of `poisson-check`) give the same
-hashes in a process pinned to one CPU.
+hashes in a process pinned to one CPU, and every op gives them in a process
+on another OpenBLAS kernel (`OPENBLAS_CORETYPE=Prescott`) and in one whose
+numpy loops dispatch to no AVX2 or AVX-512 code
+(`NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3"`).
 
 A change that alters reports on purpose updates `PINNED` and says so.
 """
@@ -123,34 +126,117 @@ def test_reduced_bench_reports_hash_to_pinned_values(tmp_path, capsys):
     assert got == PINNED
 
 
-# the child pins itself to one CPU before chainlearn runs anything, then
-# renders the ops named in argv[2] with this module's `render`
+# the child pins itself to one CPU when argv[4] says so, before chainlearn
+# runs anything, then renders the ops named in argv[2] (every op when it is
+# empty) with this module's `render`
 _CHILD = """
 import importlib.util, json, os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[4] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 spec = importlib.util.spec_from_file_location("determinism", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
 from chainlearn import parallel
-hashes = module.render(sys.argv[3], tuple(sys.argv[2].split(",")))
-print(json.dumps({"cpus": parallel.usable_cpus(), "hashes": hashes}))
+hashes = module.render(sys.argv[3], tuple(sys.argv[2].split(",")) if sys.argv[2] else None)
+print(json.dumps({"cpus": parallel.usable_cpus(), "settings": module.settings(),
+                  "hashes": hashes}))
 """
+
+
+def _child(tmp_path, env_update: dict, only: tuple[str, ...] = (), one_cpu: bool = False):
+    import chainlearn
+
+    env = {**os.environ, **env_update}
+    src = str(Path(chainlearn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, __file__, ",".join(only), str(tmp_path),
+         "one-cpu" if one_cpu else "all-cpus"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _openblas_core():
+    """The name of the kernel numpy's bundled OpenBLAS runs, or None where
+    numpy bundles no scipy-openblas library."""
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_  # numpy's loaded copy
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _dispatch_targets():
+    """The sorted CPU targets numpy's loops dispatch to, or None where numpy
+    has no `opt_func_info` to say so."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return sorted({sig["current"] for sigs in opt_func_info().values() for sig in sigs.values()})
+
+
+def settings() -> dict:
+    return {"openblas_core": _openblas_core(), "dispatch": _dispatch_targets()}
 
 
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity to pin a process"
 )
 def test_threaded_folds_give_the_pinned_bytes_on_one_cpu(tmp_path):
-    import chainlearn
-
-    env = dict(os.environ)
-    src = str(Path(chainlearn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, __file__, ",".join(THREADED), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
-    )
-    child = json.loads(proc.stdout.splitlines()[-1])
+    child = _child(tmp_path, {}, THREADED, one_cpu=True)
     assert child["cpus"] == 1
     assert len(child["hashes"]) == len(THREADED) * len(SEEDS)
     assert child["hashes"] == {k: PINNED[k] for k in child["hashes"]}
+
+
+DISABLED = ("X86_V4", "X86_V3")
+VARIANTS = {
+    "OPENBLAS_CORETYPE": ("Prescott", "openblas_core"),
+    "NPY_DISABLE_CPU_FEATURES": (" ".join(DISABLED), "dispatch"),
+}
+# the scaling slopes are fitted by np.polyfit, whose LAPACK least squares
+# rounds n1_slope and n3_slope differently on another OpenBLAS kernel
+KERNEL_DEPENDENT = ("suite/scaling.csv/1", "suite/scaling.csv/20211008")
+
+
+@pytest.fixture(scope="module")
+def variant(request, tmp_path_factory) -> dict[str, list]:
+    """The hashes of every op in a child with the variable `request.param`
+    set.  The child reports what it ran on, since numpy ignores a feature
+    name it does not know without a warning, and OpenBLAS a core it cannot
+    run; a variant that did not take effect is skipped."""
+    variable = request.param
+    value, reading = VARIANTS[variable]
+    here = settings()[reading]
+    if here is None:
+        pytest.skip(f"{reading} cannot be read here, so {variable}={value} cannot be checked")
+    child = _child(tmp_path_factory.mktemp("variant"), {variable: value})
+    there = child["settings"][reading]
+    if there == here or (reading == "dispatch" and set(DISABLED) & set(there)):
+        pytest.skip(f"{variable}={value} did not take effect: {reading} {here} -> {there}")
+    assert child["hashes"].keys() == PINNED.keys()
+    return child["hashes"]
+
+
+@pytest.mark.parametrize(
+    "variant, keys",
+    [
+        ("NPY_DISABLE_CPU_FEATURES", tuple(PINNED)),
+        ("OPENBLAS_CORETYPE", tuple(k for k in PINNED if k not in KERNEL_DEPENDENT)),
+        pytest.param("OPENBLAS_CORETYPE", KERNEL_DEPENDENT, marks=pytest.mark.xfail(
+            reason="np.polyfit's scaling slopes depend on the OpenBLAS kernel")),
+    ],
+    indirect=["variant"],
+    ids=["dispatch", "openblas", "openblas-scaling"],
+)
+def test_reports_give_the_pinned_bytes_on_other_kernels(variant, keys):
+    assert {k: variant[k] for k in keys} == {k: PINNED[k] for k in keys}

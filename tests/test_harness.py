@@ -549,23 +549,32 @@ def test_batch_empirical_memory_does_not_grow_with_the_count_of_n(monkeypatch):
     from chainlearn.hypothesis import build_epsilon_net
 
     # one member over 2001 knots: the moments of 300 replications at one n
-    # take 3 x 2001 x 300 cells, past BUDGET, so the parts of the block hold
-    # them one n at a time (holding all four n took 2.4 times the peak)
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    # take 3 x 2001 x 300 cells, past BUDGET, so each part scores them one n
+    # at a time and keeps only the errors (holding all four n took 2.7 times
+    # the peak).  Run in turn, the parts' peaks do not overlap and four n
+    # take the peak of one; on two threads they may overlap, up to twice it.
+    parts = 2
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: parts)
     config = cfg(kind="concentration", replications=300, class_kind="lipschitz",
                  lip_bound=1.0, y_lo=0.5, y_hi=0.5, net_radius=1e-3, master_seed=3)
     chain = build_chain(config)
     net = build_epsilon_net(build_class(config), config.net_radius)
     pi_hat = invariant_measure(chain, 128)
-    peaks = []
-    for n_values in ((40,), (10, 20, 30, 40)):
+
+    def peak(n_values) -> int:
         tracemalloc.start()
         try:
             _batch_empirical_at(net, chain, config, n_values, pi_hat)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.15 * peaks[0], peaks
+
+    threaded = peak((10, 20, 30, 40))
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "for_each", lambda work, items: [work(i) for i in items])
+        one, four = peak((40,)), peak((10, 20, 30, 40))
+    assert four <= 1.15 * one, (one, four)
+    assert threaded <= 1.15 * parts * one, (one, threaded)
 
 
 @pytest.mark.parametrize("bad", [{"n": 0}, {"n": -3}, {"n_list": [100, 0]}])
@@ -788,9 +797,9 @@ def test_split_fold_with_more_workers_than_cores_and_fast_switching(monkeypatch)
     from chainlearn.chain import invariant_measure
     from chainlearn.hypothesis import build_epsilon_net
 
-    # seven one-replication parts on eight workers, advanced one n at a time
-    # (blocks of 7 under a harness budget of 7 x 5 cells): a part folded
-    # twice, skipped or stacked out of order would change its column
+    # seven one-replication parts on eight workers (blocks of 7 under a
+    # harness budget of 7 x 5 cells), each scored at every n: a part folded
+    # twice, skipped or joined out of order would change its column
     config = cfg(kind="concentration", replications=7, class_kind="lipschitz", lip_bound=1.0,
                  net_radius=0.6, x0_policy="uniform", master_seed=61)
     chain = build_chain(config)

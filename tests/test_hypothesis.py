@@ -555,6 +555,32 @@ def test_moments_identical_on_lane_major_and_step_major_memory(knots, rows, coun
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_moment_errors_of_a_row_do_not_depend_on_the_other_rows():
+    # a part of a replication block is scored where it is folded, so its
+    # columns must be the whole block's bits whatever the cut
+    gen = np.random.default_rng(29)
+    rows = 37
+    cls = HypothesisClass("lipschitz", -2.0, 2.0, lip_bound=8.0)
+    for knots in (1, 2, 5):
+        net = HypothesisNet(
+            tuple(Hypothesis(tuple(gen.uniform(-2.0, 2.0, knots))) for _ in range(40)), 0.1, cls
+        )
+        xs = gen.uniform(0.0, 1.0, (rows, 300))
+        ys = np.sin(3.0 * xs) + gen.normal(0.0, 0.3, xs.shape)
+        moments = HatMoments.from_samples(xs, ys, knots)
+        whole = net.mean_squared_errors(moments)
+
+        def scored(a: int, b: int) -> np.ndarray:
+            return net.mean_squared_errors(HatMoments(
+                knots, moments.count, moments.gram_diag[a:b], moments.gram_off[a:b],
+                moments.cross[a:b], moments.square[a:b],
+            ))
+
+        for cuts in [range(rows + 1), (0, 1, 18, rows), (0, 2, 7, 30, rows), (0, 36, rows)]:
+            got = np.concatenate([scored(a, b) for a, b in zip(cuts, cuts[1:])], axis=1)
+            assert np.array_equal(got, whole), (knots, cuts)
+
+
 def test_moment_errors_clamped_at_zero_for_exact_fit():
     net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, LIP1)
     xs = np.linspace(0.0, 1.0, 101)[None, :]

@@ -127,7 +127,7 @@ def test_asem_is_approximate_minimizer_over_class():
     from chainlearn.loss import loss_constants
 
     net = build_epsilon_net(CONSTANTS, 0.1)
-    consts = loss_constants(CONSTANTS, make_space(IDENTITY))
+    consts = loss_constants(CONSTANTS, IDENTITY)
     traj = make_traj(np.linspace(0, 1, 33) ** 2)
     _, value = asem(net, traj)
     for lane in range(200):

@@ -24,27 +24,27 @@ def test_loss_composite_examples():
 
 
 def test_loss_constants_constants_class():
-    c = loss_constants(CONSTANTS, IDENTITY_SPACE)
+    c = loss_constants(CONSTANTS, IDENTITY_SPACE.target)
     assert (c.L, c.L_bar, c.B) == (2.0, 2.0, 1.0)
 
 
 def test_loss_constants_lipschitz_class():
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
-    c = loss_constants(cls, IDENTITY_SPACE)
+    c = loss_constants(cls, IDENTITY_SPACE.target)
     assert (c.L, c.L_bar, c.B) == (4.0, 2.0, 1.0)
 
 
 def test_loss_constants_small_range():
     cls = HypothesisClass("constants", 0.45, 0.55)
     space = make_space(make_target("constant", c=0.5))
-    c = loss_constants(cls, space)
+    c = loss_constants(cls, space.target)
     assert c.L == pytest.approx(0.1, abs=1e-15)
     assert c.L_bar == pytest.approx(0.1, abs=1e-15)
     assert c.B == pytest.approx(0.0025, abs=1e-15)
 
 
 def test_loss_bounded_by_b():
-    c = loss_constants(CONSTANTS, IDENTITY_SPACE)
+    c = loss_constants(CONSTANTS, IDENTITY_SPACE.target)
     for x in np.linspace(0, 1, 21):
         for cv in np.linspace(0, 1, 21):
             z = graph_point(float(x), IDENTITY_SPACE.target)
@@ -52,7 +52,7 @@ def test_loss_bounded_by_b():
 
 
 def test_state_lipschitz_continuity_sampled():
-    c = loss_constants(CONSTANTS, IDENTITY_SPACE)
+    c = loss_constants(CONSTANTS, IDENTITY_SPACE.target)
     h = Hypothesis((0.25,))
     xs = np.linspace(0, 1, 41)
     for x1 in xs:
@@ -82,7 +82,7 @@ def test_corner_hypotheses_are_flat_extremes_of_unanchored_classes():
 
 
 def test_verify_a2_detects_forged_constants():
-    honest = loss_constants(CONSTANTS, IDENTITY_SPACE)
+    honest = loss_constants(CONSTANTS, IDENTITY_SPACE.target)
     forged = LossConstants(L=honest.L / 2, L_bar=honest.L_bar, B=honest.B)
     violation = verify_a2(CONSTANTS, IDENTITY_SPACE, sample_count=500, seed=3, constants=forged)
     assert violation > 0.0
@@ -92,7 +92,7 @@ def test_verify_a2_identical_pair_slack_nonpositive():
     h = Hypothesis((0.3,))
     z = graph_point(0.4, IDENTITY_SPACE.target)
     # identical pair: lhs is zero, slack is minus the tolerance
-    c = loss_constants(CONSTANTS, IDENTITY_SPACE)
+    c = loss_constants(CONSTANTS, IDENTITY_SPACE.target)
     lhs = abs(loss_composite(h, z) - loss_composite(h, z))
     assert lhs - 1e-9 <= 0.0
 
