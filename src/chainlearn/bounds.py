@@ -161,17 +161,12 @@ def single_h_tail_bound(eps: float, n: int, consts: ModelConstants) -> TailBound
 
 
 def uniform_tail_bound(
-    eps: float,
-    n: int,
-    consts: ModelConstants,
-    covering_number: Optional[float] = None,
-    *,
-    ln_covering: Optional[float] = None,
+    eps: float, n: int, consts: ModelConstants, covering_number: float
 ) -> TailBound:
     """Covering number (at eps / 4 L_bar) times the single-hypothesis bound
     at eps/2; valid once n >= 8 C1 L / (eps (1-e^-C2))."""
     exponent, valid = _single_h_exponent(eps / 2.0, n, consts)
-    return TailBound(_exp(_ln_covering(covering_number, ln_covering) + exponent), valid)
+    return TailBound(_exp(_ln_covering(covering_number, None) + exponent), valid)
 
 
 def n1_terms(
@@ -285,19 +280,6 @@ def _n3_level(eps: float, delta: float, alpha: float) -> float:
     return math.sqrt(eps / (1.0 + 1.0 / alpha))
 
 
-def n3_terms(
-    eps: float,
-    delta: float,
-    alpha: float,
-    consts: ModelConstants,
-    covering_number: Optional[float] = None,
-    *,
-    ln_covering: Optional[float] = None,
-) -> tuple[float, float]:
-    tilde = _n3_level(eps, delta, alpha)
-    return n2_terms(tilde, delta, consts, covering_number, ln_covering=ln_covering)
-
-
 def n3(
     eps: float,
     delta: float,
@@ -313,18 +295,13 @@ def n3(
 
 
 def relative_tail_bound(
-    eps: float,
-    n: int,
-    consts: ModelConstants,
-    covering_number: Optional[float] = None,
-    *,
-    ln_covering: Optional[float] = None,
+    eps: float, n: int, consts: ModelConstants, covering_number: float
 ) -> TailBound:
     """4 * covering(eps / L_bar) * exp(-xi1 eps^2 n + xi2 eps); valid while
     `epsilon_prime_ok` holds at eps."""
     _check(eps, n=n)
     m, M = consts.require_mm()
-    lncov = _ln_covering(covering_number, ln_covering)
+    lncov = _ln_covering(covering_number, None)
     xi1, xi2 = xi_constants(m, M, consts)
     try:
         log_value = math.log(4.0) + lncov - xi1 * eps**2 * n + xi2 * eps
@@ -396,9 +373,9 @@ def poisson_estimate(
     losses of one step's states at a time, a contiguous row of its lanes,
     and adds them into its own slice of the sums in step order,
     ((0 + l_0) + l_1) + ..., so an estimate does not depend on the chunk or
-    the thread, and no array of steps x lanes is held.  A one-knot
-    `Hypothesis` c is scored as (f(x) - c)^2, the same floats as the
-    general (h(x) - f(x))^2 with no interpolation per step.
+    the thread, and no array of steps x lanes is held.  A step's loss is
+    (f(x) - h(x))^2, the float (h(x) - f(x))^2; a one-knot `Hypothesis` is
+    its constant, with no interpolation per step.
     Raises if the truncation's geometric tail exceeds the requested
     tolerance.  The reported Monte Carlo tolerance is 3 B sqrt(N / R).
     """
@@ -418,7 +395,7 @@ def poisson_estimate(
     steps = truncation + 1
     sums = np.zeros((grid + 1) * rollouts)  # one loss sum per lane
     stream = rng.derive(seed, rng.POISSON)
-    # negating a difference is exact, so (f - c)^2 is the float (c - f)^2
+    # negating a difference is exact, so (f - h)^2 is the float (h - f)^2
     c = float(h.knot_values[0]) if isinstance(h, Hypothesis) and h.knot_count == 1 else None
 
     def fold(lo: int) -> None:
@@ -426,11 +403,8 @@ def poisson_estimate(
         out = sums[lo : lo + lanes.size]
         for states in simulate_x_blocks(xs[lanes // rollouts], steps, stream, lanes, width=1):
             row = states[:, 0]  # one step's states, contiguous
-            if c is None:
-                loss = h(row)  # a new array, squared in place
-                loss -= target(row)
-            else:
-                loss = np.subtract(target(row), c)  # new even if target returns row
+            # a new array even if target returns row, squared in place
+            loss = np.subtract(target(row), c if c is not None else h(row))
             np.square(loss, out=loss)
             out += loss
 

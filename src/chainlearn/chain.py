@@ -195,15 +195,14 @@ def invariant_measure(chain: ContractiveChain, grid_size: int) -> DiscreteMeasur
     return DiscreteMeasure.on_graph(chain.space.target, xs, w)
 
 
-def arc_length_measure(
-    chain: ContractiveChain, grid_size: int, subgrid: int = 16
-) -> DiscreteMeasure:
-    """Midpoint atoms weighted by the arc length of each cell (the competing
-    invariant-measure candidate; coincides with the pushforward only when
-    |f'| is constant)."""
+def arc_length_measure(chain: ContractiveChain, grid_size: int) -> DiscreteMeasure:
+    """Midpoint atoms weighted by the arc length of each cell, summed over
+    16 chords per cell (the competing invariant-measure candidate;
+    coincides with the pushforward only when |f'| is constant)."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     target = chain.space.target
+    subgrid = 16
     fine = np.linspace(0.0, 1.0, grid_size * subgrid + 1)
     fy = np.asarray(target(fine), dtype=float)
     seg = np.hypot(np.diff(fine), np.diff(fy))

@@ -16,7 +16,6 @@ import sys
 
 from .harness import (
     ConfigError,
-    Report,
     load_config,
     render_report,
     run_experiment,
@@ -50,13 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Report, out: str | None, fmt: str) -> None:
-    if out is None:
-        sys.stdout.write(render_report(report, fmt))
-    else:
-        write_report(report, out, fmt)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -84,7 +76,10 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
     try:
-        _emit(report, args.out, args.format)
+        if args.out is None:
+            sys.stdout.write(render_report(report, args.format))
+        else:
+            write_report(report, args.out, args.format)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

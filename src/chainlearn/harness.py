@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -59,17 +59,40 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _float(value: Any) -> Any:
+    """A real number that is not a bool as a float, so that equal configs
+    ("eps": 1 and "eps": 1.0) are stored, and hashed, alike; any other
+    value, or an integer too large for a float, as it is, to fail its
+    check."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return value
+
+
+def _floats(value: Any) -> Any:
+    """A list or tuple as a tuple of `_float` entries; any other value as it is."""
+    return tuple(map(_float, value)) if isinstance(value, (list, tuple)) else value
+
+
 def _is_finite(value: Any) -> bool:
-    """A finite real number that is not a bool (integers and numpy floats
-    count)."""
-    return (
-        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    )
+    """A finite float, which is how `_float` stores a finite real number."""
+    return isinstance(value, float) and math.isfinite(value)
 
 
-# what the value of a field of each annotated type must be, and the entries of
-# each tuple type; the annotations are strings under `from __future__ import
-# annotations`
+# how a value of each float-typed field (and of each target parameter) is
+# stored; the annotations are strings under `from __future__ import annotations`
+_STORED = {
+    "float": _float,
+    "Optional[float]": _float,
+    "Optional[tuple[float, float]]": _floats,
+    "tuple[float, ...]": _floats,
+    "dict": lambda v: {k: _float(x) for k, x in v.items()} if isinstance(v, dict) else v,
+}
+# what the stored value of a field of each annotated type must be, and the
+# entries of each tuple type
 _VALUE_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
@@ -171,6 +194,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type in _STORED:
+                value = _STORED[f.type](value)
+                object.__setattr__(self, f.name, value)
             if f.type in _VALUE_CHECKS:
                 ok, what = _VALUE_CHECKS[f.type]
                 if not ok(value):
@@ -225,25 +251,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in raw:
             raise ConfigError("config needs an experiment 'kind'")
-        raw = dict(raw)
-        if isinstance(raw.get("anchor"), (list, tuple)):  # numbers as floats, for the digest
-            raw["anchor"] = tuple(float(v) if _is_finite(v) else v for v in raw["anchor"])
         try:
             return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
-
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -251,7 +265,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON or an over-long integer literal
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -481,13 +495,13 @@ def _batch_empirical_at(
     config: ExperimentConfig,
     n_values: tuple[int, ...],
     pi_hat,
-    score: Callable[[np.ndarray], np.ndarray] = lambda errors: errors,
+    score: Callable[[np.ndarray], np.ndarray],
 ) -> list[np.ndarray]:
     """`score` of the empirical errors at each n of `n_values`, in their
     order.  The errors of a block of replications, shape (members,
     replications), match `empirical_error` on the first n states of each
-    trajectory; `score` acts on them column by column, and only its result
-    is kept (the default keeps the errors).
+    trajectory; `score` reduces them column by column, and only its
+    result is kept, so no run holds the errors of every replication.
 
     Each block of replications is simulated once, to the largest n, and
     folded into the hat-basis moments as it is drawn (`_hat_moments_at`),
@@ -538,17 +552,6 @@ def _batch_empirical_at(
         scored += by_part
     by_stop = dict(zip(stops, (np.concatenate(s, axis=-1) for s in zip(*scored))))
     return [by_stop[n] for n in n_values]
-
-
-def _batch_empirical(
-    net: HypothesisNet,
-    chain: ContractiveChain,
-    config: ExperimentConfig,
-    n: int,
-    pi_hat,
-) -> np.ndarray:
-    """`_batch_empirical_at` at the one n."""
-    return _batch_empirical_at(net, chain, config, (n,), pi_hat)[0]
 
 
 def _grid(config: ExperimentConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -682,15 +685,21 @@ def run_asem_experiment(config: ExperimentConfig) -> Report:
     net, true = model.net, model.true
     opt = opt_pi(net, model.pi_hat, config.opt_refinement)
 
-    emp = _batch_empirical(net, model.chain, config, config.n, model.pi_hat)
-    picks = emp.argmin(axis=0)
+    def pick(errors: np.ndarray) -> np.ndarray:
+        """Per replication, the picked member and its error: the element
+        itself, since `min` may give -0.0 where `argmin` picks a +0.0."""
+        picks = errors.argmin(axis=0)
+        return np.stack([picks, np.take_along_axis(errors, picks[None], axis=0)[0]])
+
+    picked, emp = _batch_empirical_at(net, model.chain, config, (config.n,), model.pi_hat, pick)[0]
+    picks = picked.astype(int)
     gaps = np.abs(true[picks] - opt)
     successes = gaps < 5.0 * config.eps
 
     cov_n1 = covering_count(model.cls, config.eps / (4.0 * consts.L_bar))
     n1_value = bd.n1(config.eps, config.delta, consts, covering_number=cov_n1)
     rows = [
-        (int(r), int(picks[r]), float(emp[picks[r], r]), float(true[picks[r]]), float(gaps[r]), bool(successes[r]))
+        (int(r), int(picks[r]), float(emp[r]), float(true[picks[r]]), float(gaps[r]), bool(successes[r]))
         for r in range(config.replications)
     ]
     meta = _base_metadata(config)

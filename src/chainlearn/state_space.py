@@ -219,13 +219,14 @@ class DiscreteMeasure:
     def integrate(self, values: np.ndarray) -> float:
         return float((self.weights * values).sum())
 
-    def merged(self, tol: float = 1e-15) -> "DiscreteMeasure":
+    def merged(self) -> "DiscreteMeasure":
         """Merge duplicate atoms (both coordinates within tol), summing weights.
 
         Until its first merge the loop compares each atom with the one
         before it, so it merges nothing exactly when no adjacent pair is
         within tol; that case returns self without the loop.
         """
+        tol = 1e-15
         xs, ys, ws = self.xs, self.ys, self.weights
         if not ((np.abs(np.diff(xs)) <= tol) & (np.abs(np.diff(ys)) <= tol)).any():
             return self

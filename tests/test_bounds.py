@@ -22,6 +22,7 @@ from chainlearn import parallel
 from chainlearn import rng
 from chainlearn.bounds import (
     ModelConstants,
+    _n3_level,
     epsilon_prime_ok,
     ergodicity_constants,
     n1,
@@ -29,7 +30,6 @@ from chainlearn.bounds import (
     n2,
     n2_terms,
     n3,
-    n3_terms,
     poisson_estimate,
     poisson_residual_check,
     relative_tail_bound,
@@ -326,8 +326,8 @@ def test_n3_golden_pinned():
 def test_n3_first_term_alpha_limit():
     m, M = 1 / 12, 1 / 3
     c = consts_for(1 - SQ2 / 2, SQ2, 2.0, m=m, M=M)
-    t1_one, _ = n3_terms(0.3, 0.05, 1.0, c, covering_number=1)
-    t1_inf, _ = n3_terms(0.3, 0.05, 1e9, c, covering_number=1)
+    t1_one, _ = n2_terms(_n3_level(0.3, 0.05, 1.0), 0.05, c, covering_number=1)
+    t1_inf, _ = n2_terms(_n3_level(0.3, 0.05, 1e9), 0.05, c, covering_number=1)
     assert t1_inf / t1_one == pytest.approx(1 / SQ2, rel=1e-6)
 
 
@@ -359,11 +359,12 @@ def test_n3_is_n2_at_substituted_level(m, spread, eps, delta, alpha, cov):
         warnings.simplefilter("ignore")
         value = n3(eps, delta, alpha, c, covering_number=cov)
         level = math.sqrt(eps / (1 + 1 / alpha))
+        assert _n3_level(eps, delta, alpha) == level
         if value < 1e12:
             assert value == n2(level, delta, c, covering_number=cov)
-    # and both terms agree with the independent transcription of n3
+    # and n2's terms at that level agree with the independent transcription of n3
     r1, r2 = ref_n3(eps, delta, alpha, m, m * spread, 2 * SQ2, 1 - SQ2 / 2, cov)
-    t1, t2 = n3_terms(eps, delta, alpha, c, covering_number=cov)
+    t1, t2 = n2_terms(level, delta, c, covering_number=cov)
     assert t1 == pytest.approx(r1, rel=1e-12)
     assert t2 == pytest.approx(r2, rel=1e-12)
 
@@ -396,7 +397,9 @@ SAMPLE_SIZES = {
     "n1": lambda eps, delta: n1(eps, delta, MM, covering_number=4),
     "n2_terms": lambda eps, delta: n2_terms(eps, delta, MM, covering_number=4),
     "n2": lambda eps, delta: n2(eps, delta, MM, covering_number=4),
-    "n3_terms": lambda eps, delta: n3_terms(eps, delta, 1.0, MM, covering_number=4),
+    # n3's terms: n2's at n3's level
+    "n3_terms": lambda eps, delta: n2_terms(_n3_level(eps, delta, 1.0), delta, MM,
+                                            covering_number=4),
     "n3": lambda eps, delta: n3(eps, delta, 1.0, MM, covering_number=4),
 }
 
@@ -474,7 +477,7 @@ def test_squares_past_the_float_range_in_the_closed_forms():
 def test_n3_rejects_nonpositive_alpha():
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError, match="^alpha must be positive$"):
-            n3_terms(0.3, 0.05, alpha, MM, covering_number=4)
+            n3(0.3, 0.05, alpha, MM, covering_number=4)
 
 
 # relative tail bound --------------------------------------------------------------

@@ -1,13 +1,20 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainlearn
+from chainlearn import cli
 from chainlearn.cli import main
 
 
@@ -549,7 +556,7 @@ TARGET_AND_OVERRIDE_CASES = [
     ({"c1_override": -3}, "c1_override must be positive"),
     ({"m_override": 0.0}, "m_override must be positive"),
     ({"M_override": -1}, "M_override must be positive"),
-    ({"m_override": 5, "M_override": 1}, "m_override must be at most M_override = 1"),
+    ({"m_override": 5, "M_override": 1}, "m_override must be at most M_override = 1.0"),
 ]
 
 
@@ -688,3 +695,157 @@ def test_cli_audit_reads_no_loss_bound(tmp_path, capsys):
     config = write_config(tmp_path, "c.json", {**BASE, **HUGE_AFFINE})
     assert main(["audit-contraction", "--config", config, "--out", str(tmp_path / "a.csv")]) == 0
     assert capsys.readouterr().err == ""
+
+
+BIG = "1" + "0" * 400  # an integer literal past the float range
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, field",
+    [
+        ("asem", '{"kind": "asem", "eps": %s}' % BIG, "eps"),
+        ("concentration", '{"kind": "concentration", "target_name": "affine", '
+                          '"target_params": {"a": %s}}' % BIG, "target_params"),
+        ("bounds", '{"kind": "bounds", "eps_list": [0.1, %s]}' % BIG, "eps_list"),
+        ("concentration", '{"kind": "concentration", "class_kind": "lipschitz_anchored", '
+                          '"lip_bound": 1.0, "anchor": [%s, 0.5]}' % BIG, "anchor"),
+        # past the interpreter's limit on the digits of an integer literal
+        ("asem", '{"kind": "asem", "replications": 1%s}' % ("0" * 5000), "4300 digits"),
+    ],
+    ids=["float-field", "target-param", "float-list-entry", "anchor", "over-long-literal"],
+)
+def test_cli_rejects_big_integer_literals(tmp_path, capsys, subcommand, text, field):
+    # each exited 4: an integer too large for a float raised OverflowError
+    # where it was checked, and json.load's ValueError was not caught
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main([subcommand, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert field in err
+
+
+# per subcommand, a config's integer fields and its float fields spelled as
+# integers: every float-typed kind of field (plain, optional, pair, list and
+# the target parameters)
+SPELLINGS = {
+    "bounds": (
+        {"kind": "bounds", "n_list": [100]},
+        {"eps_list": [1, 2], "y_lo": 0, "y_hi": 1, "target_name": "affine",
+         "target_params": {"a": 0, "b": 1}, "class_kind": "lipschitz_anchored",
+         "lip_bound": 1, "anchor": [0, 1], "net_radius": 1, "c1_override": 2,
+         "m_override": 1, "M_override": 2},
+    ),
+    "asem": (
+        {"kind": "asem", "n": 60, "replications": 4, "pi_grid": 64},
+        {"eps": 1, "x0": 1, "net_radius": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SPELLINGS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_int_and_float_spellings_give_the_same_report(tmp_path, subcommand, fmt):
+    # "eps": 1 and "eps": 1.0 make equal configs, so they must hash and
+    # render alike; the report carried eps=1 and another config_hash
+    ints, as_ints = SPELLINGS[subcommand]
+    as_floats = json.loads(json.dumps(as_ints), parse_int=float)
+    reports = []
+    for name, payload in (("int", {**ints, **as_ints}), ("float", {**ints, **as_floats})):
+        config = write_config(tmp_path, f"{name}.json", payload)
+        out = tmp_path / f"{name}.{fmt}"
+        assert main([subcommand, "--config", config, "--format", fmt, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert "config_hash" in reports[0]
+
+
+# small configs for the property test below: every subcommand reads the
+# fields it needs, at sizes that keep a run to milliseconds, with a constants
+# class or a Lipschitz one and its bound
+_SMALL_FIELDS = st.fixed_dictionaries(
+    {
+        "kind": st.just("bounds"),
+        "net_radius": st.floats(0.4, 1.0),
+        "replications": st.integers(1, 6),
+        "pi_grid": st.integers(2, 64),
+        "diameter_grid": st.integers(2, 64),
+        "n": st.integers(1, 300),
+        "pair_count": st.integers(1, 50),
+        "decay_n_max": st.integers(1, 5),
+        "decay_grid": st.integers(2, 64),
+        "opt_refinement": st.integers(1, 2),
+        "poisson_grid": st.integers(2, 8),
+        "poisson_rollouts": st.integers(1, 40),
+        "lemma_probes": st.integers(1, 8),
+        "lemma_grid": st.integers(2, 64),
+    },
+    optional={
+        "target_name": st.sampled_from(["identity", "tent", "quadratic", "constant"]),
+        "x0_policy": st.sampled_from(["fixed", "uniform", "stationary"]),
+        "x0": st.floats(0.0, 1.0),
+        "y_lo": st.floats(-0.5, 0.0),
+        "y_hi": st.floats(1.0, 1.5),
+        "master_seed": st.integers(0, 2**64 - 1),
+        "n_list": st.lists(st.integers(1, 300), max_size=3),
+        "eps": st.floats(1e-3, 2.0),
+        "eps_list": st.lists(st.floats(1e-3, 2.0), max_size=3, unique=True)
+        .filter(lambda v: len(v) != 1),
+        "delta": st.floats(1e-3, 0.999),
+        "alpha": st.floats(0.1, 10.0),
+        # certified: eta 0.29 or 0.5, C1 (the diameter) 1 to 1.42
+        "eta_override": st.floats(0.01, 0.6),
+        "c1_override": st.floats(0.5, 3.0),
+        "m_override": st.floats(1e-3, 0.5),
+        "poisson_h_const": st.floats(0.0, 1.0),
+        "truncation_tol": st.floats(1e-3, 0.5),
+        "holder_c": st.floats(0.1, 10.0),
+        "holder_d": st.integers(1, 3),
+        "holder_gamma": st.floats(0.1, 1.0),
+        "lemma_tolerance": st.floats(0.0, 1e-3),
+    },
+)
+_SMALL = st.builds(
+    lambda payload, lip: {**payload, **lip},
+    _SMALL_FIELDS,
+    st.just({})
+    | st.fixed_dictionaries({"class_kind": st.just("lipschitz"), "lip_bound": st.floats(0.25, 1.0)}),
+)
+
+
+def _parse(text: str, fmt: str) -> tuple[dict, list, list]:
+    """(metadata, columns, rows) of a rendered report."""
+    if fmt == "json":
+        payload = json.loads(text)
+        assert set(payload) == {"metadata", "columns", "rows"}
+        return payload["metadata"], payload["columns"], payload["rows"]
+    lines = text.splitlines()
+    meta = dict(line[2:].partition("=")[::2] for line in lines if line.startswith("# "))
+    columns, *rows = csv.reader(line for line in lines if not line.startswith("# "))
+    return meta, columns, rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    subcommand=st.sampled_from(sorted(cli._SUBCOMMANDS)),
+    fmt=st.sampled_from(["csv", "json"]),
+    payload=_SMALL,
+)
+def test_cli_every_subcommand_and_format_on_small_configs(subcommand, fmt, payload):
+    # a run ends in a report or a one-line config error, never a traceback;
+    # the report parses with its columns, and exit 2 means violations
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "c.json")
+        with open(config, "w") as fh:
+            json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", config, "--format", fmt])
+    assert code in (0, 1, 2), err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+    if code == 1:
+        assert err.getvalue().startswith("config error: ")
+        return
+    meta, columns, rows = _parse(out.getvalue(), fmt)
+    assert columns and all(len(row) == len(columns) for row in rows)
+    assert (code == 2) == (int(meta.get("violations", 0)) > 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -36,6 +37,14 @@ from chainlearn.state_space import make_target
 
 def cfg(**kw):
     return ExperimentConfig.from_dict(kw)
+
+
+def errors_at(net, chain, config, n, pi_hat):
+    """The (members, replications) empirical errors at one n: the fold with
+    a reduction that keeps them."""
+    from chainlearn.harness import _batch_empirical_at
+
+    return _batch_empirical_at(net, chain, config, (n,), pi_hat, lambda errors: errors)[0]
 
 
 def test_config_rejects_unknown_keys():
@@ -288,7 +297,6 @@ AFFINE = dict(target_name="affine", target_params={"a": 0.1, "b": 0.45}, y_lo=0.
 def check_exceedance_rows(report, config, deviation, bound):
     """Rows in (n, eps) order against deviations and bounds computed here."""
     from chainlearn.chain import invariant_measure
-    from chainlearn.harness import _batch_empirical
     from chainlearn.hypothesis import build_epsilon_net
     from chainlearn.learner import true_errors
 
@@ -298,7 +306,7 @@ def check_exceedance_rows(report, config, deviation, bound):
     true = true_errors(net, pi_hat)
     expected = []
     for n in config.n_list:
-        devs = deviation(_batch_empirical(net, chain, config, n, pi_hat), true)
+        devs = deviation(errors_at(net, chain, config, n, pi_hat), true)
         for eps in config.eps_list:
             exceed = int((devs > eps).sum())
             value, valid = bound(eps, n)
@@ -469,10 +477,45 @@ def test_experiments_accept_all_policies():
         assert len(out.rows) == 4
 
 
+@pytest.mark.parametrize(
+    "class_kind, lip, radius", [("constants", 0.0, 0.05), ("lipschitz", 1.0, 0.6)]
+)
+def test_asem_picks_inside_the_fold(monkeypatch, class_kind, lip, radius):
+    import chainlearn.harness as harness
+    from chainlearn.chain import invariant_measure
+    from chainlearn.hypothesis import build_epsilon_net
+
+    # the fold keeps each replication's pick and its error, two rows, never
+    # the (members, replications) errors; they are the argmin of those
+    # errors and the element it picks, bit for bit
+    config = cfg(kind="asem", n=300, replications=9, class_kind=class_kind, lip_bound=lip,
+                 net_radius=radius, x0_policy="uniform", pi_grid=128, opt_refinement=1,
+                 master_seed=67)
+    kept = []
+    fold = harness._batch_empirical_at
+
+    def spy(*args):
+        out = fold(*args)
+        kept.extend(a.shape for a in out)
+        return out
+
+    monkeypatch.setattr(harness, "_batch_empirical_at", spy)
+    report = run_asem_experiment(config)
+    assert kept == [(2, 9)]
+
+    chain = build_chain(config)
+    net = build_epsilon_net(build_class(config), radius)
+    assert len(net) > 2
+    errors = errors_at(net, chain, config, 300, invariant_measure(chain, 128))
+    picks = errors.argmin(axis=0)
+    assert [row[1] for row in report.rows] == picks.tolist()
+    assert [row[2] for row in report.rows] == errors[picks, range(9)].tolist()
+
+
 def test_batch_empirical_matches_per_trajectory_learner():
     from chainlearn import rng
     from chainlearn.chain import invariant_measure, simulate_x_blocks
-    from chainlearn.harness import _batch_empirical, initial_xs
+    from chainlearn.harness import initial_xs
     from chainlearn.hypothesis import build_epsilon_net
     from chainlearn.learner import empirical_error
 
@@ -483,7 +526,7 @@ def test_batch_empirical_matches_per_trajectory_learner():
         chain = build_chain(config)
         net = build_epsilon_net(build_class(config), radius)
         pi_hat = invariant_measure(chain, 128)
-        batch = _batch_empirical(net, chain, config, 200, pi_hat)
+        batch = errors_at(net, chain, config, 200, pi_hat)
         reps = np.arange(5, dtype=np.uint64)
         stream = rng.derive(config.master_seed, rng.TRAJECTORY)
         blocks = simulate_x_blocks(initial_xs(config, pi_hat, reps), 200, stream, reps)
@@ -505,14 +548,14 @@ def test_batch_empirical_independent_of_blocking(monkeypatch):
     chain = build_chain(config)
     net = build_epsilon_net(build_class(config), config.net_radius)
     pi_hat = invariant_measure(chain, 128)
-    ref = harness._batch_empirical(net, chain, config, 300, pi_hat)
+    ref = errors_at(net, chain, config, 300, pi_hat)
     # (replications, steps) per block: harness's budget sets the first
     # through the knot count, the simulator's budget and step block the second
     for rep_block, step_block in ((1, 1), (3, 7), (7, 299), (256, 300), (2, 1000)):
         monkeypatch.setattr(harness, "BUDGET", rep_block * net.knot_count)
         monkeypatch.setattr(chain_module, "BUDGET", rep_block * step_block)
         monkeypatch.setattr(chain_module, "STEP_BLOCK", step_block)
-        got = harness._batch_empirical(net, chain, config, 300, pi_hat)
+        got = errors_at(net, chain, config, 300, pi_hat)
         assert np.abs(got - ref).max() <= 1e-12
 
 
@@ -520,7 +563,6 @@ def test_batch_empirical_memory_does_not_grow_with_n():
     import tracemalloc
 
     from chainlearn.chain import STEP_BLOCK, invariant_measure
-    from chainlearn.harness import _batch_empirical
     from chainlearn.hypothesis import build_epsilon_net
 
     config = cfg(kind="concentration", replications=64, class_kind="lipschitz",
@@ -534,7 +576,7 @@ def test_batch_empirical_memory_does_not_grow_with_n():
     for n in (4 * STEP_BLOCK, 100 * STEP_BLOCK):
         tracemalloc.start()
         try:
-            _batch_empirical(net, chain, config, n, pi_hat)
+            errors_at(net, chain, config, n, pi_hat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -564,7 +606,7 @@ def test_batch_empirical_memory_does_not_grow_with_the_count_of_n(monkeypatch):
     def peak(n_values) -> int:
         tracemalloc.start()
         try:
-            _batch_empirical_at(net, chain, config, n_values, pi_hat)
+            _batch_empirical_at(net, chain, config, n_values, pi_hat, lambda errors: errors)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,7 +662,7 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
     net = build_epsilon_net(build_class(config), config.net_radius)
     assert net.knot_count == 2001
     pi_hat = invariant_measure(chain, 128)
-    ref = harness._batch_empirical(net, chain, config, 300, pi_hat)
+    ref = errors_at(net, chain, config, 300, pi_hat)
 
     calls = []
     simulate = harness.simulate_x_blocks
@@ -637,7 +679,7 @@ def test_batch_empirical_blocks_replications_by_knot_budget(monkeypatch):
                        (2, [(0, 1, 512), (1, 2, 512), (3, 1, 512), (4, 2, 512), (6, 1, 512)])):
         calls.clear()
         monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
-        got = harness._batch_empirical(net, chain, config, 300, pi_hat)
+        got = errors_at(net, chain, config, 300, pi_hat)
         assert sorted(calls) == want
         assert np.abs(got - ref).max() <= 1e-12
 
@@ -663,7 +705,7 @@ def test_one_pass_fold_matches_a_fold_per_n(monkeypatch, class_kind, lip, radius
     monkeypatch.setattr(chain_module, "BUDGET", 3 * 8)
     monkeypatch.setattr(chain_module, "STEP_BLOCK", 8)
     n_values = (21, 1, 13, 5, 16, 21, 8)
-    per_n = [harness._batch_empirical(net, chain, config, n, pi_hat) for n in n_values]
+    per_n = [errors_at(net, chain, config, n, pi_hat) for n in n_values]
 
     calls = []
     simulate = harness.simulate_x_blocks
@@ -674,7 +716,7 @@ def test_one_pass_fold_matches_a_fold_per_n(monkeypatch, class_kind, lip, radius
 
     monkeypatch.setattr(harness, "simulate_x_blocks", spy)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+    got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat, lambda e: e)
     # one call per block for the one-knot net, one per part of a block
     # otherwise, all to the largest n at the width of 3 replications
     if net.knot_count == 1:
@@ -701,7 +743,7 @@ def test_exceedance_rows_follow_n_list_from_one_pass(monkeypatch):
     true = true_errors(net, pi_hat)
     expected = []
     for n in config.n_list:
-        emp = harness._batch_empirical(net, chain, config, n, pi_hat)
+        emp = errors_at(net, chain, config, n, pi_hat)
         devs = np.abs(emp - true[:, None]).max(axis=0)
         expected += [(n, eps, 10, int((devs > eps).sum())) for eps in config.eps_list]
 
@@ -767,7 +809,7 @@ def test_split_blocks_give_the_same_errors_on_any_cpu_count(
     for cpus in (1, 2, 3, 5):
         calls.clear()
         monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
-        got[cpus] = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+        got[cpus] = harness._batch_empirical_at(net, chain, config, n_values, pi_hat, lambda e: e)
         calls.sort()
         for lo in range(0, replications, rep_block):
             size = min(rep_block, replications - lo)
@@ -807,14 +849,14 @@ def test_split_fold_with_more_workers_than_cores_and_fast_switching(monkeypatch)
     pi_hat = invariant_measure(chain, 128)
     n_values = (50, 700, 1200)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-    want = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+    want = harness._batch_empirical_at(net, chain, config, n_values, pi_hat, lambda e: e)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
     monkeypatch.setattr(harness, "BUDGET", 7 * net.knot_count)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat)
+            got = harness._batch_empirical_at(net, chain, config, n_values, pi_hat, lambda e: e)
             assert all(map(np.array_equal, got, want))
     finally:
         sys.setswitchinterval(interval)
@@ -848,7 +890,8 @@ _VALID = st.fixed_dictionaries(
         "pi_grid": st.integers(2, 10**6),
         "n_list": st.lists(st.integers(1, 10**9), max_size=4),
         "eps": _POSITIVE,
-        "eps_list": st.lists(_POSITIVE, max_size=4),
+        # kind scaling needs two distinct values, if any
+        "eps_list": st.lists(_POSITIVE, max_size=4).filter(lambda v: len(set(v)) != 1),
         "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "alpha": _POSITIVE,
         "decay_n_max": st.integers(1, 12),
@@ -897,7 +940,8 @@ _VALID = st.builds(lambda *parts: {k: v for p in parts for k, v in p.items()},
 @given(raw=_VALID)
 def test_config_round_trips_with_its_digest(raw):
     config = cfg(**raw)
-    for again in (cfg(**config.to_dict()), cfg(**json.loads(json.dumps(config.to_dict())))):
+    fields = dataclasses.asdict(config)
+    for again in (cfg(**fields), cfg(**json.loads(json.dumps(fields)))):
         assert again == config
         assert again.digest() == config.digest()
 

@@ -29,18 +29,22 @@ def test_public_surface_resolves():
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported on the first LP solve and the thread pool on the first
-    # parallel Poisson fold, not with the package
+    # parallel Poisson fold, not with the package; and numpy is the one
+    # third-party package the import loads (beside what the interpreter's
+    # start-up loads), since every process that runs a report pays for it
     src = os.path.dirname(os.path.dirname(chainlearn.__file__))
     code = (
-        "import sys, chainlearn.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
+        "import sys; before = set(sys.modules); import chainlearn.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent')))); "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - sys.stdlib_module_names))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "['chainlearn', 'numpy']"]
 
 
 def test_chain_module_loads_no_transport():
@@ -179,3 +183,74 @@ def test_one_bit_stream_and_one_recursion_in_the_package():
         ("chain.trajectory_exact", "rng.bit"),
     ]
     assert halvings == {"chain.simulate_x_blocks"}
+
+
+# What no subcommand reaches, each an oracle or an assumption check that the
+# tests use; anything else `cli.main` does not reach is dead code.
+ORACLES = {
+    "transport.kr_dual_lower": "Kantorovich-Rubinstein lower bound, W1 from below",
+    "transport.wasserstein1_monotone_upper": "monotone coupling, W1 from above",
+    "transport.wasserstein1_exact": "one pair's W1 and its plan; runs take costs in batches",
+    "chain.trajectory_exact": "exact dyadic trajectory, the non-irreducibility witness",
+    "loss.verify_a2": "checks the joint-Lipschitz constants L and L_bar",
+    "loss._corner_hypotheses": "the extreme members verify_a2 probes",
+    "loss.loss_composite": "the pointwise loss verify_a2 compares",
+    "hypothesis.class_metric": "the sup distance between members in verify_a2",
+    "state_space.rho": "the distance between two states in verify_a2",
+    "hypothesis.random_member": "random members for verify_a2 and the covering probe",
+    "learner.empirical_error": "pointwise empirical error, the hat-moment scorer's oracle",
+    "hypothesis.net_covering_probe": "checks a net's covering radius",
+    "state_space.verify_target_lipschitz": "checks the target's Lipschitz constant",
+    "state_space.DiscreteMeasure.points": "atoms as points, for brute-force transport costs",
+}
+
+
+def unreached_from_the_cli() -> set[str]:
+    """The top-level functions and classes and the methods of the package
+    that a name-based walk from `cli.main` and the module-level statements
+    does not reach.  A definition is reached when reached code names it, as
+    a name or an attribute, whatever the object; a dunder method, also when
+    its class is reached.  Reached code is a reached function or method
+    whole, a class's statements other than its methods, and the module-level
+    statements other than imports and definitions."""
+    package = Path(chainlearn.__file__).parent
+    defs = {}  # qualified name -> (name, node, qualified name of its class or None)
+    roots = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                qualified = f"{path.stem}.{node.name}"
+                defs[qualified] = (node.name, node, None)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{qualified}.{item.name}"] = (item.name, item, qualified)
+            elif not isinstance(node, (ast.FunctionDef, ast.Import, ast.ImportFrom)):
+                roots.append(node)
+    roots.append(defs["cli.main"][1])
+
+    def code(node):
+        if isinstance(node, ast.ClassDef):
+            yield from node.bases + node.keywords + node.decorator_list
+            yield from (s for s in node.body if not isinstance(s, ast.FunctionDef))
+        else:
+            yield node
+
+    names, reached, todo = set(), {"cli.main"}, roots
+    while True:
+        for n in (n for part in todo for n in ast.walk(part)):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                names.add(n.id if isinstance(n, ast.Name) else n.attr)
+        new = [
+            q for q, (name, _, owner) in defs.items()
+            if q not in reached
+            and (name in names or (name[:2] == name[-2:] == "__" and owner in reached))
+        ]
+        if not new:
+            return set(defs) - reached
+        reached.update(new)
+        todo = [c for q in new for c in code(defs[q][1])]
+
+
+def test_src_holds_only_what_a_run_or_a_named_oracle_reaches():
+    assert unreached_from_the_cli() == set(ORACLES)
