@@ -193,22 +193,28 @@ class HatMoments:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisNet:
-    members: tuple[Hypothesis, ...]
+    """Members on one uniform knot grid: row i of the read-only (members,
+    knots) array `values` holds the knot values of member i."""
+
+    values: np.ndarray
     radius: float
     hypothesis_class: HypothesisClass
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("net must have at least one member")
+        values = np.asarray(self.values, dtype=float).view()
+        if values.ndim != 2 or values.size == 0:
+            raise ValueError("net values must be a nonempty (members, knots) array")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.values.shape[0]
 
     @property
     def knot_count(self) -> int:
-        return self.members[0].knot_count
+        return self.values.shape[1]
 
     def mean_squared_errors(self, moments: HatMoments) -> np.ndarray:
         """Mean of (h(x) - y)^2 over the sample points of each row of the
@@ -226,7 +232,7 @@ class HypothesisNet:
             raise ValueError(
                 f"moments are for {moments.knot_count} knots, the net has {self.knot_count}"
             )
-        v = np.array([h.knot_values for h in self.members])
+        v = self.values
         shape = (len(v), moments.square.size)
         term = np.empty(shape)
 
@@ -248,9 +254,9 @@ class HypothesisNet:
         """All members evaluated at xs, shape (len(net), len(xs))."""
         xs = np.asarray(xs, dtype=float)
         grid = np.linspace(0.0, 1.0, self.knot_count)
-        out = np.empty((len(self.members), xs.size))
-        for row, h in zip(out, self.members):
-            row[:] = np.interp(xs, grid, h.knot_values)
+        out = np.empty((len(self), xs.size))
+        for row, v in zip(out, self.values):
+            row[:] = np.interp(xs, grid, v)
         return out
 
 
@@ -300,9 +306,9 @@ def _path_count(levels: int, knots: int, pinned: Optional[tuple[int, int]]) -> i
 
 def _lipschitz_paths(
     cls: HypothesisClass, eps: float
-) -> tuple[np.ndarray, int, Optional[tuple[int, int]], int]:
-    """Lattice, knot count, pinned (knot, level) of the anchor and exact member
-    count of the Lipschitz net; raises for levels x knots, the work of counting, past the cap."""
+) -> tuple[np.ndarray, int, Optional[tuple[int, int]]]:
+    """Lattice, knot count and pinned (knot, level) of the anchor of the
+    Lipschitz net; raises for levels x knots, the work of counting, past the cap."""
     lam = cls.lip_bound
     if 2.0 * lam / eps == math.inf:  # a lattice step that underflows to 0
         raise _oversized(eps)
@@ -316,7 +322,7 @@ def _lipschitz_paths(
     if cls.kind == "lipschitz_anchored":
         ax, ay = cls.anchor
         pinned = (int(round(ax * cells)), int(np.argmin(np.abs(lattice - ay))))
-    return lattice, knots, pinned, _path_count(lattice.size, knots, pinned)
+    return lattice, knots, pinned
 
 
 def covering_count(cls: HypothesisClass, eps: float) -> int:
@@ -327,43 +333,33 @@ def covering_count(cls: HypothesisClass, eps: float) -> int:
         raise ValueError("eps must be positive")
     if cls.kind == "constants":
         return _constants_count(cls, eps)
-    return _lipschitz_paths(cls, eps)[3]
+    lattice, knots, pinned = _lipschitz_paths(cls, eps)
+    return _path_count(lattice.size, knots, pinned)
 
 
 def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
     """Constructive finite eps-cover of the class in the sup metric."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
+    if covering_count(cls, eps) > NET_SIZE_CAP:
+        raise _oversized(eps)
     if cls.kind == "constants":
         count = _constants_count(cls, eps)
-        if count > NET_SIZE_CAP:
-            raise _oversized(eps)
         values = cls.y_lo + (np.arange(count) + 0.5) * (cls.width / count)
-        return HypothesisNet(tuple(Hypothesis((float(v),)) for v in values), eps, cls)
+        return HypothesisNet(values[:, None], eps, cls)
 
-    lattice, knots, pinned, count = _lipschitz_paths(cls, eps)
-    if count > NET_SIZE_CAP:
-        raise _oversized(eps)
-    levels = lattice.size
-    # depth-first over (knot, level) with an explicit stack, pushed in
-    # reverse so members come out in lexicographic order of their paths
-    values = lattice.tolist()
-    members: list[Hypothesis] = []
-    path = [0] * knots
-    stack = [(0, start) for start in reversed(range(levels))]
-    while stack:
-        k, level = stack.pop()
-        if pinned is not None and pinned[0] == k and level != pinned[1]:
-            continue
-        path[k] = level
-        if k + 1 == knots:
-            members.append(Hypothesis(tuple(values[v] for v in path)))
-            continue
-        for nxt in (level + 1, level, level - 1):
-            if 0 <= nxt < levels:
-                stack.append((k + 1, nxt))
-    return HypothesisNet(tuple(members), eps, cls)
+    lattice, knots, pinned = _lipschitz_paths(cls, eps)
+    if lattice.size == 1:  # one walk, however many knots: too many to copy knot by knot
+        return HypothesisNet(np.full((1, knots), lattice[0]), eps, cls)
+    # each knot extends every walk by -1, 0, +1 levels, in that order, so the
+    # walks stay in lexicographic order; on two levels or more they multiply
+    walks = np.arange(lattice.size, dtype=np.min_scalar_type(-lattice.size - 1))[:, None]
+    for k in range(knots):
+        if k:
+            last = (walks[:, -1:] + np.array([-1, 0, 1], walks.dtype)).reshape(-1, 1)
+            walks = np.hstack((walks.repeat(3, axis=0), last))
+        # knot k allows every level, or only the pinned one on the anchor's knot
+        lo, hi = (pinned[1], pinned[1] + 1) if pinned and pinned[0] == k else (0, lattice.size)
+        walks = walks[(walks[:, -1] >= lo) & (walks[:, -1] < hi)]
+    return HypothesisNet(lattice[walks], eps, cls)
 
 
 def random_member(

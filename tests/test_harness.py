@@ -516,7 +516,7 @@ def test_batch_empirical_matches_per_trajectory_learner():
     from chainlearn import rng
     from chainlearn.chain import invariant_measure, simulate_x_blocks
     from chainlearn.harness import initial_xs
-    from chainlearn.hypothesis import build_epsilon_net
+    from chainlearn.hypothesis import Hypothesis, build_epsilon_net
     from chainlearn.learner import empirical_error
 
     for class_kind, lip, radius in (("constants", 0.0, 0.2), ("lipschitz", 1.0, 0.6)):
@@ -533,8 +533,8 @@ def test_batch_empirical_matches_per_trajectory_learner():
         xs = np.concatenate(list(blocks), axis=-1)
         for r in range(5):
             ys = np.asarray(chain.space.target(xs[r]), dtype=float)
-            for i, h in enumerate(net.members):
-                assert abs(batch[i, r] - empirical_error(h, xs[r], ys)) <= 1e-12
+            for i, v in enumerate(net.values.tolist()):
+                assert abs(batch[i, r] - empirical_error(Hypothesis(tuple(v)), xs[r], ys)) <= 1e-12
 
 
 def test_batch_empirical_independent_of_blocking(monkeypatch):

@@ -28,7 +28,12 @@ LIP1 = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
 
 
 def member_values(net):
-    return [h.knot_values for h in net.members]
+    return list(map(tuple, net.values.tolist()))
+
+
+def members(net):
+    """Each row of the net's knot values as a hypothesis, for the pointwise oracles."""
+    return [Hypothesis(v) for v in member_values(net)]
 
 
 def test_constants_net_quarter():
@@ -52,22 +57,21 @@ def test_constants_net_cardinality():
 
 def test_constants_probe_at_half():
     net = build_epsilon_net(CONSTANTS, 0.25)
-    gaps = [abs(0.5 - h.knot_values[0]) for h in net.members]
+    gaps = [abs(0.5 - v[0]) for v in member_values(net)]
     assert min(gaps) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_net_covers_itself():
     net = build_epsilon_net(CONSTANTS, 0.25)
-    for h in net.members:
-        dists = [class_metric(h, g) for g in net.members]
+    for h in members(net):
+        dists = [class_metric(h, g) for g in members(net)]
         assert min(dists) == 0.0
 
 
 def test_lipschitz_net_members_feasible():
     net = build_epsilon_net(LIP1, 0.5)
     spacing = 1.0 / (net.knot_count - 1)
-    for h in net.members:
-        vals = np.asarray(h.knot_values)
+    for vals in net.values:
         assert vals.min() >= LIP1.y_lo and vals.max() <= LIP1.y_hi
         slopes = np.abs(np.diff(vals)) / spacing
         assert slopes.max() <= LIP1.lip_bound + 1e-12
@@ -108,7 +112,7 @@ def test_anchored_net_pins_anchor():
     cls = HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.5, 0.5))
     net = build_epsilon_net(cls, 0.5)
     anchor_knot = round(0.5 * (net.knot_count - 1))
-    pinned = {h.knot_values[anchor_knot] for h in net.members}
+    pinned = set(net.values[:, anchor_knot].tolist())
     assert len(pinned) == 1
     assert abs(next(iter(pinned)) - 0.5) <= 0.25  # quantized anchor value
     worst = net_covering_probe(net, cls, probe_count=300, seed=7)
@@ -124,7 +128,7 @@ def test_enumeration_matches_path_count():
     from chainlearn.hypothesis import _path_count
 
     net = build_epsilon_net(LIP1, 0.5)
-    lattice_size = len({v for h in net.members for v in h.knot_values})
+    lattice_size = np.unique(net.values).size
     assert len(net) == _path_count(lattice_size, net.knot_count, None)
 
     anchored = HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0,
@@ -152,17 +156,33 @@ def product_order_paths(values, knots, pinned=None):
         (LIP1, 0.4, None),
         (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.5, 0.5)),
          0.5, (0.5, 0.5)),
+        # the pin on the first knot and on the last
+        (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.0, 0.3)),
+         0.4, (0.0, 0.3)),
+        (HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(1.0, 0.7)),
+         0.4, (1.0, 0.7)),
+        # one cell (two knots) on three levels, and one level over five knots
+        (HypothesisClass("lipschitz", 0.0, 3.0, lip_bound=1.0), 2.0, None),
+        (HypothesisClass("lipschitz", 0.5, 0.5, lip_bound=1.0), 0.5, None),
     ],
-    ids=["lipschitz-5-knots", "lipschitz-6-knots", "anchored"],
+    ids=["lipschitz-5-knots", "lipschitz-6-knots", "anchored", "anchored-first-knot",
+         "anchored-last-knot", "one-cell", "width-0"],
 )
 def test_enumeration_order_matches_product(cls, eps, anchor):
     net = build_epsilon_net(cls, eps)
-    values = sorted({v for h in net.members for v in h.knot_values})
+    assert net.values.ndim == 2 and not net.values.flags.writeable
+    values = sorted(set(net.values.ravel().tolist()))
     pinned = None
     if anchor is not None:
         level = min(range(len(values)), key=lambda k: abs(values[k] - anchor[1]))
         pinned = (round(anchor[0] * (net.knot_count - 1)), level)
     assert member_values(net) == product_order_paths(values, net.knot_count, pinned)
+
+
+@pytest.mark.parametrize("values", [np.empty((0, 3)), np.empty((2, 0)), [0.2, 0.4], 0.5])
+def test_net_rejects_values_that_are_not_a_nonempty_matrix(values):
+    with pytest.raises(ValueError, match="nonempty"):
+        HypothesisNet(values, 0.1, LIP1)
 
 
 ANCHORED = HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=1.0, anchor=(0.5, 0.5))
@@ -386,7 +406,7 @@ def test_single_member_net_with_many_knots():
     cls = HypothesisClass("lipschitz", 0.5, 0.5, lip_bound=1.0)
     net = build_epsilon_net(cls, 1e-5)
     assert len(net) == 1 and net.knot_count == 200_001
-    assert set(net.members[0].knot_values) == {0.5}
+    assert set(net.values[0].tolist()) == {0.5}
 
 
 def test_huge_radius_still_builds():
@@ -484,18 +504,14 @@ def test_class_validation():
 def test_moment_errors_match_pointwise_oracle(knots):
     gen = np.random.default_rng(knots)
     cls = HypothesisClass("lipschitz", -2.0, 2.0, lip_bound=8.0)
-    net = HypothesisNet(
-        tuple(Hypothesis(tuple(gen.uniform(-2.0, 2.0, knots))) for _ in range(7)),
-        0.1,
-        cls,
-    )
+    net = HypothesisNet(gen.uniform(-2.0, 2.0, (7, knots)), 0.1, cls)
     special = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, knots)])
     xs = np.stack([np.concatenate([special, gen.uniform(0.0, 1.0, 40)]) for _ in range(3)])
     ys = np.sin(3.0 * xs) + gen.normal(0.0, 0.1, xs.shape)
 
     got = net.mean_squared_errors(HatMoments.from_samples(xs, ys, knots))
     for r in range(xs.shape[0]):
-        for i, h in enumerate(net.members):
+        for i, h in enumerate(members(net)):
             pointwise = float(np.mean((np.asarray(h(xs[r])) - ys[r]) ** 2))
             assert abs(got[i, r] - pointwise) <= 1e-12
             assert abs(got[i, r] - empirical_error(h, xs[r], ys[r])) <= 1e-12
@@ -562,9 +578,7 @@ def test_moment_errors_of_a_row_do_not_depend_on_the_other_rows():
     rows = 37
     cls = HypothesisClass("lipschitz", -2.0, 2.0, lip_bound=8.0)
     for knots in (1, 2, 5):
-        net = HypothesisNet(
-            tuple(Hypothesis(tuple(gen.uniform(-2.0, 2.0, knots))) for _ in range(40)), 0.1, cls
-        )
+        net = HypothesisNet(gen.uniform(-2.0, 2.0, (40, knots)), 0.1, cls)
         xs = gen.uniform(0.0, 1.0, (rows, 300))
         ys = np.sin(3.0 * xs) + gen.normal(0.0, 0.3, xs.shape)
         moments = HatMoments.from_samples(xs, ys, knots)
@@ -582,9 +596,9 @@ def test_moment_errors_of_a_row_do_not_depend_on_the_other_rows():
 
 
 def test_moment_errors_clamped_at_zero_for_exact_fit():
-    net = HypothesisNet((Hypothesis((0.1, 0.7, 0.3)),), 0.1, LIP1)
+    net = HypothesisNet([[0.1, 0.7, 0.3]], 0.1, LIP1)
     xs = np.linspace(0.0, 1.0, 101)[None, :]
-    moments = HatMoments.from_samples(xs, net.members[0](xs), 3)
+    moments = HatMoments.from_samples(xs, Hypothesis((0.1, 0.7, 0.3))(xs), 3)
     # the unclamped quadratic form leaves a residue of about -7e-17 here
     assert net.mean_squared_errors(moments)[0, 0] == 0.0
 

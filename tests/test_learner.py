@@ -37,6 +37,11 @@ def make_traj(xs):
     return xs, np.asarray(IDENTITY(xs), dtype=float)
 
 
+def members(net):
+    """Each row of the net's knot values as a hypothesis, for the pointwise oracles."""
+    return [Hypothesis(tuple(v)) for v in net.values.tolist()]
+
+
 def net_errors(net, traj):
     """Empirical error of every member on one sample, from the hat-basis
     evaluator the Monte Carlo experiments use."""
@@ -82,8 +87,7 @@ def test_true_error_quadrature():
 
 
 def test_asem_exact_interpolant_wins():
-    exact = Hypothesis((0.0, 1.0))
-    net = HypothesisNet((Hypothesis((0.2, 0.8)), exact), 0.1,
+    net = HypothesisNet([[0.2, 0.8], [0.0, 1.0]], 0.1,
                         HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0))
     idx, value = asem(net, make_traj([0.1, 0.5, 0.9]))
     assert idx == 1 and value == pytest.approx(0.0, abs=1e-15)
@@ -94,14 +98,14 @@ def test_asem_constants_picks_member_nearest_sample_mean():
     traj = make_traj([0.42, 0.47, 0.52, 0.57])  # mean 0.495
     idx, value = asem(net, traj)
     # empirical risk in c is (c - mean)^2 + var: minimized at the nearest member to the mean
-    members = np.array([h.knot_values[0] for h in net.members])
-    assert members[idx] in (0.375, 0.625)
-    brute = min(range(len(net)), key=lambda i: empirical_error(net.members[i], *traj))
+    assert net.values[idx, 0] in (0.375, 0.625)
+    hs = members(net)
+    brute = min(range(len(net)), key=lambda i: empirical_error(hs[i], *traj))
     assert idx == brute
 
 
 def test_asem_single_member():
-    net = HypothesisNet((Hypothesis((0.9,)),), 1.0, CONSTANTS)
+    net = HypothesisNet([[0.9]], 1.0, CONSTANTS)
     idx, _ = asem(net, make_traj([0.0, 1.0]))
     assert idx == 0
 
@@ -110,12 +114,12 @@ def test_asem_is_exact_minimizer():
     net = build_epsilon_net(CONSTANTS, 0.1)
     traj = make_traj(np.linspace(0, 1, 17) ** 2)
     idx, value = asem(net, traj)
-    for h in net.members:
+    for h in members(net):
         assert value < empirical_error(h, *traj) + 1e-12
 
 
 def test_asem_tie_breaks_to_smallest_index():
-    net = HypothesisNet((Hypothesis((0.4,)), Hypothesis((0.6,))), 1.0, CONSTANTS)
+    net = HypothesisNet([[0.4], [0.6]], 1.0, CONSTANTS)
     idx, _ = asem(net, make_traj([0.5]))  # both at squared distance 0.01
     assert idx == 0
 
@@ -142,17 +146,17 @@ def test_opt_pi_constants():
 
 def test_opt_pi_net_containing_target():
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
-    net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, cls)
+    net = HypothesisNet([[0.0, 1.0]], 0.5, cls)
     assert opt_pi(net, PI_4096, refinement=1) == 0.0
 
 
 def test_opt_pi_single_constant_zero():
-    net = HypothesisNet((Hypothesis((0.0,)),), 1.0, CONSTANTS)
+    net = HypothesisNet([[0.0]], 1.0, CONSTANTS)
     assert opt_pi(net, PI_4096, refinement=1) == pytest.approx(1 / 3, abs=1e-4)
 
 
 def test_uniform_deviation_single_state():
-    net = HypothesisNet((Hypothesis((0.5,)),), 1.0, CONSTANTS)
+    net = HypothesisNet([[0.5]], 1.0, CONSTANTS)
     dev, idx = uniform_deviation(net, make_traj([0.0]), PI_4096)
     assert dev == pytest.approx(0.25 - 1 / 12, abs=1e-4)
     assert idx == 0
@@ -169,12 +173,12 @@ def test_uniform_deviation_dominates_members():
     net = build_epsilon_net(CONSTANTS, 0.2)
     traj = make_traj(np.linspace(0, 1, 100) ** 1.5)
     dev, _ = uniform_deviation(net, traj, PI_4096)
-    for h in net.members:
+    for h in members(net):
         assert dev >= abs(empirical_error(h, *traj) - true_error(h, PI_4096)) - 1e-12
 
 
 def test_relative_deviation_single_member():
-    net = HypothesisNet((Hypothesis((0.5,)),), 1.0, CONSTANTS)
+    net = HypothesisNet([[0.5]], 1.0, CONSTANTS)
     rel, idx = relative_deviation(net, make_traj([0.0]), PI_4096)
     assert rel == pytest.approx((0.25 - 1 / 12) / math.sqrt(1 / 12), abs=1e-3)
 
@@ -183,7 +187,7 @@ def test_relative_deviation_degenerate():
     # a member fitting the target scores exactly m = 0, on which the relative
     # experiment raises DegenerateClassError
     cls = HypothesisClass("lipschitz", 0.0, 1.0, lip_bound=1.0)
-    net = HypothesisNet((Hypothesis((0.0, 1.0)),), 0.5, cls)
+    net = HypothesisNet([[0.0, 1.0]], 0.5, cls)
     assert true_errors(net, PI_4096).min() == 0.0
 
 
@@ -192,11 +196,8 @@ def test_relative_vs_uniform_deviation():
     traj = make_traj(np.linspace(0, 1, 64))
     M = true_errors(net, PI_4096).max()
     rel, _ = relative_deviation(net, traj, PI_4096)
-    for h_idx in range(len(net.members)):
-        dev = abs(
-            empirical_error(net.members[h_idx], *traj)
-            - true_error(net.members[h_idx], PI_4096)
-        )
+    for h in members(net):
+        dev = abs(empirical_error(h, *traj) - true_error(h, PI_4096))
         assert rel >= dev / math.sqrt(M) - 1e-12
 
 
@@ -210,7 +211,7 @@ def test_class_error_range_constants():
 
 
 def test_class_error_range_single_member():
-    net = HypothesisNet((Hypothesis((0.0,)),), 1.0, CONSTANTS)
+    net = HypothesisNet([[0.0]], 1.0, CONSTANTS)
     errs = true_errors(net, PI_4096)
     m, M = errs.min(), errs.max()
     assert m == M == pytest.approx(1 / 3, abs=1e-4)
@@ -246,9 +247,9 @@ def test_median_uniform_deviation_nonincreasing_in_n():
 def test_true_error_of_a_member_depends_only_on_it(cls, radius):
     net = build_epsilon_net(cls, radius)
     errs = true_errors(net, PI_4096)
-    alone = [true_errors(HypothesisNet((h,), radius, cls), PI_4096)[0] for h in net.members]
+    alone = [true_errors(HypothesisNet(v[None], radius, cls), PI_4096)[0] for v in net.values]
     assert errs.tolist() == alone
-    assert errs.tolist() == [true_error(h, PI_4096) for h in net.members]
+    assert errs.tolist() == [true_error(h, PI_4096) for h in members(net)]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
