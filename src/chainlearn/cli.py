@@ -11,7 +11,6 @@ other exception, reported on one line).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .harness import (
@@ -60,11 +59,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    kind = _SUBCOMMANDS[args.command]
-    seed = {} if args.seed is None else {"master_seed": args.seed}
+    # the subcommand's kind, and the seed if given, replace the file's before the check
+    overrides = {"kind": _SUBCOMMANDS[args.command]}
+    if args.seed is not None:
+        overrides["master_seed"] = args.seed
     try:
-        # `replace` checks the changed config again
-        config = dataclasses.replace(load_config(args.config), kind=kind, **seed)
+        config = load_config(args.config, **overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

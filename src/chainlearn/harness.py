@@ -37,6 +37,7 @@ from .chain import (
     simulate_x_blocks,
 )
 from .hypothesis import (
+    NET_SIZE_CAP,
     HatMoments,
     Hypothesis,
     HypothesisClass,
@@ -132,6 +133,29 @@ def _one_of(default: Any, choices: Callable[[], Iterable[str]]) -> Any:
     return _ranged(default, lambda v: v in choices(), lambda: "be one of " + ", ".join(choices()))
 
 
+def _checked(f: Any, value: Any) -> Any:
+    """`value` as the config field `f` stores it; raises a `ConfigError`
+    naming the field when the value fails the field's type or range."""
+    if f.type in _STORED:
+        value = _STORED[f.type](value)
+    if f.type in _VALUE_CHECKS:
+        ok, what = _VALUE_CHECKS[f.type]
+        if not ok(value):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+    if f.type in _ENTRY_CHECKS:
+        value = tuple(value)  # a list, from JSON or from a caller, is kept as a tuple
+        ok, what = _ENTRY_CHECKS[f.type]
+        if not all(ok(v) for v in value):
+            raise ConfigError(f"every {f.name} entry must be {what}, got {list(value)!r}")
+    if "range" in f.metadata and value is not None:
+        ok, must = f.metadata["range"]
+        entries = isinstance(value, tuple)
+        if not all(map(ok, value if entries else (value,))):
+            name = f"every {f.name} entry" if entries else f.name
+            raise ConfigError(f"{name} must {must() if callable(must) else must}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment.  Each field's type and range is checked when the
@@ -193,26 +217,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in _STORED:
-                value = _STORED[f.type](value)
-                object.__setattr__(self, f.name, value)
-            if f.type in _VALUE_CHECKS:
-                ok, what = _VALUE_CHECKS[f.type]
-                if not ok(value):
-                    raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-            if f.type in _ENTRY_CHECKS:
-                value = tuple(value)  # a list, from JSON or from a caller, is kept as a tuple
-                object.__setattr__(self, f.name, value)
-                ok, what = _ENTRY_CHECKS[f.type]
-                if not all(ok(v) for v in value):
-                    raise ConfigError(f"every {f.name} entry must be {what}, got {list(value)!r}")
-            if "range" in f.metadata and value is not None:
-                ok, must = f.metadata["range"]
-                entries = isinstance(value, tuple)
-                if not all(map(ok, value if entries else (value,))):
-                    name = f"every {f.name} entry" if entries else f.name
-                    raise ConfigError(f"{name} must {must() if callable(must) else must}")
+            object.__setattr__(self, f.name, _checked(f, getattr(self, f.name)))
         if not all(map(_is_finite, self.target_params.values())):
             raise ConfigError(
                 f"every target_params value must be a finite number, got {self.target_params!r}"
@@ -231,6 +236,21 @@ class ExperimentConfig:
             # class range and the target's range, such as B = D^2
             if self.kind not in ("contraction", "lemma"):
                 loss_constants(cls, target)
+            # the nets a run builds, counted without building them: the net,
+            # unless both ends of the error range are given, and the asem
+            # oracle's finer net
+            radii = []
+            if self.kind in ("concentration", "asem", "relative") or (
+                self.kind in ("scaling", "bounds") and None in (self.m_override, self.M_override)
+            ):
+                radii.append(self.net_radius)
+            if self.kind == "asem" and self.opt_refinement > 1:
+                radii.append(self.net_radius / self.opt_refinement)
+            for radius in radii:
+                if covering_count(cls, radius) > NET_SIZE_CAP:
+                    raise ConfigError(
+                        f"net for eps={radius} would have more than {NET_SIZE_CAP} members"
+                    )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # the Poisson check bounds h's loss with the class's loss constants
@@ -244,15 +264,18 @@ class ExperimentConfig:
             raise ConfigError("eps_list must hold at least two distinct values for kind scaling")
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict[str, Any], **overrides: Any) -> "ExperimentConfig":
+        """The config `raw` holds, with the `overrides` fields in place of its
+        own before the one check; `raw` must name a kind all the same."""
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in raw:
             raise ConfigError("config needs an experiment 'kind'")
+        _checked(fields(cls)[0], raw["kind"])  # the first field is the kind
         try:
-            return cls(**raw)
+            return cls(**{**raw, **overrides})
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -261,7 +284,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides: Any) -> ExperimentConfig:
+    """The config in the JSON file at `path`, with `overrides` as
+    `ExperimentConfig.from_dict` takes them."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -269,7 +294,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(raw, **overrides)
 
 
 # --- model assembly ---------------------------------------------------------
@@ -765,14 +790,19 @@ def run_scaling_experiment(config: ExperimentConfig) -> Report:
         n3s.append(v3)
         rows.append((float(eps), v1, v3))
 
-    log_inv_eps = np.log(1.0 / np.asarray(eps_values))
-    slope1 = float(np.polyfit(log_inv_eps, np.log(np.asarray(n1s, dtype=float)), 1)[0])
-    slope3 = float(np.polyfit(log_inv_eps, np.log(np.asarray(n3s, dtype=float)), 1)[0])
+    # the least-squares slope of ln n against ln(1/eps), in closed form
+    x = np.log(1.0 / np.asarray(eps_values))
+    x -= x.mean()
+
+    def slope(ns: list[float]) -> float:
+        y = np.log(np.asarray(ns, dtype=float))
+        return float((x * (y - y.mean())).sum() / (x * x).sum())
+
     meta = _base_metadata(config)
     meta.update(
         {
-            "n1_slope": slope1,
-            "n3_slope": slope3,
+            "n1_slope": slope(n1s),
+            "n3_slope": slope(n3s),
             "holder_c": config.holder_c,
             "holder_d": config.holder_d,
             "holder_gamma": config.holder_gamma,

@@ -391,17 +391,17 @@ def net_covering_probe(
     cls: HypothesisClass,
     probe_count: int,
     seed: int = 0,
-    refine: int = 4,
 ) -> float:
     """Worst covering distance of random class members to the net.
 
-    Probes live on a grid refining the net's knots, where the sup distance
-    of two piecewise-linear functions is attained at the knots.
+    Probes live on a grid that cuts each cell of the net's knots in four,
+    where the sup distance of two piecewise-linear functions is attained at
+    the knots.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be at least 1")
     cells = max(net.knot_count - 1, 1)
-    probe_knots = cells * refine + 1
+    probe_knots = cells * 4 + 1
     xs = np.linspace(0.0, 1.0, probe_knots)
     member_vals = net.member_matrix(xs)
     s = rng.derive(seed, rng.PROBE)

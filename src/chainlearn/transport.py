@@ -430,14 +430,13 @@ def kr_dual_lower(
     nu: DiscreteMeasure,
     witness_count: int,
     seed: int = 0,
-    knots: int = 8,
 ) -> float:
     """Kantorovich-Rubinstein lower bound from 1-Lipschitz witnesses.
 
     Witnesses are the canonical distance functions rho(., z) anchored at
-    support atoms plus random piecewise-linear profiles in the curve
-    parameter, projected onto the 1-Lipschitz cone by inf-convolution with
-    the support metric.
+    support atoms plus random piecewise-linear profiles on 8 knots in the
+    curve parameter, projected onto the 1-Lipschitz cone by inf-convolution
+    with the support metric.
     """
     if witness_count < 1:
         raise ValueError("witness_count must be at least 1")
@@ -456,6 +455,7 @@ def kr_dual_lower(
 
     s = rng.derive(seed, rng.WITNESS)
     scale = float(dist.max()) or 1.0
+    knots = 8
     knot_x = np.linspace(xs.min(), xs.max() + 1e-12, knots)
     for w in range(witness_count):
         raw_knots = (rng.uniform_array(s, np.full(knots, w), np.arange(knots)) * 2 - 1) * scale

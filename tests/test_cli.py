@@ -181,6 +181,29 @@ def test_cli_kind_follows_subcommand(tmp_path):
     assert "sup_ratio" in out.read_text()
 
 
+KINDS = "contraction, concentration, asem, relative, scaling, bounds, poisson, lemma"
+
+
+@pytest.mark.parametrize(
+    "payload, code, err",
+    [
+        # rules of the file's kind, which the concentration run does not have
+        ({"kind": "scaling", "eps_list": [0.1]}, 0, ""),
+        ({"kind": "poisson", "poisson_h_const": 5.0}, 0, ""),
+        # the file must name a kind all the same
+        ({}, 1, "config error: config needs an experiment 'kind'\n"),
+        ({"kind": "bogus"}, 1, f"config error: kind must be one of {KINDS}\n"),
+        ({"kind": 5}, 1, "config error: kind must be a string, got 5\n"),
+    ],
+    ids=["scaling-rule", "poisson-rule", "no-kind", "unknown-kind", "kind-not-a-string"],
+)
+def test_cli_checks_a_config_once_under_the_subcommand_kind(tmp_path, capsys, payload, code,
+                                                            err):
+    config = write_config(tmp_path, "c.json", {**payload, "replications": 4, "n_list": [60]})
+    assert main(["concentration", "--config", config, "--out", str(tmp_path / "r.csv")]) == code
+    assert capsys.readouterr().err == err
+
+
 TINY = {
     "audit-contraction": BASE,
     "concentration": {"kind": "concentration", "n_list": [60], "replications": 4,

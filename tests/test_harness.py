@@ -18,6 +18,7 @@ from chainlearn.harness import (
     build_chain,
     build_class,
     covering_count,
+    load_config,
     model_constants,
     render_report,
     run_asem_experiment,
@@ -30,7 +31,6 @@ from chainlearn.harness import (
     run_scaling_experiment,
     write_report,
 )
-from chainlearn.hypothesis import NetExplosionError
 from chainlearn.learner import DegenerateClassError
 from chainlearn.state_space import make_target
 
@@ -283,11 +283,38 @@ def test_relative_degenerate_class_error():
 
 def test_bounds_with_both_overrides_builds_no_net():
     oversized = {"kind": "bounds", "net_radius": 1e-13, "pi_grid": 256}
-    with pytest.raises(NetExplosionError):
-        run_bounds_calculator(cfg(**oversized))
+    with pytest.raises(ConfigError, match="more than 10000000 members"):
+        cfg(**oversized)  # the net a run without both overrides would build
     report = run_bounds_calculator(cfg(**oversized, m_override=1 / 12, M_override=1 / 3))
     assert (report.metadata["m"], report.metadata["M"]) == (1 / 12, 1 / 3)
     assert [r[2] for r in report.rows] == ["single_h", "uniform", "relative"]
+
+
+@pytest.mark.parametrize(
+    "payload, eps",
+    [
+        # a net of 2,170,216 members, and 2.6e11 in the asem oracle's finer net
+        ({"kind": "asem", "class_kind": "lipschitz", "lip_bound": 0.25, "opt_refinement": 2},
+         0.025),
+        ({"kind": "relative", "class_kind": "lipschitz", "lip_bound": 1.0, "net_radius": 3e-3},
+         3e-3),
+        ({"kind": "scaling", "net_radius": 1e-13, "M_override": 0.5}, 1e-13),
+    ],
+    ids=["asem-oracle", "relative", "scaling-one-override"],
+)
+def test_load_config_rejects_a_net_past_the_cap_without_building_one(
+    tmp_path, monkeypatch, payload, eps
+):
+    import chainlearn.harness as harness
+
+    built = []
+    monkeypatch.setattr(harness, "build_epsilon_net", lambda *args: built.append(args))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"net for eps={eps} would have more than 10000000 members"
+    assert built == []
 
 
 AFFINE = dict(target_name="affine", target_params={"a": 0.1, "b": 0.45}, y_lo=0.45,
@@ -520,9 +547,10 @@ def test_batch_empirical_matches_per_trajectory_learner():
     from chainlearn.learner import empirical_error
 
     for class_kind, lip, radius in (("constants", 0.0, 0.2), ("lipschitz", 1.0, 0.6)):
+        # opt_refinement 1: the oracle's net at radius 0.6 / 8 would pass the cap
         config = cfg(kind="asem", n=200, replications=5, net_radius=radius,
                      class_kind=class_kind, lip_bound=lip, pi_grid=128,
-                     master_seed=37)
+                     master_seed=37, opt_refinement=1)
         chain = build_chain(config)
         net = build_epsilon_net(build_class(config), radius)
         pi_hat = invariant_measure(chain, 128)
@@ -932,8 +960,22 @@ _TARGET = st.one_of(
         optional={"target_params": st.fixed_dictionaries({}, optional={"c": st.floats(-2, 2)})},
     ),
 )
+
+
+def _nets_fit(raw: dict) -> bool:
+    """Whether the nets a run of the config builds fit the member cap, which
+    the loader checks; any other load error propagates."""
+    try:
+        cfg(**raw)
+    except ConfigError as exc:
+        if "would have more than" in str(exc) or "too many lattice points" in str(exc):
+            return False
+        raise
+    return True
+
+
 _VALID = st.builds(lambda *parts: {k: v for p in parts for k, v in p.items()},
-                   _VALID, _CLASS, _TARGET)
+                   _VALID, _CLASS, _TARGET).filter(_nets_fit)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

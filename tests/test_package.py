@@ -67,9 +67,11 @@ def test_chain_module_loads_no_transport():
 def test_blas_products_stay_in_the_oracle():
     # a threaded BLAS product wakes helper threads that spin through the
     # rest of a pass, and makes a result depend on the BLAS build and on the
-    # shape of the call; only the Kantorovich-Rubinstein oracle may use one
+    # shape of the call; only the Kantorovich-Rubinstein oracle may use one.
+    # LAPACK rounds by kernel too, so no code names np.polyfit or a linalg
+    # module, whether as an attribute, a name or an import
     package = Path(chainlearn.__file__).parent
-    found = set()
+    found, lapack = set(), set()
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
@@ -83,12 +85,18 @@ def test_blas_products_stay_in_the_oracle():
         )
         if blas:
             found.add(scope)
+        names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= set(ast.unparse(node).replace(".", " ").replace(",", " ").split())
+        if names & {"polyfit", "linalg"}:
+            lapack.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert found == {"transport.kr_dual_lower"}
+    assert lapack == set()
 
 
 def call_sites(names) -> set[tuple[str, str]]:
