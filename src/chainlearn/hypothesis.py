@@ -347,7 +347,7 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
         return HypothesisNet(values[:, None], eps, cls)
 
     lattice, knots, pinned = _lipschitz_paths(cls, eps)
-    if lattice.size == 1:  # one walk, however many knots: too many to copy knot by knot
+    if lattice.size == 1:  # one walk, on up to 10**7 knots: copied once per knot, quadratic
         return HypothesisNet(np.full((1, knots), lattice[0]), eps, cls)
     # each knot extends every walk by -1, 0, +1 levels, in that order, so the
     # walks stay in lexicographic order; on two levels or more they multiply
