@@ -236,17 +236,8 @@ class ExperimentConfig:
             # class range and the target's range, such as B = D^2
             if self.kind not in ("contraction", "lemma"):
                 loss_constants(cls, target)
-            # the nets a run builds, counted without building them: the net,
-            # unless both ends of the error range are given, and the asem
-            # oracle's finer net
-            radii = []
-            if self.kind in ("concentration", "asem", "relative") or (
-                self.kind in ("scaling", "bounds") and None in (self.m_override, self.M_override)
-            ):
-                radii.append(self.net_radius)
-            if self.kind == "asem" and self.opt_refinement > 1:
-                radii.append(self.net_radius / self.opt_refinement)
-            for radius in radii:
+            # the nets a run builds, counted without building them
+            for radius in self.net_radii():
                 if covering_count(cls, radius) > NET_SIZE_CAP:
                     raise ConfigError(
                         f"net for eps={radius} would have more than {NET_SIZE_CAP} members"
@@ -263,6 +254,18 @@ class ExperimentConfig:
         if self.kind == "scaling" and len(set(self.eps_list)) == 1:
             raise ConfigError("eps_list must hold at least two distinct values for kind scaling")
 
+    def net_radii(self) -> tuple[float, ...]:
+        """The radii of the nets a run of this config builds: the net, unless
+        both ends of the error range are given, and the asem oracle's finer net."""
+        radii = []
+        if self.kind in ("concentration", "asem", "relative") or (
+            self.kind in ("scaling", "bounds") and None in (self.m_override, self.M_override)
+        ):
+            radii.append(self.net_radius)
+        if self.kind == "asem" and self.opt_refinement > 1:
+            radii.append(self.net_radius / self.opt_refinement)
+        return tuple(radii)
+
     @classmethod
     def from_dict(cls, raw: dict[str, Any], **overrides: Any) -> "ExperimentConfig":
         """The config `raw` holds, with the `overrides` fields in place of its
@@ -273,7 +276,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in raw:
             raise ConfigError("config needs an experiment 'kind'")
-        _checked(fields(cls)[0], raw["kind"])  # the first field is the kind
+        _checked(next(f for f in fields(cls) if f.name == "kind"), raw["kind"])
         try:
             return cls(**{**raw, **overrides})
         except TypeError as exc:

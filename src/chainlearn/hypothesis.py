@@ -306,9 +306,9 @@ def _path_count(levels: int, knots: int, pinned: Optional[tuple[int, int]]) -> i
 
 def _lipschitz_paths(
     cls: HypothesisClass, eps: float
-) -> tuple[np.ndarray, int, Optional[tuple[int, int]]]:
-    """Lattice, knot count and pinned (knot, level) of the anchor of the
-    Lipschitz net; raises for levels x knots, the work of counting, past the cap."""
+) -> tuple[np.ndarray, int, Optional[tuple[int, int]], int]:
+    """Lattice, knot count, pinned (knot, level) of the anchor and exact member
+    count of the Lipschitz net; raises for levels x knots, the work of counting, past the cap."""
     lam = cls.lip_bound
     if 2.0 * lam / eps == math.inf:  # a lattice step that underflows to 0
         raise _oversized(eps)
@@ -322,7 +322,7 @@ def _lipschitz_paths(
     if cls.kind == "lipschitz_anchored":
         ax, ay = cls.anchor
         pinned = (int(round(ax * cells)), int(np.argmin(np.abs(lattice - ay))))
-    return lattice, knots, pinned
+    return lattice, knots, pinned, _path_count(lattice.size, knots, pinned)
 
 
 def covering_count(cls: HypothesisClass, eps: float) -> int:
@@ -333,31 +333,40 @@ def covering_count(cls: HypothesisClass, eps: float) -> int:
         raise ValueError("eps must be positive")
     if cls.kind == "constants":
         return _constants_count(cls, eps)
-    lattice, knots, pinned = _lipschitz_paths(cls, eps)
-    return _path_count(lattice.size, knots, pinned)
+    return _lipschitz_paths(cls, eps)[3]
 
 
 def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
     """Constructive finite eps-cover of the class in the sup metric."""
-    if covering_count(cls, eps) > NET_SIZE_CAP:
-        raise _oversized(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     if cls.kind == "constants":
         count = _constants_count(cls, eps)
+        if count > NET_SIZE_CAP:
+            raise _oversized(eps)
         values = cls.y_lo + (np.arange(count) + 0.5) * (cls.width / count)
         return HypothesisNet(values[:, None], eps, cls)
 
-    lattice, knots, pinned = _lipschitz_paths(cls, eps)
-    if lattice.size == 1:  # one walk, on up to 10**7 knots: copied once per knot, quadratic
+    lattice, knots, pinned, count = _lipschitz_paths(cls, eps)
+    if count > NET_SIZE_CAP:
+        raise _oversized(eps)
+    levels = lattice.size
+    if levels == 1:  # one walk, on up to 10**7 knots: copied once per knot, quadratic
         return HypothesisNet(np.full((1, knots), lattice[0]), eps, cls)
     # each knot extends every walk by -1, 0, +1 levels, in that order, so the
     # walks stay in lexicographic order; on two levels or more they multiply
-    walks = np.arange(lattice.size, dtype=np.min_scalar_type(-lattice.size - 1))[:, None]
+    walks = np.arange(levels, dtype=np.min_scalar_type(-levels - 1))[:, None]
     for k in range(knots):
         if k:
             last = (walks[:, -1:] + np.array([-1, 0, 1], walks.dtype)).reshape(-1, 1)
             walks = np.hstack((walks.repeat(3, axis=0), last))
-        # knot k allows every level, or only the pinned one on the anchor's knot
-        lo, hi = (pinned[1], pinned[1] + 1) if pinned and pinned[0] == k else (0, lattice.size)
+        # knot k keeps the levels that still reach the anchor's pinned level
+        # (only that one on its knot), so every walk kept has a completion and
+        # no step holds more than 3 walks per member
+        lo, hi = 0, levels
+        if pinned and k <= pinned[0]:
+            reach = pinned[0] - k
+            lo, hi = max(0, pinned[1] - reach), min(levels, pinned[1] + reach + 1)
         walks = walks[(walks[:, -1] >= lo) & (walks[:, -1] < hi)]
     return HypothesisNet(lattice[walks], eps, cls)
 

@@ -1016,3 +1016,31 @@ def test_monte_carlo_runs_build_chain_net_and_measure_once(monkeypatch, run):
     counts = _count_builds(monkeypatch)
     run(cfg(kind="asem", n_list=[50, 80], n=50, replications=3, net_radius=0.25, pi_grid=64))
     assert counts == {"build_chain": 1, "build_epsilon_net": 1, "invariant_measure": 1}
+
+
+_SMALL = dict(n=50, replications=2, net_radius=0.25, pi_grid=64, pair_count=10, decay_n_max=2,
+              decay_grid=128, poisson_grid=4, poisson_rollouts=10, lemma_probes=2)
+_BOTH_ENDS = dict(m_override=1 / 12, M_override=1 / 3)
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [(kind, {}) for kind in sorted(RUNNERS)]
+    + [("asem", {"opt_refinement": 1}), ("scaling", _BOTH_ENDS), ("bounds", _BOTH_ENDS)],
+    ids=sorted(RUNNERS) + ["asem-refinement-1", "scaling-both-ends", "bounds-both-ends"],
+)
+def test_load_time_count_covers_the_nets_a_run_builds(monkeypatch, kind, extra):
+    import chainlearn.harness as harness
+    import chainlearn.learner as learner
+
+    radii = []
+
+    def recorded(cls, eps, _real=harness.build_epsilon_net):
+        radii.append(eps)
+        return _real(cls, eps)
+
+    for module in (harness, learner):
+        monkeypatch.setattr(module, "build_epsilon_net", recorded)
+    config = cfg(kind=kind, **_SMALL, **extra)
+    RUNNERS[kind](config)
+    assert sorted(radii) == sorted(config.net_radii())

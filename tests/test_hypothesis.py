@@ -179,6 +179,23 @@ def test_enumeration_order_matches_product(cls, eps, anchor):
     assert member_values(net) == product_order_paths(values, net.knot_count, pinned)
 
 
+def test_anchored_build_holds_only_walks_that_reach_the_pin():
+    """2,000 levels on 11 knots pinned on the last: 3^10 members, where
+    walks kept from every level until the pin would number 2000 * 3^9."""
+    import tracemalloc
+
+    cls = HypothesisClass("lipschitz_anchored", 0.0, 1.0, lip_bound=0.005, anchor=(1.0, 0.5))
+    tracemalloc.start()
+    try:
+        net = build_epsilon_net(cls, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hy._lipschitz_paths(cls, 0.001)[0].size == 2000  # the lattice's levels
+    assert net.values.shape == (3**10, 11) == (covering_count(cls, 0.001), 11)
+    assert peak < 4 * net.values.nbytes
+
+
 @pytest.mark.parametrize("values", [np.empty((0, 3)), np.empty((2, 0)), [0.2, 0.4], 0.5])
 def test_net_rejects_values_that_are_not_a_nonempty_matrix(values):
     with pytest.raises(ValueError, match="nonempty"):
