@@ -356,17 +356,16 @@ def build_epsilon_net(cls: HypothesisClass, eps: float) -> HypothesisNet:
     # each knot extends every walk by -1, 0, +1 levels, in that order, so the
     # walks stay in lexicographic order; on two levels or more they multiply
     walks = np.arange(levels, dtype=np.min_scalar_type(-levels - 1))[:, None]
+    p, q = pinned or (-1, 0)  # an unpinned walk has no knot to reach
     for k in range(knots):
         if k:
             last = (walks[:, -1:] + np.array([-1, 0, 1], walks.dtype)).reshape(-1, 1)
             walks = np.hstack((walks.repeat(3, axis=0), last))
-        # knot k keeps the levels that still reach the anchor's pinned level
-        # (only that one on its knot), so every walk kept has a completion and
-        # no step holds more than 3 walks per member
-        lo, hi = 0, levels
-        if pinned and k <= pinned[0]:
-            reach = pinned[0] - k
-            lo, hi = max(0, pinned[1] - reach), min(levels, pinned[1] + reach + 1)
+        # up to the anchor's knot p, knot k keeps the levels that can still
+        # reach the pinned level q, so every walk kept has a completion and no
+        # step holds more than 3 walks per member; after p it keeps the lattice
+        reach = p - k if k <= p else levels
+        lo, hi = max(0, q - reach), min(levels, q + reach + 1)
         walks = walks[(walks[:, -1] >= lo) & (walks[:, -1] < hi)]
     return HypothesisNet(lattice[walks], eps, cls)
 
