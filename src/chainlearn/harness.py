@@ -9,9 +9,7 @@ keys, fixed CSV column order, shortest-roundtrip float formatting).
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -448,22 +446,46 @@ def _fmt_cell(v: Any) -> str:
     return str(v)
 
 
+# what makes `csv.writer` quote a cell when it ends lines with "\n": the
+# delimiter, the quote character or the line end (a bare "\r" is written as
+# it is; Python 3.13's writer quotes it too)
+_CSV_QUOTED = frozenset(',"\n')
+_CSV_BOOLS = {True: "true", False: "false"}
+
+
+def _csv_quoted(cells: tuple, alone: bool) -> Iterable[str]:
+    """`cells` as `csv.writer` writes them: a cell holding a character of
+    `_CSV_QUOTED` in double quotes with its quotes doubled, and so is an
+    empty cell that is the only one of its row (`alone`)."""
+    if _CSV_QUOTED.isdisjoint("".join(cells)) and not (alone and "" in cells):
+        return cells
+    repeat = itertools.repeat
+    quoted = map('"{}"'.format, map(str.replace, cells, repeat('"'), repeat('""')))
+    plain = map(_CSV_QUOTED.isdisjoint, cells)
+    if alone:
+        plain = map(bool.__and__, plain, map(bool, cells))
+    return map(tuple.__getitem__, zip(quoted, cells), plain)
+
+
+def _csv_column(values: tuple, alone: bool) -> Iterable[str]:
+    """The CSV cells of one column, each made by one C-level `map`."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return map(float.__repr__, values)
+    if kinds == {bool}:
+        return map(_CSV_BOOLS.__getitem__, values)
+    return _csv_quoted(values if kinds == {str} else tuple(map(_fmt_cell, values)), alone)
+
+
 def render_report(report: Report, fmt: str) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        for key in sorted(report.metadata):
-            buf.write(f"# {key}={_fmt_cell(report.metadata[key])}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.columns)
-        # the csv module writes floats with repr and the rest with str, as
-        # _fmt_cell does, so only columns holding other types (bool, None)
-        # go through it
-        cols = [
-            col if set(map(type, col)) <= {str, int, float} else list(map(_fmt_cell, col))
-            for col in zip(*report.rows, strict=True)
-        ]
-        writer.writerows(zip(*cols))
-        return buf.getvalue()
+        lines = [f"# {key}={_fmt_cell(report.metadata[key])}" for key in sorted(report.metadata)]
+        alone = len(report.columns) == 1
+        lines.append(",".join(_csv_quoted(report.columns, alone)))
+        cols = [_csv_column(col, alone) for col in zip(*report.rows, strict=True)]
+        lines += map(",".join, zip(*cols))
+        lines.append("")  # the last line's end; one join makes the one copy of the text
+        return "\n".join(lines)
     if fmt == "json":
         payload = {
             "metadata": {k: _json_cell(v) for k, v in report.metadata.items()},

@@ -1,7 +1,12 @@
+import csv
 import dataclasses
+import importlib.util
+import io
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +130,78 @@ def test_report_rendering_deterministic(tmp_path):
 def test_empty_report_header_only():
     report = Report({}, ("x", "y"), [])
     assert render_report(report, "csv") == "x,y\n"
+
+
+def csv_oracle(report):
+    """The CSV rendering through `csv.writer` that `render_report` replaced."""
+    from chainlearn.harness import _fmt_cell
+
+    buf = io.StringIO()
+    for key in sorted(report.metadata):
+        buf.write(f"# {key}={_fmt_cell(report.metadata[key])}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    cols = [
+        col if set(map(type, col)) <= {str, int, float} else list(map(_fmt_cell, col))
+        for col in zip(*report.rows, strict=True)
+    ]
+    writer.writerows(zip(*cols))
+    return buf.getvalue()
+
+
+def bench_workloads():
+    """`bench/workloads.py`, loaded by path: `bench` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads_for_csv", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 20211008])
+def test_csv_rendering_is_the_csv_writers_for_every_bench_report(tmp_path, seed):
+    wl = bench_workloads()
+    for workload in wl.WORKLOADS.values():
+        for op, raw in zip(workload.ops, wl.configs(workload, seed, small=True)):
+            path = tmp_path / f"{op.subcommand}.json"
+            path.write_text(json.dumps(raw))
+            report = RUNNERS[raw["kind"]](load_config(str(path)))
+            assert render_report(report, "csv") == csv_oracle(report), op.label
+
+
+# csv.writer quotes a bare carriage return only from Python 3.13; reports
+# write it as it is on every version
+CR = "cr\rcell" if sys.version_info < (3, 13) else "plain"
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        Report({"note": "a,b", "flag": False, "none": None},
+               ("text", "float", "int", "bool", "mixed", "numpy"),
+               [("a,b", -0.0, 3, True, None, np.float64(0.1)),
+                ('say "hi"', math.nan, -7, False, "x,y", np.int64(2)),
+                ("two\nlines", math.inf, 0, True, 1.5, np.bool_(True)),
+                (CR, -math.inf, 10**20, False, ("t", 1), np.float32(0.5)),
+                ("", 1e-300, 1, True, True, np.int8(-1))]),
+        Report({}, ("only",), [("",), ("a",), ('"',), ("",)]),
+        Report({}, ("only",), [(None,), (0.5,)]),
+        Report({}, ("",), [(1,)]),
+        Report({}, ('a"b', "c,d", "e\nf"), [(1, 2, 3)]),
+        Report({"k": 1}, ("x", "y"), []),
+        Report({}, (), [(), ()]),
+    ],
+    ids=["cells", "one-column", "one-column-mixed", "empty-header", "quoted-header",
+         "no-rows", "no-columns"],
+)
+def test_csv_rendering_is_the_csv_writers_on_hand_built_reports(report):
+    assert render_report(report, "csv") == csv_oracle(report)
+
+
+def test_csv_writes_a_bare_carriage_return_as_it_is():
+    report = Report({}, ("a", "b"), [("x\ry", 1), ("", 2)])
+    assert render_report(report, "csv") == "a,b\nx\ry,1\n,2\n"
 
 
 def test_report_json_roundtrip(tmp_path):

@@ -7,7 +7,9 @@ bit anywhere in the bit draw, the recursion, the Poisson fold, the hat
 moments or their snapshots at each n of one pass fails here.
 The identity and affine contraction audits certify every W1 solve by the
 line bound, so their reports go through neither BLAS nor HiGHS and are
-pinned as CSV bytes.  So are two `bounds` reports for Lipschitz classes
+pinned as CSV bytes.  So are a quadratic and a tent audit on a decay grid of
+1000 atoms, where the staircase replay restarts at the near-ties of the
+dyadic kernels with the grid weights.  So are two `bounds` reports for Lipschitz classes
 whose covering counts pass the member cap: with both error-range overrides
 they build no net and no measure, and a moved count moves their uniform
 and relative bounds.
@@ -138,6 +140,23 @@ def test_identity_contraction_audit_is_pinned():
                                   pair_count=300, decay_n_max=9, decay_grid=512, master_seed=5)
         text = render_report(run_contraction_audit(config), "csv")
         assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize(
+    "target, decay_n_max, x0, pin",
+    [
+        ("quadratic", 10, 0.3, "008dce305b2e3318004d70f4d685055c0e0c7bee5da85dc459acf1cfd08dbb57"),
+        ("tent", 12, 0.1, "dc287c70ef4056f18ea8d0d1d2cee92d426f2331f606341a9b3a50bf8eae79a2"),
+    ],
+    ids=["quadratic", "tent"],
+)
+def test_contraction_audit_whose_staircases_restart_is_pinned(target, decay_n_max, x0, pin):
+    # weights 0.001 against dyadic kernels: cumulative sums that meet up to
+    # rounding, where the staircase loop may leave a leftover instead of a tie
+    config = ExperimentConfig(kind="contraction", target_name=target, pair_count=3,
+                              decay_grid=1000, decay_n_max=decay_n_max, x0=x0, master_seed=1)
+    text = render_report(run_contraction_audit(config), "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
 
 
 @pytest.mark.parametrize(

@@ -998,6 +998,142 @@ def test_staircase_equals_the_builtin_min_loop():
             assert [(i, j, m.hex()) for i, j, m in got] == [(i, j, m.hex()) for i, j, m in want]
 
 
+def staircase_oracle(a, b):
+    """The loop `_staircase` replays: it walks the cells one at a time."""
+    a, b = a.tolist(), b.tolist()
+    m, n = len(a), len(b)
+    rows: list[int] = []
+    cols: list[int] = []
+    masses: list[float] = []
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while i < m and j < n:
+        mass = rb if rb < ra else ra  # min(ra, rb) without the call
+        rows.append(i)
+        cols.append(j)
+        masses.append(mass)
+        ra -= mass
+        rb -= mass
+        a_done = ra <= 1e-18
+        b_done = rb <= 1e-18
+        if a_done and b_done:
+            if i + 1 < m and j + 1 < n:
+                rows.append(i + 1)
+                cols.append(j)
+                masses.append(0.0)
+            i += 1
+            j += 1
+            if i < m:
+                ra = a[i]
+            if j < n:
+                rb = b[j]
+        elif a_done:
+            i += 1
+            if i < m:
+                ra = a[i]
+        else:
+            j += 1
+            if j < n:
+                rb = b[j]
+    return np.array(rows, np.intp), np.array(cols, np.intp), np.array(masses)
+
+
+def uniform(size):
+    return np.full(size, 1.0 / size)
+
+
+def normalized(weights):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum()
+
+
+def arc_length_pair(target, grid):
+    """The arc-length measure's weights and its pushforward's, merged, as
+    the contraction audit pairs them."""
+    chain = ContractiveChain(make_space(target))
+    mu = arc_length_measure(chain, grid).merged()
+    return mu.weights, kernel_pushforward(chain, mu).merged().weights
+
+
+NEAR_TIE = (np.array([0.1, 0.2, 0.7]), np.array([0.3, 0.7]))
+CURVES = (IDENTITY, TENT, QUADRATIC)
+
+STAIRCASE_PAIRS = st.one_of(
+    # dyadic sizes, up to 4096 against 4096: every step is a tie or ends
+    # one side exactly
+    st.builds(lambda p, q: (uniform(2**p), uniform(2**q)),
+              st.integers(0, 12), st.integers(0, 12)),
+    # uniform against uniform, and dyadic against decimal grids: cumulative
+    # sums that meet only up to rounding
+    st.builds(lambda p, q: (uniform(p), uniform(q)), st.integers(1, 1100), st.integers(1, 1100)),
+    st.builds(lambda p, q: (uniform(2**p), uniform(q)),
+              st.integers(0, 12), st.sampled_from([3, 10, 100, 1000, 1024])),
+    # random normalized weights, m = 1 or n = 1 included
+    st.builds(lambda p, q, seed: tuple(normalized(np.random.default_rng(seed).random(k) + 1e-3)
+                                       for k in (p, q)),
+              st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32 - 1)),
+    # decimal weights with near-ties
+    st.sampled_from([NEAR_TIE, (np.full(30, 0.1), np.full(10, 0.3))]),
+    st.builds(lambda p, q, seed: tuple(normalized(np.random.default_rng(seed).integers(1, 4, k))
+                                       for k in (p, q)),
+              st.integers(1, 200), st.integers(1, 200), st.integers(0, 2**32 - 1)),
+    # the arc-length measure against its pushforward, as the audit pairs them
+    st.builds(arc_length_pair, st.sampled_from(CURVES), st.sampled_from([2, 3, 100, 128, 1000])),
+    # weights summing to 1 + 5e-11: the columns run out one row early
+    st.just((np.array([0.5, 0.5, 5e-11]), np.array([0.5, 0.5]))),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair=STAIRCASE_PAIRS, swap=st.booleans())
+def test_staircase_is_the_loop_bit_for_bit(pair, swap):
+    import chainlearn.transport as tr
+
+    a, b = pair[::-1] if swap else pair
+    got, want = tr._staircase(a, b), staircase_oracle(a, b)
+    assert [g.dtype for g in got] == [w.dtype for w in want]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_staircase_keeps_a_near_tie_leftover_as_a_cell():
+    # 0.2 - fl(0.3 - 0.1) leaves 2^-55 in row 1: the cumulative sums tie up
+    # to rounding, but the loop moves the leftover on cell (1, 1)
+    import chainlearn.transport as tr
+
+    cells = plan_cells(tr._staircase(*NEAR_TIE))
+    assert cells == [(0, 0, 0.1), (1, 0, 0.3 - 0.1), (1, 1, 2.0**-55), (2, 1, 0.7)]
+    assert 0.2 - (0.3 - 0.1) == 2.0**-55 == pytest.approx(2.78e-17, rel=1e-3)
+
+
+def test_staircase_restarts_only_where_the_loop_leaves_a_near_tie(monkeypatch):
+    # the cumulative sums propose every step of the dyadic decay pairs and
+    # of the arc-length pairs right; the near-tie pair needs one restart, and
+    # so does a dyadic kernel against a 1000-atom grid, whose seven near
+    # pairs are all decided on the first replay
+    import chainlearn.transport as tr
+
+    calls = []
+    real = tr._stair_proposal
+    monkeypatch.setattr(tr, "_stair_proposal", lambda *args: calls.append(1) or real(*args))
+
+    def proposals(a, b):
+        calls.clear()
+        tr._staircase(a, b)
+        return len(calls)
+
+    for target in CURVES:
+        chain = ContractiveChain(make_space(target))
+        pi_hat = invariant_measure(chain, 4096)
+        for n in (1, 6, 12):
+            mu = n_step_kernel(chain, graph_point(0.3, target), n).merged()
+            assert proposals(mu.weights, pi_hat.weights) == 1
+        assert proposals(*arc_length_pair(target, 128)) == 1
+    assert proposals(*NEAR_TIE) == 2
+    chain = ContractiveChain(make_space(IDENTITY))
+    mu = n_step_kernel(chain, graph_point(0.3, IDENTITY), 10).merged()
+    assert proposals(mu.weights, invariant_measure(chain, 1000).weights) == 2
+
+
 def test_certificate_block_minimum_decides_as_the_elementwise_check():
     # `block.min() >= -tol` accepts exactly the blocks that `(block >= -tol).all()`
     # accepts, a NaN anywhere rejecting in both
