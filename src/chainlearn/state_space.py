@@ -195,11 +195,14 @@ class DiscreteMeasure:
         weights = np.asarray(weights, dtype=float)
         if not (xs.shape == ys.shape == weights.shape) or xs.ndim != 1 or xs.size == 0:
             raise ValueError("atoms must be three equal-length 1-d arrays")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(weights).all()):
+            raise ValueError("atoms and weights must be finite")
         order = np.lexsort((ys, xs))
         xs, ys, weights = xs[order], ys[order], weights[order]
-        if normalize_check and abs(weights.sum() - 1.0) > 1e-12:
+        # written so that a NaN fails each check
+        if normalize_check and not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
-        if (weights <= 0).any():
+        if not (weights > 0).all():
             raise ValueError("weights must be positive")
         for arr in (xs, ys, weights):
             arr.setflags(write=False)

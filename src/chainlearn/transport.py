@@ -38,30 +38,15 @@
         curved targets whose cost is order-compatible on the atoms (the
         quadratic) and some tent pairs.
 
-    The staircase (`_staircase`) is the plan of a loop that walks the
-    cells one at a time: each step moves min(ra, rb) of the residuals of
-    its row and column, and a side whose residual is then at most
-    `_STAIR_EXHAUSTED` ends (both on a tie, which adds a zero-mass link).
-    It is built in numpy with the loop's floats.  After every step one
-    residual is exactly 0.0, so the loop's state is one signed leftover
-    D = ra - rb, and a step sets D to fl(D + a_i) when row i enters and to
-    fl(D - b_j) when column j enters; after a tie both enter from D = 0.
-    The order in which rows and columns enter is proposed from the merge
-    of cumsum(a) and cumsum(b), with a tie where the two sums differ by at
-    most `_STAIR_NEAR_TIE`.  One `cumsum` of the signed entering weights
-    in that order then gives the loop's D at every step, since `cumsum`
-    adds in sequence; each step's mass is min(leftover, entering weight),
-    and D tells which side ends.  Each proposed ending is checked against
-    D, and a proposed tie also needs its leftover, which the loop drops,
-    to vanish in the next row's weight.  At the first step that disagrees
-    the loop's own ending is taken and the rest is proposed again from
-    there, with every near pair of sums proposed as the loop decided it on
-    the last replay.  A proposal sets only how often this restarts, never
-    a float of the result.  Dyadic weights and the arc-length measure
-    against its pushforward replay in one pass; a restart costs one replay
-    of the remainder, so a pair whose sums meet up to rounding at k points
-    the loop does not tie can cost k + 1 passes (weights 1/768 against
-    2^-12: 256 passes).
+    The staircase (`_staircase`) is the north-west-corner coupling: the
+    merge of cumsum(a) and cumsum(b), rows first on equal sums.  Each sum
+    ends its row or column on the cell of the rows and columns ended
+    before it, with the gap to the sum before as mass, so equal sums leave
+    a zero-mass link and the cells form a connected staircase tree; the
+    walk stops where the first side runs out.  Where every sum is exact
+    (dyadic weights), this is the plan of the loop that walks the cells
+    one at a time moving min(ra, rb), bit for bit; where sums round, the
+    marginals are within that rounding of the weights.
 2.  The transportation LP solved by HiGHS (`scipy.optimize.linprog`) for
     everything else, on a restricted support: the staircase cells, which
     alone make it feasible, plus the cheapest cell of each row and each
@@ -148,16 +133,6 @@ ATOM_CAP = 4096          # per measure, after duplicate merging
 _DUAL_TOL = 1e-11
 _LP_TOL = 1e-10  # HiGHS feasibility tolerances and the restricted LP's pricing check
 _BLOCK_CELLS = 1 << 16  # cells per row block of the dual checks
-# A staircase row or column is exhausted once its residual mass is at most
-# this.  Each step leaves one residual exactly 0.0; the other is exhausted
-# too only on a near-tie, whose leftover, far below the unit roundoff of the
-# unit total mass (1.1e-16), becomes a zero-mass tie link, not a cell.
-_STAIR_EXHAUSTED = 1e-18
-# The staircase proposes a tie where a row's and a column's cumulative sums
-# differ by at most this: each sum is within 4096 roundings (ATOM_CAP
-# additions to a total of 1, 4.5e-13) of its exact value.  A proposal only
-# sets how often the replay restarts, never its result.
-_STAIR_NEAR_TIE = 1e-12
 # Route 2 drops cells whose LP mass is at most this: basic cells at a
 # degenerate vertex carry 0 up to HiGHS's roundoff, and dropping one moves a
 # marginal by at most this, five orders of magnitude inside `_LP_TOL`.
@@ -182,95 +157,21 @@ def _reduced_cost(cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _stair_proposal(wa: np.ndarray, wb: np.ndarray, seen: np.ndarray):
-    """The steps the staircase over row weights wa and column weights wb
-    should take, read off the merge of their cumulative sums: (row_ends,
-    col_ends, near), step k ending its row, its column or both (a tie).
-
-    A row's and a column's sums within `_STAIR_NEAR_TIE` of each other are a
-    near pair, and `near` marks the step where it begins.  It is proposed as
-    the loop decided it on the leftover `seen[r]` of its row r at that step
-    on an earlier replay: the column first if seen[r] is positive, the row
-    first if it is negative, and a tie if it is exhausted (at first, 0)."""
-    p, q = wa.size, wb.size
-    ends = np.concatenate((wa.cumsum(), wb.cumsum()))
-    order = ends.argsort(kind="stable")  # a row before a column it equals
-    is_row = order < p
-    ends = ends[order]
-    pairs = (is_row[1:] != is_row[:-1]) & (abs(ends[1:] - ends[:-1]) <= _STAIR_NEAR_TIE)
-    pairs[1:] &= ~pairs[:-1]
-    pairs = pairs.nonzero()[0]
-    left = seen[np.where(is_row[pairs], order[pairs], order[pairs + 1])]
-    swap = np.where(is_row[pairs], left > _STAIR_EXHAUSTED, left < -_STAIR_EXHAUSTED)
-    is_row[pairs[swap]] ^= True
-    is_row[pairs[swap] + 1] ^= True
-    tie = np.zeros(p + q, bool)  # a tie's first end; its second is dropped
-    tie[pairs[abs(left) <= _STAIR_EXHAUSTED]] = True
-    near = np.zeros(p + q, bool)
-    near[pairs] = True
-    step = np.ones(p + q, bool)
-    step[1:] = ~tie[:-1]
-    row_ends, col_ends = (is_row | tie)[step], (~is_row | tie)[step]
-    last = ((row_ends.cumsum() == p) | (col_ends.cumsum() == q)).argmax() + 1
-    return row_ends[:last], col_ends[:last], near[step][:last]
-
-
 def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The quantile coupling as a plan (rows, cols, masses): mass masses[k]
     on cell (rows[k], cols[k]), with zero-mass tie links keeping the support
     a connected staircase tree (a degenerate transportation basis).
 
-    Replays, in numpy, the loop that walks the cells one at a time, float
-    for float (see route 1 in the module docstring); the Python loop here
-    runs once per restart."""
+    The merge of cumulative sums of route 1 in the module docstring."""
     m, n = a.size, b.size
-    parts = []
-    seen = np.zeros(m)  # each row's leftover where its near pair began
-    i0 = j0 = 0
-    ra, rb = a[:1], b[:1]  # the residuals of row i0 and column j0
-    while True:
-        wa, wb = np.concatenate((ra, a[i0 + 1 :])), np.concatenate((rb, b[j0 + 1 :]))
-        row_ends, col_ends, near = _stair_proposal(wa, wb, seen[i0:])
-        i = row_ends.cumsum(dtype=np.intp) - row_ends
-        j = col_ends.cumsum(dtype=np.intp) - col_ends
-        # ra and rb before each step: a row or column that enters brings its
-        # weight, the other side holds the last step's leftover
-        ra, rb = wa[i], wb[j]
-        enters = np.zeros((i.size, 2))
-        enters[0] = ra[0], -rb[0]
-        enters[1:, 0][row_ends[:-1]] = ra[1:][row_ends[:-1]]
-        enters[1:, 1][col_ends[:-1]] = -rb[1:][col_ends[:-1]]
-        sums = enters.ravel().cumsum()
-        left = sums[1::2]  # ra - rb after each step
-        ra[1:][~row_ends[:-1]] = left[:-1][~row_ends[:-1]]
-        rb[1:][~col_ends[:-1]] = -left[:-1][~col_ends[:-1]]
-        a_done, b_done = left <= _STAIR_EXHAUSTED, left >= -_STAIR_EXHAUSTED
-        # a tie drops its leftover: the sums go on as the loop's only if the
-        # next row's weight absorbs it
-        dropped = np.ones(i.size, bool)
-        dropped[:-1] = sums[2::2] == enters[1:, 0]
-        wrong = (a_done != row_ends) | (b_done != col_ends) | (row_ends & col_ends & ~dropped)
-        stop = wrong.argmax() if wrong.any() else i.size - 1  # the last step replayed
-        rows, cols = i0 + i[: stop + 1], j0 + j[: stop + 1]
-        ties = (a_done & b_done)[: stop + 1] & (rows + 1 < m) & (cols + 1 < n)
-        parts.append((rows, cols, np.where(rb < ra, rb, ra)[: stop + 1], ties))
-        seen[i0 + i[near]] = left[near]
-        i0, j0 = int(rows[-1] + a_done[stop]), int(cols[-1] + b_done[stop])
-        if i0 == m or j0 == n:
-            break
-        ra = a[i0 : i0 + 1] if a_done[stop] else left[stop : stop + 1]
-        rb = b[j0 : j0 + 1] if b_done[stop] else -left[stop : stop + 1]
-    rows, cols, masses, ties = (np.concatenate(part) for part in zip(*parts))
-    # each cell, then its tie link (i + 1, j, 0.0) where it has one
-    keep = np.ones((rows.size, 2), bool)
-    keep[:, 1] = ties
-    keep = keep.ravel()
-    cells = np.empty((rows.size, 2), np.intp)
-    cells[:, 0] = rows
-    cells[:, 1] = rows + 1
-    weights = np.zeros((rows.size, 2))
-    weights[:, 0] = masses
-    return cells.ravel()[keep], cols.repeat(2)[keep], weights.ravel()[keep]
+    ends = np.concatenate((a.cumsum(), b.cumsum()))
+    order = ends.argsort(kind="stable")  # a row before a column it equals
+    is_row = order < m
+    rows = is_row.cumsum(dtype=np.intp)  # rows ended after each step
+    cols = np.arange(1, m + n + 1, dtype=np.intp) - rows
+    last = ((rows == m) | (cols == n)).argmax() + 1  # the first side runs out
+    rows, cols, is_row = rows[:last], cols[:last], is_row[:last]
+    return rows - is_row, cols - ~is_row, np.diff(ends[order[:last]], prepend=0.0)
 
 
 def _plan_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, rows, cols, masses) -> float:

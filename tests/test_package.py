@@ -143,6 +143,25 @@ def test_one_staircase_and_one_dual_sweep_per_solve():
     }
 
 
+def test_the_staircase_is_one_merge_without_a_loop():
+    # the staircase is read off one merge of two cumulative sums: no Python
+    # loop walks its cells, and no near-tie constant or proposal helper is
+    # left from the loop's replay
+    package = Path(chainlearn.__file__).parent
+    tree = ast.parse((package / "transport.py").read_text())
+    (stairs,) = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_staircase")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(stairs))
+    gone = {"_stair_proposal", "_STAIR_NEAR_TIE", "_STAIR_EXHAUSTED"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in gone, (path.name, node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in gone, (path.name, node.id)
+
+
 def test_one_bit_stream_and_one_recursion_in_the_package():
     # the splitmix multipliers live only in `rng`; the bit-level draws are
     # made by the one float simulator (`chain.simulate_x_blocks`, one call

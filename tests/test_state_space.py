@@ -176,6 +176,18 @@ def test_discrete_measure_validation():
     assert m.xs[0] == 0.2  # atoms sorted by x
 
 
+@pytest.mark.parametrize("normalize_check", [True, False])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["xs", "ys", "weights"])
+def test_discrete_measure_rejects_non_finite_atoms_and_weights(field, value, normalize_check):
+    # a NaN weight used to pass both weight checks, and W1 against it never
+    # returned
+    arrays = [[0.1, 0.2], [0.1, 0.2], [0.5, 0.5]]
+    arrays[field][0] = value
+    with pytest.raises(ValueError):
+        DiscreteMeasure(*arrays, normalize_check=normalize_check)
+
+
 def test_discrete_measure_merge():
     m = DiscreteMeasure([0.5, 0.5, 0.1], [0.5, 0.5, 0.1], [0.25, 0.25, 0.5])
     merged = m.merged()
